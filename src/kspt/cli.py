@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 from . import catalog as catalog_mod
+from . import scan
 from .game import (
     GameSpec,
     SearchBudgetError,
@@ -225,14 +226,14 @@ def _cmd_game(args: argparse.Namespace) -> int:
         }
         _emit("game quantum-verify", inputs, results, t0)
         return 0 if report.perfect else 1
-    report = classical_value_report(spec, threads=args.threads, lane=args.lane)
+    report = classical_value_report(spec)
     results = {
         "value": _fr(report.value),
         "best_total": report.best_total,
         "trials": report.trials,
         "n": report.n,
         "contexts": report.m,
-        "lane": report.lane,
+        "lane": scan.LANE,
         "witness_strategy": {
             "assignment": list(report.assignment),
             "context_choices": [list(c) for c in report.context_choices],
@@ -357,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_source(p_qv)
     p_cb = game_sub.add_parser("classical-bound", help="exact optimum over deterministic strategies")
     _add_set_source(p_cb)
-    p_cb.add_argument("--threads", type=int, default=None)
-    p_cb.add_argument("--lane", choices=("compiled", "numpy"), default=None)
 
     p_selftest = sub.add_parser("selftest", help="constraint-system uniqueness certification")
     p_selftest.add_argument("--d", type=int, default=None, help="merged-family dimension (>= 4)")

@@ -10,8 +10,8 @@ The quantum side evaluates the reference strategy (shared antisymmetric
 state, basis measurements) with exact rational probabilities.  The classical
 side maximizes over all deterministic strategies: for a fixed {0,1} vertex
 assignment the per-context choices decouple, so one table lookup per context
-per assignment suffices, and the 2^n assignment scan runs on a compiled or
-numpy kernel.
+per assignment suffices, and ``scan.best_assignment`` runs the 2^n assignment
+scan by split enumeration, returning the smallest maximizing assignment.
 """
 
 from __future__ import annotations
@@ -181,8 +181,6 @@ class ClassicalBoundReport:
     d: int
     assignment: tuple[int, ...]
     context_choices: tuple[tuple[int, ...], ...]
-    lane: str
-    threads: int
 
 
 def _argmax_choice(spec: GameSpec, x: int, assignment: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,13 +196,13 @@ def _argmax_choice(spec: GameSpec, x: int, assignment: tuple[int, ...]) -> tuple
     return best_a
 
 
-def classical_value_report(spec: GameSpec, threads: int | None = None,
-                           lane: str | None = None) -> ClassicalBoundReport:
+def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
     """Scan all 2^n vertex assignments for the exact classical optimum.
 
     Guarded by the assignment budget (default n <= 26); the KS_SEARCH_BUDGET
-    environment variable raises or lowers the cap.  Results are independent
-    of thread count and kernel lane.
+    environment variable raises or lowers the cap.  The witness is
+    deterministic: the smallest maximizing assignment v (vertex i is bit i),
+    read as a tuple, and per context the lexicographically first best choice.
     """
     n = spec.vset.n
     budget = int(os.environ.get(BUDGET_ENV, DEFAULT_SEARCH_BUDGET))
@@ -214,9 +212,7 @@ def classical_value_report(spec: GameSpec, threads: int | None = None,
             f"set {BUDGET_ENV}={n} or higher to run anyway"
         )
     members, tables = _context_tables(spec)
-    best_total, best_v, used_lane = scan.best_assignment(
-        members, tables, n, threads=threads, lane=lane
-    )
+    best_total, best_v = scan.best_assignment(members, tables, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))
     choices = tuple(_argmax_choice(spec, x, assignment) for x in range(spec.m))
     return ClassicalBoundReport(
@@ -228,13 +224,11 @@ def classical_value_report(spec: GameSpec, threads: int | None = None,
         d=spec.d,
         assignment=assignment,
         context_choices=choices,
-        lane=used_lane,
-        threads=threads if threads is not None else 0,
     )
 
 
-def classical_value(spec: GameSpec, threads: int | None = None) -> Fraction:
-    return classical_value_report(spec, threads=threads).value
+def classical_value(spec: GameSpec) -> Fraction:
+    return classical_value_report(spec).value
 
 
 @dataclass(frozen=True)

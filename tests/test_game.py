@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kspt import scan
-from kspt.catalog import catalog_ceg18, catalog_conway_kochen31
+from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
 from kspt.game import (
     GameSpec,
     SearchBudgetError,
@@ -162,23 +161,29 @@ def test_classical_witness_replays_to_the_reported_total():
     assert total == report.best_total
 
 
-def test_scan_lanes_agree():
-    spec = ceg_game()
-    numpy_report = classical_value_report(spec, lane="numpy")
-    assert numpy_report.lane == "numpy"
-    if scan.compiled_available():
-        compiled_report = classical_value_report(spec, lane="compiled")
-        assert compiled_report.lane == "compiled"
-        assert compiled_report.value == numpy_report.value
-        assert compiled_report.assignment == numpy_report.assignment
-
-
-def test_scan_thread_count_does_not_change_the_result():
-    spec = ceg_game()
-    single = classical_value_report(spec, threads=1)
-    multi = classical_value_report(spec, threads=4)
-    assert single.value == multi.value
-    assert single.assignment == multi.assignment
+def test_classical_witnesses_are_pinned():
+    # the witnesses of the builtin games, as the CLI reports them; a kernel
+    # change must reproduce them bit for bit
+    ceg = classical_value_report(ceg_game())
+    assert ceg.best_total == 35
+    assert ceg.assignment == tuple(int(i in (0, 4, 7, 10)) for i in range(18))
+    assert ceg.context_choices == (
+        (1, 2, 3), (15, 16, 17), (1, 8, 17), (2, 11, 13), (3, 5, 6),
+        (5, 14, 16), (6, 8, 9), (9, 11, 12), (12, 13, 14),
+    )
+    peres = catalog_peres24()
+    report = classical_value_report(
+        GameSpec(d=4, vset=peres, contexts=tuple(enumerate_contexts(peres)))
+    )
+    assert report.best_total == 94
+    assert report.assignment == tuple(int(i % 4 == 0) for i in range(24))
+    assert report.context_choices == (
+        (1, 2, 3), (1, 6, 7), (2, 10, 11), (3, 22, 23), (1, 2, 21), (1, 3, 9),
+        (2, 3, 5), (5, 6, 7), (6, 14, 15), (7, 18, 19), (5, 6, 17), (5, 7, 13),
+        (9, 10, 11), (10, 13, 15), (11, 17, 19), (9, 10, 18), (9, 11, 14),
+        (13, 14, 15), (15, 21, 23), (13, 14, 22), (17, 18, 19), (16, 19, 23),
+        (17, 18, 21), (21, 22, 23),
+    )
 
 
 def test_classical_value_invariant_under_vertex_relabeling():
@@ -208,12 +213,6 @@ def test_search_budget_override(monkeypatch):
         classical_value_report(spec)
     monkeypatch.setenv("KS_SEARCH_BUDGET", "18")
     assert classical_value_report(spec).value == Fraction(35, 36)
-
-
-def test_forced_python_lane(monkeypatch):
-    monkeypatch.setenv("KSPT_FORCE_PYTHON_SCAN", "1")
-    report = classical_value_report(toy_game())
-    assert report.lane == "numpy"
 
 
 def test_measurement_algebra_on_orthogonal_bases():

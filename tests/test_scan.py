@@ -1,10 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
 from kspt import scan
-from kspt.catalog import catalog_ceg18
-from kspt.game import GameSpec, _context_tables
 
 
 def brute_force_best(members, tables, n):
@@ -23,43 +22,74 @@ def brute_force_best(members, tables, n):
     return best_score, best_v
 
 
+def vectorized_best(members, tables, n):
+    """Reference scan: every pattern built bit by bit over all 2^n assignments."""
+    vs = np.arange(1 << n, dtype=np.int64)
+    total = np.zeros(1 << n, dtype=np.int64)
+    for ctx, table in zip(members, tables):
+        pattern = np.zeros(1 << n, dtype=np.int64)
+        for j, vertex in enumerate(ctx):
+            pattern |= ((vs >> vertex) & 1) << j
+        total += np.asarray(table, dtype=np.int64)[pattern]
+    # argmax returns the first maximizer, i.e. the smallest v
+    idx = int(np.argmax(total))
+    return int(total[idx]), idx
+
+
 def random_instance(rng, n, m, d):
-    members = [tuple(rng.sample(range(n), d)) for _ in range(m)]
+    """m contexts of size d, drawn entirely low, straddling or entirely high.
+
+    Low and high are the two sides of the scan's split at min(n, SPLIT_BITS);
+    for n <= SPLIT_BITS every context lies low.
+    """
+    k = min(n, scan.SPLIT_BITS)
+    lows, highs = list(range(k)), list(range(k, n))
+    kinds = ["low"]
+    if highs:
+        kinds.append("straddle")
+    if len(highs) >= d:
+        kinds.append("high")
+    members = []
+    for _ in range(m):
+        kind = rng.choice(kinds)
+        if kind == "low":
+            ctx = rng.sample(lows, d)
+        elif kind == "high":
+            ctx = rng.sample(highs, d)
+        else:
+            n_high = rng.randint(1, min(d - 1, len(highs)))
+            ctx = rng.sample(highs, n_high) + rng.sample(lows, d - n_high)
+            rng.shuffle(ctx)
+        members.append(tuple(ctx))
     tables = [[rng.randint(0, d) for _ in range(1 << d)] for _ in range(m)]
     return members, tables
 
 
 def test_lanes_match_brute_force_on_random_instances():
     rng = random.Random(42)
-    for _ in range(10):
-        n = rng.randint(3, 10)
+    for n in range(3, 20):
         d = rng.randint(2, min(4, n))
-        members, tables = random_instance(rng, n, m=rng.randint(1, 5), d=d)
-        expected = brute_force_best(members, tables, n)
-        got_numpy = scan.best_assignment(members, tables, n, lane="numpy")
-        assert got_numpy[:2] == expected
-        if scan.compiled_available():
-            got_compiled = scan.best_assignment(members, tables, n, lane="compiled")
-            assert got_compiled[:2] == expected
+        members, tables = random_instance(rng, n, m=rng.randint(1, 6), d=d)
+        expected = vectorized_best(members, tables, n)
+        if n <= 10:
+            assert expected == brute_force_best(members, tables, n)
+        assert scan.best_assignment(members, tables, n) == expected
 
 
 def test_ties_resolve_to_the_smallest_assignment():
     # constant tables make every assignment optimal; the winner must be v=0
-    members = [(0, 1)]
-    tables = [[1, 1, 1, 1]]
-    for lane in ("numpy", "compiled") if scan.compiled_available() else ("numpy",):
-        score, v, used = scan.best_assignment(members, tables, 6, lane=lane)
-        assert (score, v) == (1, 0)
-        assert used == lane
+    assert scan.best_assignment([(0, 1)], [[1, 1, 1, 1]], 6) == (1, 0)
 
 
-def test_threaded_scan_matches_inline_scan():
-    ceg, tetrads = catalog_ceg18()
-    spec = GameSpec(d=4, vset=ceg, contexts=tuple(tetrads))
-    members, tables = _context_tables(spec)
-    inline = scan.best_assignment(members, tables, 18, threads=1)
-    pooled = scan.best_assignment(members, tables, 18, threads=4)
-    assert inline[:2] == pooled[:2] == (35, inline[1])
+def test_split_boundary_tie_is_won_in_a_high_block():
+    # the maximum needs v16 != v17, so block h=0 cannot reach it; the
+    # maximizers are v16 xor v17 = 1 and v4 = 1, with v18 free (the
+    # straddling context ties over it), so the smallest is h=1 with low 1<<4
+    members = [(16, 17), (18, 4), (0, 1)]
+    tables = [[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
+    expected = (3, (1 << 16) | (1 << 4))
+    assert vectorized_best(members, tables, 19) == expected
+    assert scan.best_assignment(members, tables, 19) == expected
 
 
 def test_input_validation():
@@ -71,26 +101,15 @@ def test_input_validation():
         scan.best_assignment([(0, 1)], [[0] * 3], 4)
     with pytest.raises(ValueError):
         scan.best_assignment([(0, 1)], [[0] * 4], -1)
-
-
-def test_active_lane_resolution(monkeypatch):
-    monkeypatch.delenv(scan.FORCE_PYTHON_ENV, raising=False)
+    # member indices outside [0, n), and a repeated member
     with pytest.raises(ValueError):
-        scan.active_lane("fortran")
-    assert scan.active_lane("numpy") == "numpy"
-    default = scan.active_lane()
-    assert default == ("compiled" if scan.compiled_available() else "numpy")
-    monkeypatch.setenv(scan.FORCE_PYTHON_ENV, "1")
-    assert scan.active_lane() == "numpy"
-    # an explicit argument beats the environment override
-    if scan.compiled_available():
-        assert scan.active_lane("compiled") == "compiled"
-
-
-def test_numpy_block_boundaries():
-    # n just above the block size exercises the multi-block path
-    members = [(20, 3)]
-    tables = [[0, 1, 2, 3]]
-    score, v, _ = scan.best_assignment(members, tables, 21, threads=1, lane="numpy")
-    assert score == 3
-    assert v == (1 << 20) | (1 << 3)
+        scan.best_assignment([(0, 5)], [[0, 1, 2, 3]], 3)
+    with pytest.raises(ValueError):
+        scan.best_assignment([(0, 3)], [[0, 1, 2, 3]], 3)
+    with pytest.raises(ValueError):
+        scan.best_assignment([(0, -1)], [[0, 1, 2, 3]], 3)
+    with pytest.raises(ValueError):
+        scan.best_assignment([(0, 0)], [[0, 1, 2, 3]], 3)
+    # one table per context
+    with pytest.raises(ValueError):
+        scan.best_assignment([(0, 1), (1, 2)], [[0] * 4], 3)

@@ -10,7 +10,7 @@ representatives are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -39,17 +39,7 @@ def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
     sign so that the first nonzero entry is positive.  The zero vector maps
     to itself.
     """
-    den = 1
-    for x in v:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(ints)
-    ints = [x // g for x in ints]
+    ints = _reduce_row(_integer_row(v))
     for x in ints:
         if x != 0:
             if x < 0:
@@ -58,16 +48,13 @@ def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    # clear denominators row by row; row scaling never changes rank/null space
-    out = []
-    for r in rows:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in r])
-    return out
+def _integer_row(row: Sequence[Scalar]) -> list[int]:
+    # clear denominators; row scaling never changes a ray, a rank or a null space
+    den = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            den = lcm(den, x.denominator)
+    return [int(x * den) for x in row]
 
 
 def _reduce_row(row: list[int]) -> list[int]:
@@ -87,7 +74,7 @@ def row_echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list
     left to right.  Rows are kept primitive after every elimination step to
     bound coefficient growth.
     """
-    work = [_reduce_row(r) for r in _integer_rows(rows)]
+    work = [_reduce_row(_integer_row(r)) for r in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
@@ -127,7 +114,7 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return Fraction(1)
-    ints = _integer_rows(rows)
+    ints = [_integer_row(r) for r in rows]
     scale = Fraction(1)
     for orig, cleared in zip(rows, ints):
         # undo the per-row denominator clearing in the final value
@@ -160,8 +147,10 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:
 def null_space_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of {x : Mx = 0}, one primitive integer vector per free column.
 
-    Basis vectors are emitted in increasing free-column order; each is scaled
-    to primitive integer form with the first nonzero entry positive.
+    Back-substitution stays in integers: at pivot p with row sum s, x is
+    scaled by p / g and x[pivot] = -s / g, g = gcd(s, p).  Basis vectors are
+    emitted in increasing free-column order; each is scaled to primitive
+    integer form with the first nonzero entry positive.
     """
     if ncols is None:
         if not rows:
@@ -171,12 +160,14 @@ def null_space_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = 1
         for i in range(len(pivots) - 1, -1, -1):
             c = pivots[i]
-            s = sum((Fraction(echelon[i][j]) * x[j] for j in range(c + 1, ncols)), Fraction(0))
-            x[c] = -s / echelon[i][c]
+            s = sum(echelon[i][j] * x[j] for j in range(c + 1, ncols))
+            g = gcd(s, echelon[i][c])
+            x = [echelon[i][c] // g * e for e in x]
+            x[c] = -s // g
         basis.append(primitive(x))
     return basis
 

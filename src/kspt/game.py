@@ -7,10 +7,11 @@ outputs enumerate all of C_x except one member, and the last party's bit says
 whether the left-out member is y.
 
 The quantum side evaluates the reference strategy (shared antisymmetric
-state, basis measurements) with exact rational probabilities.  The classical
-side maximizes over all deterministic strategies: for a fixed {0,1} vertex
-assignment the per-context choices decouple, so one table lookup per context
-per assignment suffices, and ``scan.best_assignment`` runs the 2^n assignment
+state, basis measurements) with exact rational probabilities, one outcome
+table p(a, k) per context.  The classical side maximizes over all
+deterministic strategies: for a fixed {0,1} vertex assignment the per-context
+choices decouple, so one lookup per context per assignment in the game's one
+score table suffices, and ``scan.best_assignment`` runs the 2^n assignment
 scan by split enumeration, returning the smallest maximizing assignment.
 """
 
@@ -30,6 +31,7 @@ DEFAULT_SEARCH_BUDGET = 26
 BUDGET_ENV = "KS_SEARCH_BUDGET"
 
 OutputTuple = tuple[tuple[int, ...], int]
+OutcomeTable = dict[tuple[int, ...], list[Fraction]]
 
 
 class SearchBudgetError(RuntimeError):
@@ -55,6 +57,8 @@ class GameSpec:
         for ctx in self.contexts:
             if len(ctx) != self.d or len(set(ctx)) != self.d:
                 raise ValueError(f"context {ctx} must have {self.d} distinct members")
+            if any(not 0 <= i < self.vset.n for i in ctx):
+                raise ValueError(f"context {ctx} has a member outside [0, {self.vset.n})")
             for i in range(self.d):
                 for j in range(i + 1, self.d):
                     if inner_product(self.vset.vectors[ctx[i]], self.vset.vectors[ctx[j]]) != 0:
@@ -80,30 +84,42 @@ def winning_predicate(spec: GameSpec, x: int, y: int, a: tuple[int, ...], b: int
     return (left_out == y) == bool(b)
 
 
+def _outcome_probabilities(spec: GameSpec, x: int, state: SupersingletState) -> OutcomeTable:
+    """Exact {a: [p(a, k) for k in C_x]} of the reference strategy on context x.
+
+    a ranges over C_x^{d-1}; tuples with a repeated member have amplitude zero
+    and are skipped.  k is the last party's outcome.
+    """
+    vectors = spec.vset.vectors
+    ctx = spec.contexts[x]
+    return {
+        a: [amplitude(state, [vectors[i] for i in (*a, k)]).probability for k in ctx]
+        for a in permutations(ctx, spec.d - 1)
+    }
+
+
 def quantum_joint_distribution(
     spec: GameSpec, x: int, y: int, state: SupersingletState | None = None
 ) -> dict[OutputTuple, Fraction]:
     """Exact p(a, b | x, y) for the reference strategy; zero entries omitted.
 
-    The first parties' joint outcome a ranges over C_x^{d-1}; tuples with a
-    repeated member have amplitude zero and are skipped.  The b=1 branch is
-    the amplitude with the last party's vector appended; the b=0 branch is
-    the marginal p(a) minus it, with p(a) summed over the last party's basis.
+    The b=1 branch is p(a, y); the b=0 branch is the marginal p(a), summed
+    over the last party's basis, minus it.
     """
-    if state is None:
-        state = build_supersinglet(spec.d)
     ctx = spec.contexts[x]
     if y not in ctx:
         raise ValueError(f"input {y} is not a member of context {x}")
-    vectors = spec.vset.vectors
+    if state is None:
+        state = build_supersinglet(spec.d)
+    return _joint_from_table(_outcome_probabilities(spec, x, state), ctx.index(y))
+
+
+def _joint_from_table(table: OutcomeTable, col: int) -> dict[OutputTuple, Fraction]:
+    """p(a, b | x, y) from the outcome table of x, for y member col of C_x."""
     dist: dict[OutputTuple, Fraction] = {}
-    for a in permutations(ctx, spec.d - 1):
-        rows = [vectors[i] for i in a]
-        p_b1 = amplitude(state, rows + [vectors[y]]).probability
-        p_a = sum(
-            (amplitude(state, rows + [vectors[k]]).probability for k in ctx), Fraction(0)
-        )
-        p_b0 = p_a - p_b1
+    for a, row in table.items():
+        p_b1 = row[col]
+        p_b0 = sum(row, Fraction(0)) - p_b1
         if p_b1 != 0:
             dist[(a, 1)] = p_b1
         if p_b0 != 0:
@@ -128,9 +144,10 @@ def verify_perfect_strategy(
     if state is None:
         state = build_supersinglet(spec.d)
     per_input: list[tuple[int, int, Fraction]] = []
-    for x in range(spec.m):
-        for y in spec.contexts[x]:
-            dist = quantum_joint_distribution(spec, x, y, state)
+    for x, ctx in enumerate(spec.contexts):
+        table = _outcome_probabilities(spec, x, state)
+        for col, y in enumerate(ctx):
+            dist = _joint_from_table(table, col)
             success = sum(
                 (p for (a, b), p in dist.items() if winning_predicate(spec, x, y, a, b)),
                 Fraction(0),
@@ -140,33 +157,24 @@ def verify_perfect_strategy(
     return PerfectStrategyReport(per_input=tuple(per_input), min_success=min_success)
 
 
-def _context_tables(spec: GameSpec) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Per-context score tables indexed by the 2^d pattern of member v-bits.
+def _best_choice(
+    spec: GameSpec, x: int, bit: dict[int, int] | tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Best score on context x and its lexicographically first maximizing joint output.
 
-    tables[x][pattern] is the number of winning y in C_x for the best joint
-    choice a of the first parties, when the last party's assignment restricted
-    to C_x reads off pattern (bit j = value of member j in sorted order).
-    Computed directly from the winning predicate.
+    The score of a first-party output a is the number of members y of C_x it
+    wins against the last party's answer bit[y].  First-party outputs outside
+    C_x always lose, so C_x^{d-1} is exhaustive.
     """
-    members: list[tuple[int, ...]] = []
-    tables: list[list[int]] = []
-    d = spec.d
-    for x, ctx in enumerate(spec.contexts):
-        members.append(tuple(ctx))
-        table = []
-        for pattern in range(1 << d):
-            bits = {ctx[j]: (pattern >> j) & 1 for j in range(d)}
-            best = 0
-            # first-party outputs outside C_x always lose, so C_x^{d-1} is exhaustive
-            for a in product(ctx, repeat=d - 1):
-                score = sum(
-                    1 for y in ctx if winning_predicate(spec, x, y, a, bits[y])
-                )
-                if score > best:
-                    best = score
-            table.append(best)
-        tables.append(table)
-    return members, tables
+    ctx = spec.contexts[x]
+    best_score = -1
+    best_a: tuple[int, ...] = ()
+    for a in product(sorted(ctx), repeat=spec.d - 1):
+        score = sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
+        if score > best_score:
+            best_score = score
+            best_a = a
+    return best_score, best_a
 
 
 @dataclass(frozen=True)
@@ -181,19 +189,6 @@ class ClassicalBoundReport:
     d: int
     assignment: tuple[int, ...]
     context_choices: tuple[tuple[int, ...], ...]
-
-
-def _argmax_choice(spec: GameSpec, x: int, assignment: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically first maximizing joint output for context x."""
-    ctx = spec.contexts[x]
-    best_score = -1
-    best_a: tuple[int, ...] = ()
-    for a in product(sorted(ctx), repeat=spec.d - 1):
-        score = sum(1 for y in ctx if winning_predicate(spec, x, y, a, assignment[y]))
-        if score > best_score:
-            best_score = score
-            best_a = a
-    return best_a
 
 
 def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
@@ -211,10 +206,18 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
             f"scan over 2^{n} assignments exceeds the budget of 2^{budget}; "
             f"set {BUDGET_ENV}={n} or higher to run anyway"
         )
-    members, tables = _context_tables(spec)
-    best_total, best_v = scan.best_assignment(members, tables, n)
+    # Score table indexed by the 2^d pattern of member v-bits (bit j = v-bit
+    # of member j).  The predicate sees a context's members only through which
+    # one is left out, so every context has the table of C_0.
+    ctx = spec.contexts[0]
+    table = [
+        _best_choice(spec, 0, {y: (pattern >> j) & 1 for j, y in enumerate(ctx)})[0]
+        for pattern in range(1 << spec.d)
+    ]
+    members = [tuple(c) for c in spec.contexts]
+    best_total, best_v = scan.best_assignment(members, [table] * spec.m, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))
-    choices = tuple(_argmax_choice(spec, x, assignment) for x in range(spec.m))
+    choices = tuple(_best_choice(spec, x, assignment)[1] for x in range(spec.m))
     return ClassicalBoundReport(
         value=Fraction(best_total, spec.m * spec.d),
         best_total=best_total,

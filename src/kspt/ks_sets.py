@@ -303,17 +303,26 @@ def to_json_dict(vset: VectorSet, contexts: list[Context] | None = None) -> dict
     return doc
 
 
+def _json_int(x: object) -> int:
+    # int() would truncate 0.5 and 1.9 and parse "3": a typo would load as another set
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
+    """Read the interchange form; dim, vector entries and context indices must be integers."""
     try:
-        dim = int(doc["dim"])
-        vectors = tuple(tuple(int(x) for x in v) for v in doc["vectors"])
+        dim = _json_int(doc["dim"])
+        vectors = tuple(tuple(_json_int(x) for x in v) for v in doc["vectors"])
+        labels = tuple(str(s) for s in doc["labels"]) if "labels" in doc else None
+        contexts = None
+        if "contexts" in doc:
+            contexts = [tuple(_json_int(i) for i in c) for c in doc["contexts"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector-set document: {exc}") from exc
-    labels = tuple(str(s) for s in doc["labels"]) if "labels" in doc else None
     vset = VectorSet(dim=dim, vectors=vectors, labels=labels)
-    contexts = None
-    if "contexts" in doc:
-        contexts = [tuple(int(i) for i in c) for c in doc["contexts"]]
+    if contexts is not None:
         for ctx in contexts:
             if len(ctx) != dim or not all(0 <= i < vset.n for i in ctx):
                 raise ValueError(f"malformed context {ctx}")

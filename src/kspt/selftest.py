@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .catalog import merged_peres, merged_window_bases
-from .exact_linalg import inner_product, null_space_basis, primitive, rank
+from .exact_linalg import Scalar, inner_product, null_space_basis, primitive
 from .ks_sets import Context, VectorSet, enumerate_contexts
 from .supersinglet import Permutation, levi_civita
 
@@ -78,14 +78,14 @@ class ConstraintRow:
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _row_for_vectors(vectors: list, perm_index: dict[Permutation, int]) -> list[Fraction]:
+def _row_for_vectors(vectors: list, perm_index: dict[Permutation, int]) -> list[Scalar]:
     """Row r[pi] = prod_i (v_i)_{pi(i)}, built by support-constrained recursion."""
     d = len(vectors)
     supports = [tuple(j for j, x in enumerate(v) if x != 0) for v in vectors]
-    row = [Fraction(0)] * len(perm_index)
+    row: list[Scalar] = [0] * len(perm_index)
     assign = [0] * d
 
-    def rec(i: int, used: int, coeff: Fraction) -> None:
+    def rec(i: int, used: int, coeff: Scalar) -> None:
         if i == d:
             row[perm_index[tuple(assign)]] += coeff
             return
@@ -95,7 +95,7 @@ def _row_for_vectors(vectors: list, perm_index: dict[Permutation, int]) -> list[
             assign[i] = level
             rec(i + 1, used | (1 << level), coeff * vectors[i][level])
 
-    rec(0, 0, Fraction(1))
+    rec(0, 0, 1)
     return row
 
 
@@ -109,6 +109,8 @@ def pqs_constraint_rows(
     """
     if len(context) != d:
         raise ValueError(f"context {context} must have {d} members")
+    if any(not 0 <= i < vset.n for i in context):
+        raise ValueError(f"context {context} has a member outside [0, {vset.n})")
     for i in range(d):
         for j in range(i + 1, d):
             if inner_product(vset.vectors[context[i]], vset.vectors[context[j]]) != 0:
@@ -154,7 +156,10 @@ class SelftestSolution:
 
 
 def assemble_and_solve(vset: VectorSet, contexts: list[Context], d: int) -> SelftestSolution:
-    """Stack the rows of the chosen contexts and solve the homogeneous system."""
+    """Stack the rows of the chosen contexts and solve the homogeneous system.
+
+    One elimination, in null_space_basis; rank = variables - nullity.
+    """
     merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     order: list[tuple[int, ...]] = []
     for ci, ctx in enumerate(contexts):
@@ -168,8 +173,8 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context], d: int) -> Self
     )
     variables = math.factorial(d)
     matrix = [list(r.entries) for r in rows]
-    system_rank = rank(matrix) if matrix else 0
     null_vectors = null_space_basis(matrix, ncols=variables)
+    system_rank = variables - len(null_vectors)
     perms = list(permutations(range(d)))
     null_basis = tuple(
         CoefficientVector(d=d, entries={p: Fraction(x[i]) for i, p in enumerate(perms)})

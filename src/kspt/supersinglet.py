@@ -76,7 +76,8 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     coeff = sum over terms pi of sign(pi) * prod_i (v_i)_{pi(i)}, the radicand
     scale = d! * prod ||v_i||^2.  For the canonical sign map the coefficient
     equals det(rows = party vectors); the generic sum keeps the evaluation
-    honest for deliberately corrupted sign maps too.
+    honest for deliberately corrupted sign maps too.  The sum is in int for
+    integer vectors and becomes a Fraction only on return.
     """
     d = state.d
     if len(party_vectors) != d:
@@ -84,20 +85,20 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     for v in party_vectors:
         if len(v) != d:
             raise ValueError(f"party vector of dimension {len(v)}, expected {d}")
-    coeff = Fraction(0)
+    coeff = 0
     for pi, sign in state.terms.items():
-        prod = Fraction(sign)
+        prod = sign
         for i in range(d):
             entry = party_vectors[i][pi[i]]
             if entry == 0:
-                prod = Fraction(0)
                 break
             prod *= entry
-        coeff += prod
+        else:
+            coeff += prod
     scale = Fraction(math.factorial(d))
     for v in party_vectors:
         scale *= norm_squared(v)
-    return Amplitude(coeff=coeff, scale=scale)
+    return Amplitude(coeff=Fraction(coeff), scale=scale)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,29 @@ def test_selftest_without_contexts_exits_two(capsys):
     assert "needs --d or --contexts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])
+def test_selftest_rejects_context_members_outside_the_set(capsys, contexts):
+    # 99 is past the 31 rays; -27 must not be read as vertex 4
+    code = run(["selftest", "--builtin", "ck31", "--contexts", *contexts])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "outside [0, 31)" in captured.err
+
+
+def test_non_integer_document_entries_exit_two(capsys, tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(
+        json.dumps({"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0.5, 1.9]]}),
+        encoding="utf-8",
+    )
+    code = run(["ks", "verify", "--set", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "0.5" in captured.err
+
+
 def test_selftest_rejects_out_of_range_d(capsys):
     assert run(["selftest", "--d", "3"]) == 2
     capsys.readouterr()

@@ -118,10 +118,20 @@ def test_rank_matches_sympy():
 
 
 def test_null_space_dimension_matches_sympy():
+    # sympy's nullspace also has one vector per free column, in column order,
+    # with that column 1 and the other free columns 0: the rays must agree
     rng = random.Random(17)
+    frng = random.Random(19)
     for _ in range(15):
         m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
-        assert len(null_space_basis(m)) == len(sympy.Matrix(m).nullspace())
+        rational = [[Fraction(frng.randint(-6, 6), frng.randint(1, 4)) for _ in range(5)]
+                    for _ in range(3)]
+        for matrix in (m, rational):
+            basis = null_space_basis(matrix)
+            expected = sympy.Matrix(matrix).nullspace()
+            assert len(basis) == len(expected)
+            for x, v in zip(basis, expected):
+                assert x == primitive([Fraction(int(e.p), int(e.q)) for e in v])
 
 
 def test_row_echelon_pivots():

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from kspt import scan
 from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
 from kspt.game import (
     GameSpec,
+    _best_choice,
     SearchBudgetError,
     classical_value,
     classical_value_report,
@@ -27,6 +29,11 @@ def ceg_game() -> GameSpec:
 def ck_game() -> GameSpec:
     vset = catalog_conway_kochen31()
     return GameSpec(d=3, vset=vset, contexts=tuple(enumerate_contexts(vset)))
+
+
+def peres_game() -> GameSpec:
+    vset = catalog_peres24()
+    return GameSpec(d=4, vset=vset, contexts=tuple(enumerate_contexts(vset)))
 
 
 def toy_game() -> GameSpec:
@@ -78,6 +85,11 @@ def test_game_spec_validation():
     # vectors 0 and 4 are not orthogonal
     with pytest.raises(ValueError):
         GameSpec(d=4, vset=vset, contexts=((0, 4, 2, 3),))
+    # members outside [0, 18): -18 would wrap to vertex 0, 18 is past the end
+    with pytest.raises(ValueError):
+        GameSpec(d=4, vset=vset, contexts=((-18, 1, 2, 3),))
+    with pytest.raises(ValueError):
+        GameSpec(d=4, vset=vset, contexts=((1, 2, 3, 18),))
     spec = ceg_game()
     assert spec.m == 9
 
@@ -126,12 +138,27 @@ def test_every_quantum_outcome_wins_when_perfect():
 
 
 def test_corrupted_state_breaks_perfection():
-    terms = dict(build_supersinglet(4).terms)
+    spec = ceg_game()
+    canonical = build_supersinglet(4)
+    terms = dict(canonical.terms)
     terms[(0, 1, 2, 3)] = -terms[(0, 1, 2, 3)]
     corrupted = SupersingletState(d=4, terms=terms)
-    report = verify_perfect_strategy(ceg_game(), state=corrupted)
+    report = verify_perfect_strategy(spec, state=corrupted)
     assert report.min_success == Fraction(167, 192)
     assert not report.perfect
+    # per_input reads each context's shared outcome table; it must equal the
+    # success summed from the joint distribution of every single (x, y)
+    for state in (canonical, corrupted):
+        expected = []
+        for x, ctx in enumerate(spec.contexts):
+            for y in ctx:
+                dist = quantum_joint_distribution(spec, x, y, state)
+                success = sum(
+                    (p for (a, b), p in dist.items() if winning_predicate(spec, x, y, a, b)),
+                    Fraction(0),
+                )
+                expected.append((x, y, success))
+        assert verify_perfect_strategy(spec, state=state).per_input == tuple(expected)
 
 
 def test_classical_value_matches_naive_enumeration_on_toy_game():
@@ -171,10 +198,7 @@ def test_classical_witnesses_are_pinned():
         (1, 2, 3), (15, 16, 17), (1, 8, 17), (2, 11, 13), (3, 5, 6),
         (5, 14, 16), (6, 8, 9), (9, 11, 12), (12, 13, 14),
     )
-    peres = catalog_peres24()
-    report = classical_value_report(
-        GameSpec(d=4, vset=peres, contexts=tuple(enumerate_contexts(peres)))
-    )
+    report = classical_value_report(peres_game())
     assert report.best_total == 94
     assert report.assignment == tuple(int(i % 4 == 0) for i in range(24))
     assert report.context_choices == (
@@ -184,6 +208,34 @@ def test_classical_witnesses_are_pinned():
         (13, 14, 15), (15, 21, 23), (13, 14, 22), (17, 18, 19), (16, 19, 23),
         (17, 18, 21), (21, 22, 23),
     )
+
+
+class _ScanCalled(Exception):
+    pass
+
+
+def test_every_context_scores_like_the_shared_table(monkeypatch):
+    # the scan gets one score table for all contexts; recompute each
+    # context's own table from the predicate and compare, pattern by pattern
+    seen = {}
+
+    def capture(members, tables, n):
+        seen.update(members=members, tables=tables)
+        raise _ScanCalled
+
+    monkeypatch.setattr(scan, "best_assignment", capture)
+    monkeypatch.setenv("KS_SEARCH_BUDGET", "31")
+    for spec in (ceg_game(), peres_game(), ck_game(), toy_game()):
+        with pytest.raises(_ScanCalled):
+            classical_value_report(spec)
+        assert seen["members"] == [tuple(c) for c in spec.contexts]
+        assert len(seen["tables"]) == spec.m
+        for x, ctx in enumerate(spec.contexts):
+            own = [
+                _best_choice(spec, x, {y: (p >> j) & 1 for j, y in enumerate(ctx)})[0]
+                for p in range(1 << spec.d)
+            ]
+            assert seen["tables"][x] == own
 
 
 def test_classical_value_invariant_under_vertex_relabeling():

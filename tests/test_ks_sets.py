@@ -243,6 +243,22 @@ def test_from_json_dict_rejects_malformed_documents():
         from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "contexts": [[0]]})
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "contexts": [[0, 5]]})
+    # only JSON integers: int() would read 0.5 and 1.9 as 0 and 1, "1" as 1
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0.5, 1.9]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2.0, "vectors": [[1, 0], [0, 1]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "vectors": [[1, 0], [0, True]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "vectors": [[1, 0], [0, "1"]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "contexts": [[0, 1.0]]})
+    # a context or label list of the wrong shape
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "contexts": [5]})
+    with pytest.raises(ValueError):
+        from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "labels": 5})
 
 
 def test_json_fixtures_match_the_source_catalogs():

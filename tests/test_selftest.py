@@ -105,6 +105,11 @@ def test_constraint_rows_reject_bad_contexts():
     # v3 and v13 are not orthogonal
     with pytest.raises(ValueError):
         pqs_constraint_rows(vset, (0, 3, 13), 3)
+    # members outside [0, 31): -27 would wrap to v4, 99 is past the end
+    with pytest.raises(ValueError):
+        pqs_constraint_rows(vset, (0, 3, -27), 3)
+    with pytest.raises(ValueError):
+        pqs_constraint_rows(vset, (0, 3, 99), 3)
 
 
 def test_constraint_rows_are_primitive_and_distinct():

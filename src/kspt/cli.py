@@ -34,12 +34,7 @@ from .ks_sets import (
     from_json_dict,
     to_json_dict,
 )
-from .selftest import (
-    assemble_and_solve,
-    general_d_selftest,
-    support_restriction_constraints,
-    verify_unique_supersinglet,
-)
+from .selftest import certify, general_d_selftest
 from .supersinglet import (
     build_supersinglet,
     check_unitary_invariance,
@@ -264,45 +259,32 @@ def _witness_json(witness) -> dict[str, str] | None:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if args.d is not None:
+        if args.contexts:
+            raise ValueError("--contexts needs --builtin or --set, not --d")
         report = general_d_selftest(args.d, all_contexts=args.all_contexts)
-        results = {
-            "d": report.d,
-            "variables": report.variables,
-            "contexts": [list(c) for c in report.contexts],
-            "rows": report.row_count,
-            "rank": report.rank,
-            "nullity": report.nullity,
-            "unique": report.unique,
-            "witness": _witness_json(report.witness),
-        }
-        _emit(
-            "selftest",
-            {"d": args.d, "all_contexts": args.all_contexts},
-            results,
-            t0,
-        )
-        return 0 if report.unique else 1
-    vset, _, inputs = _load_set(args)
-    if not args.contexts:
-        raise ValueError("selftest needs --d or --contexts")
-    chosen = _parse_context_args(args.contexts)
-    d = vset.dim
-    support = support_restriction_constraints(vset, enumerate_contexts(vset), d)
-    solution = assemble_and_solve(vset, chosen, d)
-    unique, witness = verify_unique_supersinglet(solution.null_basis, d)
-    results = {
-        "d": d,
-        "variables": solution.variables,
-        "canonical_context": list(support.canonical_context),
-        "contexts": [list(c) for c in chosen],
-        "rows": len(solution.rows),
-        "rank": solution.rank,
-        "nullity": solution.nullity,
-        "unique": unique,
-        "witness": _witness_json(witness),
-    }
-    _emit("selftest", {**inputs, "contexts": [list(c) for c in chosen]}, results, t0)
-    return 0 if unique else 1
+        inputs = {"d": args.d, "all_contexts": args.all_contexts}
+    else:
+        if args.all_contexts:
+            raise ValueError("--all-contexts needs --d")
+        vset, contexts, inputs = _load_set(args)
+        if not args.contexts:
+            raise ValueError("selftest needs --d or --contexts")
+        chosen = _parse_context_args(args.contexts)
+        report = certify(vset, _contexts_or_enumerated(vset, contexts), chosen)
+        inputs = {**inputs, "contexts": [list(c) for c in chosen]}
+    results = {"d": report.d, "variables": report.variables}
+    if args.d is None:
+        results["canonical_context"] = list(report.support.canonical_context)
+    results.update(
+        contexts=[list(c) for c in report.contexts],
+        rows=report.row_count,
+        rank=report.rank,
+        nullity=report.nullity,
+        unique=report.unique,
+        witness=_witness_json(report.witness),
+    )
+    _emit("selftest", inputs, results, t0)
+    return 0 if report.unique else 1
 
 
 def _add_set_source(parser: argparse.ArgumentParser) -> None:
@@ -360,19 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_source(p_cb)
 
     p_selftest = sub.add_parser("selftest", help="constraint-system uniqueness certification")
-    p_selftest.add_argument("--d", type=int, default=None, help="merged-family dimension (>= 4)")
+    group = p_selftest.add_mutually_exclusive_group(required=True)
+    group.add_argument("--d", type=int, help="merged-family dimension (4 to 6)")
+    group.add_argument("--builtin", help="built-in set name")
+    group.add_argument("--set", help="path to an interchange JSON document")
     p_selftest.add_argument(
         "--all-contexts",
         action="store_true",
         help="with --d, stack rows from every context instead of the window bases",
     )
-    group = p_selftest.add_mutually_exclusive_group()
-    group.add_argument("--builtin", help="built-in set name")
-    group.add_argument("--set", help="path to an interchange JSON document")
     p_selftest.add_argument(
         "--contexts",
         nargs="+",
-        help="row contexts as comma-separated index lists, e.g. 0,3,4 1,5,6",
+        help="with a set, row contexts as comma-separated index lists, e.g. 0,3,4 1,5,6",
     )
     return parser
 

@@ -30,6 +30,8 @@ from .exact_linalg import (
 Context = tuple[int, ...]
 Edge = tuple[int, int]
 
+MAX_ROUNDS = 32
+
 
 @dataclass(frozen=True)
 class VectorSet:
@@ -117,8 +119,12 @@ def enumerate_contexts(vset: VectorSet, graph: OrthogonalityGraph | None = None)
         if len(clique) == d:
             out.append(tuple(clique))
             return
-        for v in candidates:
-            extend(clique + [v], [u for u in candidates if u > v and u in adj[v]])
+        # candidates ascend, so those after v are the ones above it; once too
+        # few are left to reach d, every later v has fewer still
+        for k, v in enumerate(candidates):
+            if len(clique) + len(candidates) - k < d:
+                break
+            extend(clique + [v], [u for u in candidates[k + 1:] if u in adj[v]])
 
     extend([], list(range(vset.n)))
     return out
@@ -262,19 +268,19 @@ def check_completeness(vset: VectorSet) -> tuple[bool, list[Edge]]:
     return (not uncovered, uncovered)
 
 
-def complete_set(vset: VectorSet, max_rounds: int = 32) -> VectorSet:
+def complete_set(vset: VectorSet) -> VectorSet:
     """Extend a set until every orthogonal pair lies in a full context.
 
     Round by round, every currently uncovered edge (in lexicographic order)
     gets the orthocomplement basis of its two rays appended (canonical
     primitive representatives, deduplicated against the set so far).  Raises
-    if the closure does not stabilize within max_rounds.
+    if the closure does not stabilize within MAX_ROUNDS.
     """
     vectors = list(vset.vectors)
     labels = list(vset.labels) if vset.labels is not None else None
     rays = {primitive(v) for v in vectors}
     added = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         current = VectorSet(dim=vset.dim, vectors=tuple(vectors), labels=tuple(labels) if labels else None)
         complete, uncovered = check_completeness(current)
         if complete:
@@ -287,10 +293,7 @@ def complete_set(vset: VectorSet, max_rounds: int = 32) -> VectorSet:
                     if labels is not None:
                         labels.append(f"c{added}")
                     added += 1
-    raise RuntimeError(
-        f"set completion did not stabilize within {max_rounds} rounds; "
-        "raise max_rounds if the closure is expected to be large"
-    )
+    raise RuntimeError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")
 
 
 def to_json_dict(vset: VectorSet, contexts: list[Context] | None = None) -> dict:

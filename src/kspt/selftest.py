@@ -24,7 +24,7 @@ from .exact_linalg import Scalar, inner_product, null_space_basis, primitive
 from .ks_sets import Context, VectorSet, enumerate_contexts
 from .supersinglet import Permutation, levi_civita
 
-DEFAULT_MAX_D = 6
+MAX_D = 6
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,14 @@ class SupportRestrictionRecord:
 
 
 def support_restriction_constraints(
-    vset: VectorSet, contexts: list[Context], d: int
+    vset: VectorSet, contexts: list[Context]
 ) -> SupportRestrictionRecord:
     """Check the canonical basis is one of the set's contexts and record it.
 
     The restriction is structural (it shrinks the variable space), so no rows
     are emitted; the record carries the context that justifies it.
     """
-    if d != vset.dim:
-        raise ValueError("d must equal the vector dimension")
+    d = vset.dim
     index = {primitive(v): i for i, v in enumerate(vset.vectors)}
     canonical = []
     for t in range(d):
@@ -100,13 +99,14 @@ def _row_for_vectors(vectors: list, perm_index: dict[Permutation, int]) -> list[
 
 
 def pqs_constraint_rows(
-    vset: VectorSet, context: Context, d: int, context_id: int = 0
+    vset: VectorSet, context: Context, context_id: int = 0
 ) -> list[ConstraintRow]:
     """Rows from one context: every outcome tuple that is not a permutation of it.
 
     Identically zero rows are dropped; proportional rows are merged with their
     provenance concatenated in generation order.
     """
+    d = vset.dim
     if len(context) != d:
         raise ValueError(f"context {context} must have {d} members")
     if any(not 0 <= i < vset.n for i in context):
@@ -155,15 +155,16 @@ class SelftestSolution:
         return len(self.null_basis)
 
 
-def assemble_and_solve(vset: VectorSet, contexts: list[Context], d: int) -> SelftestSolution:
+def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolution:
     """Stack the rows of the chosen contexts and solve the homogeneous system.
 
     One elimination, in null_space_basis; rank = variables - nullity.
     """
+    d = vset.dim
     merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     order: list[tuple[int, ...]] = []
     for ci, ctx in enumerate(contexts):
-        for row in pqs_constraint_rows(vset, ctx, d, context_id=ci):
+        for row in pqs_constraint_rows(vset, ctx, context_id=ci):
             if row.entries not in merged:
                 merged[row.entries] = []
                 order.append(row.entries)
@@ -186,7 +187,7 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context], d: int) -> Self
 
 
 def verify_unique_supersinglet(
-    null_basis: tuple[CoefficientVector, ...], d: int
+    null_basis: tuple[CoefficientVector, ...],
 ) -> tuple[bool, CoefficientVector | None]:
     """True iff the null space is one line spanned by the permutation signs.
 
@@ -196,6 +197,7 @@ def verify_unique_supersinglet(
     if len(null_basis) != 1:
         return False, None
     vec = null_basis[0]
+    d = vec.d
     identity = tuple(range(d))
     lead = vec.entries.get(identity, Fraction(0))
     if lead == 0:
@@ -221,32 +223,20 @@ class SelftestReport:
     witness: CoefficientVector | None
 
 
-def general_d_selftest(
-    d: int, max_d: int = DEFAULT_MAX_D, all_contexts: bool = False
+def certify(
+    vset: VectorSet, contexts: list[Context], row_contexts: list[Context]
 ) -> SelftestReport:
-    """Certify the d-party state from the merged set's distinguished bases.
+    """Certify the state from row_contexts, with the support taken from contexts.
 
-    Uses the two bases per 4-coordinate window; all_contexts adds every
-    enumerated context of the merged set as a redundancy cross-check.
+    contexts are the game's contexts: the canonical basis must be one of them
+    for the permutation-only variable space to hold.  row_contexts are the
+    contexts whose forbidden outcomes give the rows.
     """
-    if d < 4:
-        raise ValueError("the merged construction needs d >= 4")
-    if d > max_d:
-        raise ValueError(
-            f"d={d} exceeds the budget of {max_d} ({math.factorial(d)} variables); "
-            "raise max_d to run anyway"
-        )
-    vset = merged_peres(d)
-    bases = merged_window_bases(d)
-    all_ctxs = enumerate_contexts(vset) if all_contexts else None
-    support = support_restriction_constraints(
-        vset, all_ctxs if all_ctxs is not None else _with_canonical(vset, bases, d), d
-    )
-    row_contexts = all_ctxs if all_ctxs is not None else bases
-    solution = assemble_and_solve(vset, row_contexts, d)
-    unique, witness = verify_unique_supersinglet(solution.null_basis, d)
+    support = support_restriction_constraints(vset, contexts)
+    solution = assemble_and_solve(vset, row_contexts)
+    unique, witness = verify_unique_supersinglet(solution.null_basis)
     return SelftestReport(
-        d=d,
+        d=vset.dim,
         variables=solution.variables,
         contexts=tuple(row_contexts),
         support=support,
@@ -258,10 +248,19 @@ def general_d_selftest(
     )
 
 
-def _with_canonical(vset: VectorSet, bases: list[Context], d: int) -> list[Context]:
-    """The window bases plus the canonical-basis context of the merged set."""
-    index = {primitive(v): i for i, v in enumerate(vset.vectors)}
-    canonical = tuple(
-        sorted(index[tuple(1 if j == t else 0 for j in range(d))] for t in range(d))
-    )
-    return [canonical, *bases]
+def general_d_selftest(d: int, all_contexts: bool = False) -> SelftestReport:
+    """Certify the d-party state from the merged set's distinguished bases.
+
+    Uses the two bases per 4-coordinate window; all_contexts stacks rows from
+    every enumerated context of the merged set instead, as a redundancy
+    cross-check.
+    """
+    if d < 4:
+        raise ValueError("the merged construction needs d >= 4")
+    if d > MAX_D:
+        raise ValueError(
+            f"d={d} exceeds the budget of {MAX_D} ({math.factorial(d)} variables)"
+        )
+    vset = merged_peres(d)
+    contexts = enumerate_contexts(vset)
+    return certify(vset, contexts, contexts if all_contexts else merged_window_bases(d))

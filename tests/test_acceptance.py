@@ -181,10 +181,8 @@ def test_criterion_05_tetrad_expansion(capsys):
 
 
 def test_criterion_06_selftest_d4(capsys):
-    solution = assemble_and_solve(
-        catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)], 4
-    )
-    unique, witness = verify_unique_supersinglet(solution.null_basis, 4)
+    solution = assemble_and_solve(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
+    unique, witness = verify_unique_supersinglet(solution.null_basis)
     witness_ok = unique and all(
         witness.entries[p] == levi_civita(p) for p in permutations(range(4))
     )
@@ -201,8 +199,8 @@ def test_criterion_06_selftest_d4(capsys):
 def test_criterion_07_selftest_d3_and_d5(capsys):
     budget_s = 120.0
     ck = catalog_conway_kochen31()
-    solution3 = assemble_and_solve(ck, [(0, 3, 4), (1, 5, 6)], 3)
-    unique3, witness3 = verify_unique_supersinglet(solution3.null_basis, 3)
+    solution3 = assemble_and_solve(ck, [(0, 3, 4), (1, 5, 6)])
+    unique3, witness3 = verify_unique_supersinglet(solution3.null_basis)
     d3_ok = (
         solution3.rank == 5
         and solution3.variables == 6

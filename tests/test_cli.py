@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import kspt
-from kspt.catalog import catalog_ceg18
+from kspt.catalog import catalog_ceg18, catalog_peres24
 from kspt.cli import run
 from kspt.ks_sets import from_json_dict, to_json_dict
 
@@ -243,6 +243,40 @@ def test_selftest_without_contexts_exits_two(capsys):
     code = run(["selftest", "--builtin", "ck31"])
     assert code == 2
     assert "needs --d or --contexts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["selftest"], "one of the arguments --d --builtin --set is required"),
+        (["selftest", "--contexts", "0,1,2"], "one of the arguments --d --builtin --set is required"),
+        (["selftest", "--d", "4", "--builtin", "ck31"], "not allowed with argument --d"),
+        (
+            ["selftest", "--builtin", "ck31", "--contexts", "0,3,4", "1,5,6", "--all-contexts"],
+            "--all-contexts needs --d",
+        ),
+        (["selftest", "--d", "4", "--contexts", "0,1,2,3"], "--contexts needs --builtin or --set"),
+    ],
+    ids=["no-source", "contexts-only", "d-and-set", "all-contexts-with-set", "contexts-with-d"],
+)
+def test_selftest_usage_errors_exit_two(capsys, argv, message):
+    # exactly one source; --contexts only with a set, --all-contexts only with --d
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and message in captured.err
+
+
+def test_selftest_support_is_checked_against_the_document_contexts(capsys, tmp_path):
+    # this game never measures the canonical basis, although its four rays are in the set
+    path = tmp_path / "peres24_two_tetrads.json"
+    doc = to_json_dict(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run(["selftest", "--set", str(path), "--contexts", "4,5,6,7", "8,9,10,11"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "not a context" in captured.err
 
 
 @pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])

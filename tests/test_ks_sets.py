@@ -90,7 +90,13 @@ def test_enumerated_contexts_match_curated_tetrads():
 
 
 def test_contexts_agree_with_networkx_cliques():
-    for vset in (catalog_ceg18()[0], catalog_peres24(), catalog_conway_kochen31()):
+    for vset in (
+        catalog_ceg18()[0],
+        catalog_peres24(),
+        catalog_conway_kochen31(),
+        merged_peres(5),
+        merged_peres(6),
+    ):
         graph = build_orthogonality_graph(vset)
         g = nx.Graph()
         g.add_nodes_from(range(vset.n))
@@ -98,7 +104,8 @@ def test_contexts_agree_with_networkx_cliques():
         cliques = {
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == vset.dim
         }
-        assert set(enumerate_contexts(vset, graph)) == cliques
+        # same cliques, each once, in lexicographic order
+        assert enumerate_contexts(vset, graph) == sorted(cliques)
 
 
 def test_check_ks_property_requires_contexts():

@@ -56,7 +56,7 @@ PERES_WINDOW_TETRADS = [(4, 5, 6, 7), (8, 9, 10, 11)]
 
 def test_support_restriction_on_the_31_ray_set():
     vset = catalog_conway_kochen31()
-    record = support_restriction_constraints(vset, enumerate_contexts(vset), 3)
+    record = support_restriction_constraints(vset, enumerate_contexts(vset))
     assert record.d == 3
     assert record.variables == 6
     assert record.canonical_context == (0, 1, 2)
@@ -64,7 +64,7 @@ def test_support_restriction_on_the_31_ray_set():
 
 def test_support_restriction_on_the_24_ray_set():
     vset = catalog_peres24()
-    record = support_restriction_constraints(vset, enumerate_contexts(vset), 4)
+    record = support_restriction_constraints(vset, enumerate_contexts(vset))
     assert record.variables == 24
     assert record.canonical_context == (0, 1, 2, 3)
 
@@ -73,22 +73,20 @@ def test_support_restriction_needs_the_canonical_rays():
     # the 18-ray set lacks (0, 0, 1, 0)
     ceg, tetrads = catalog_ceg18()
     with pytest.raises(ValueError) as err:
-        support_restriction_constraints(ceg, tetrads, 4)
+        support_restriction_constraints(ceg, tetrads)
     assert "absent" in str(err.value)
 
 
 def test_support_restriction_needs_the_canonical_context():
     vset = catalog_conway_kochen31()
     with pytest.raises(ValueError) as err:
-        support_restriction_constraints(vset, [(0, 3, 4)], 3)
+        support_restriction_constraints(vset, [(0, 3, 4)])
     assert "not a context" in str(err.value)
-    with pytest.raises(ValueError):
-        support_restriction_constraints(vset, enumerate_contexts(vset), 4)
 
 
 def test_constraint_row_for_a_repeated_outcome():
     vset = catalog_conway_kochen31()
-    rows = pqs_constraint_rows(vset, (0, 3, 4), 3)
+    rows = pqs_constraint_rows(vset, (0, 3, 4))
     by_outcome = {}
     for row in rows:
         for _, a in row.provenance:
@@ -101,20 +99,20 @@ def test_constraint_row_for_a_repeated_outcome():
 def test_constraint_rows_reject_bad_contexts():
     vset = catalog_conway_kochen31()
     with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3), 3)
+        pqs_constraint_rows(vset, (0, 3))
     # v3 and v13 are not orthogonal
     with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, 13), 3)
+        pqs_constraint_rows(vset, (0, 3, 13))
     # members outside [0, 31): -27 would wrap to v4, 99 is past the end
     with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, -27), 3)
+        pqs_constraint_rows(vset, (0, 3, -27))
     with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, 99), 3)
+        pqs_constraint_rows(vset, (0, 3, 99))
 
 
 def test_constraint_rows_are_primitive_and_distinct():
     vset = catalog_peres24()
-    rows = pqs_constraint_rows(vset, (4, 5, 6, 7), 4)
+    rows = pqs_constraint_rows(vset, (4, 5, 6, 7))
     seen = set()
     for row in rows:
         assert row.entries not in seen
@@ -133,14 +131,14 @@ def test_constraint_rows_annihilate_the_sign_vector():
     ):
         eps = [levi_civita(p) for p in permutations(range(d))]
         for ctx in contexts:
-            for row in pqs_constraint_rows(vset, ctx, d):
+            for row in pqs_constraint_rows(vset, ctx):
                 assert sum(e * s for e, s in zip(row.entries, eps)) == 0
 
 
 def test_provenance_replays_to_the_stored_row():
     vset = catalog_peres24()
     perms = list(permutations(range(4)))
-    for row in pqs_constraint_rows(vset, (8, 9, 10, 11), 4):
+    for row in pqs_constraint_rows(vset, (8, 9, 10, 11)):
         for _, a in row.provenance:
             vectors = [vset.vectors[i] for i in a]
             raw = [
@@ -154,12 +152,12 @@ def test_provenance_replays_to_the_stored_row():
 
 def test_d3_system_certifies_the_state():
     vset = catalog_conway_kochen31()
-    solution = assemble_and_solve(vset, CK_SELFTEST_CONTEXTS, 3)
+    solution = assemble_and_solve(vset, CK_SELFTEST_CONTEXTS)
     assert solution.variables == 6
     assert len(solution.rows) == 6
     assert solution.rank == 5
     assert solution.nullity == 1
-    unique, witness = verify_unique_supersinglet(solution.null_basis, 3)
+    unique, witness = verify_unique_supersinglet(solution.null_basis)
     assert unique
     chain = tuple(witness.entries[p] for p in permutations(range(3)))
     assert chain == (1, -1, -1, 1, 1, -1)
@@ -167,12 +165,12 @@ def test_d3_system_certifies_the_state():
 
 def test_d4_system_certifies_the_state():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS, 4)
+    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
     assert solution.variables == 24
     assert len(solution.rows) == 36
     assert solution.rank == 23
     assert solution.nullity == 1
-    unique, witness = verify_unique_supersinglet(solution.null_basis, 4)
+    unique, witness = verify_unique_supersinglet(solution.null_basis)
     assert unique
     for p in permutations(range(4)):
         assert witness.entries[p] == levi_civita(p)
@@ -180,14 +178,14 @@ def test_d4_system_certifies_the_state():
 
 def test_d4_rank_matches_sympy():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS, 4)
+    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
     matrix = sympy.Matrix([list(r.entries) for r in solution.rows])
     assert matrix.rank() == 23
 
 
 def test_reference_rows_are_reproduced_by_the_generator():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS, 4)
+    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
     generated = {row.entries for row in solution.rows}
     for ref in REFERENCE_ROWS_D4:
         assert primitive(ref) in generated
@@ -198,18 +196,18 @@ def test_reference_rows_are_reproduced_by_the_generator():
 
 def test_single_tetrad_leaves_a_six_dimensional_null_space():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, [(4, 5, 6, 7)], 4)
+    solution = assemble_and_solve(vset, [(4, 5, 6, 7)])
     assert solution.rank == 18
     assert solution.nullity == 6
-    unique, witness = verify_unique_supersinglet(solution.null_basis, 4)
+    unique, witness = verify_unique_supersinglet(solution.null_basis)
     assert not unique
     assert witness is None
 
 
 def test_adding_contexts_never_lowers_the_rank():
     vset = catalog_peres24()
-    single = assemble_and_solve(vset, [(4, 5, 6, 7)], 4)
-    both = assemble_and_solve(vset, PERES_WINDOW_TETRADS, 4)
+    single = assemble_and_solve(vset, [(4, 5, 6, 7)])
+    both = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
     assert single.rank <= both.rank
     assert both.rank == 23
 
@@ -218,14 +216,14 @@ def test_verify_rejects_wrong_null_lines():
     # a symmetric line is a single null vector that is not the sign vector
     entries = {p: Fraction(1) for p in permutations(range(3))}
     unique, witness = verify_unique_supersinglet(
-        (CoefficientVector(d=3, entries=entries),), 3
+        (CoefficientVector(d=3, entries=entries),)
     )
     assert not unique
     assert witness is not None
     # zero identity coefficient cannot be normalized
     entries = {p: Fraction(0 if p == (0, 1, 2) else 1) for p in permutations(range(3))}
     unique, witness = verify_unique_supersinglet(
-        (CoefficientVector(d=3, entries=entries),), 3
+        (CoefficientVector(d=3, entries=entries),)
     )
     assert not unique and witness is None
 

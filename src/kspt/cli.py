@@ -105,11 +105,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_ks(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     vset, contexts, inputs = _load_set(args)
-    contexts = _contexts_or_enumerated(vset, contexts)
-    if args.ks_cmd == "contexts":
-        results = {"count": len(contexts), "contexts": [list(c) for c in contexts]}
-        _emit("ks contexts", inputs, results, t0)
-        return 0
     if args.ks_cmd == "complete":
         completed = complete_set(vset)
         results = {
@@ -122,6 +117,11 @@ def _cmd_ks(args: argparse.Namespace) -> int:
                 json.dump(to_json_dict(completed), fh, indent=1)
                 fh.write("\n")
         _emit("ks complete", inputs, results, t0)
+        return 0
+    contexts = _contexts_or_enumerated(vset, contexts)
+    if args.ks_cmd == "contexts":
+        results = {"count": len(contexts), "contexts": [list(c) for c in contexts]}
+        _emit("ks contexts", inputs, results, t0)
         return 0
     inputs = {**inputs, "edges_from_contexts_only": args.edges_from_contexts_only}
     decision = check_ks_property(

@@ -6,19 +6,27 @@ of d mutually orthogonal rays forming a measurement basis.  A set has the KS
 property when no 0/1 assignment to the rays gives every context exactly one
 1 while never putting two 1s on an orthogonal pair.
 
-The colorability search is a depth-first search over contexts: branch on
-which member of an unsatisfied context receives the 1, propagate forced 0s
-along edges, and propagate forced 1s for contexts left with a single viable
-member.  Condition (i) can be read with all graph edges (default) or only
-with pairs that co-occur in a supplied context; the two readings coincide on
+Adjacency is held as one integer bitmask per vertex, and a context as the
+bitmask of its members.  Contexts are found by pivoted Bron-Kerbosch on the
+adjacency masks, which is exact here because every d-clique is a maximal
+clique.  The colorability search is a depth-first search over contexts:
+branch on which member of an unsatisfied context receives the 1, propagate
+forced 0s along edges, and propagate forced 1s for contexts left with a
+single viable member.  Propagation is incremental: the 1s and 0s are two
+bitmasks handed down the search, so backtracking restores nothing, and a
+vertex fixed to 0 revisits only the contexts that hold it, each with two
+ANDs.  Condition (i) can be read with all graph edges (default) or only with
+pairs that co-occur in a supplied context; the two readings coincide on
 complete sets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .exact_linalg import (
     inner_product,
@@ -71,15 +79,24 @@ class OrthogonalityGraph:
     edges: frozenset[Edge]
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return self._adjacency[i]
+        return frozenset(_bits(self._masks[i]))
 
     @cached_property
-    def _adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+    def _masks(self) -> tuple[int, ...]:
+        # bit j of mask i is set iff (i, j) or (j, i) is an edge
+        masks = [0] * self.n
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(frozenset(s) for s in adj)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -107,26 +124,36 @@ def enumerate_contexts(vset: VectorSet, graph: OrthogonalityGraph | None = None)
     """All d-cliques of the orthogonality graph, in lexicographic order.
 
     Mutually orthogonal nonzero rays are linearly independent, so no clique
-    can exceed size d and every d-clique is a full measurement basis.
+    can exceed size d and every d-clique is a full measurement basis.  The
+    search depends on this: every d-clique is then a maximal clique, and
+    Bron-Kerbosch finds each maximal clique exactly once.  The candidates P
+    (adjacent to the whole clique, not yet tried) and the tried vertices X
+    are bitmasks; the pivot is the vertex of P | X with the most neighbours
+    in P (Tomita), and a branch stops once the clique plus P is smaller
+    than d.
     """
     if graph is None:
         graph = build_orthogonality_graph(vset)
-    adj = [set(graph.neighbors(i)) for i in range(vset.n)]
+    adj = graph._masks
     d = vset.dim
     out: list[Context] = []
 
-    def extend(clique: list[int], candidates: list[int]) -> None:
-        if len(clique) == d:
-            out.append(tuple(clique))
+    def expand(clique: list[int], p: int, x: int) -> None:
+        if len(clique) + p.bit_count() < d:
             return
-        # candidates ascend, so those after v are the ones above it; once too
-        # few are left to reach d, every later v has fewer still
-        for k, v in enumerate(candidates):
-            if len(clique) + len(candidates) - k < d:
-                break
-            extend(clique + [v], [u for u in candidates[k + 1:] if u in adj[v]])
+        if len(clique) == d - 1:
+            # no two candidates are adjacent (that would be a (d+1)-clique),
+            # so each one completes its own context
+            out.extend(tuple(sorted(clique + [v])) for v in _bits(p))
+            return
+        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            expand(clique + [v], p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    extend([], list(range(vset.n)))
+    expand([], (1 << vset.n) - 1, 0)
+    out.sort()
     return out
 
 
@@ -166,76 +193,79 @@ def check_ks_property(
     contexts: list[Context],
     edges_from_contexts_only: bool = False,
 ) -> KSDecision:
-    """Decide colorability by DFS over contexts with unit propagation."""
+    """Decide colorability by DFS over contexts with unit propagation.
+
+    Unit propagation is monotone, so the closure it reaches, or the conflict,
+    does not depend on the order in which forced moves are made; the search
+    branches on contexts in sorted order and on members in context order.
+    """
     if not contexts:
         raise ValueError("KS property is undefined without contexts")
-    graph = build_orthogonality_graph(vset)
+    n = vset.n
+    adj = build_orthogonality_graph(vset)._masks
     for ctx in contexts:
         if len(set(ctx)) != vset.dim:
             raise ValueError(f"context {ctx} does not have {vset.dim} distinct members")
-        for i, j in itertools.combinations(sorted(ctx), 2):
-            if (i, j) not in graph.edges:
-                raise ValueError(f"context {ctx} is not mutually orthogonal")
+        if not all(0 <= v < n for v in ctx):
+            raise ValueError(f"context {ctx} is not mutually orthogonal")
+        mask = sum(1 << v for v in ctx)
+        if any(mask & ~adj[v] != 1 << v for v in ctx):
+            raise ValueError(f"context {ctx} is not mutually orthogonal")
 
-    edges = _condition_edges(graph, contexts, edges_from_contexts_only)
-    nbr: list[set[int]] = [set() for _ in range(vset.n)]
-    for i, j in edges:
-        nbr[i].add(j)
-        nbr[j].add(i)
     order = sorted(contexts)
+    members = [sum(1 << v for v in ctx) for ctx in order]
+    # holding[u]: the member masks of the contexts that hold u
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for ctx, m in zip(order, members):
+        for v in ctx:
+            holding[v].append(m)
+    nbr = adj
+    if edges_from_contexts_only:
+        # condition (i) only on pairs that share a context
+        nbr = tuple(reduce(or_, holding[v], 0) & ~(1 << v) for v in range(n))
     nodes = 0
 
-    def propagate(ones: set[int], zeros: set[int]) -> bool:
-        # forced moves: a context with no viable member fails, with exactly
-        # one viable member forces it to 1
-        changed = True
-        while changed:
-            changed = False
-            for ctx in order:
-                if any(v in ones for v in ctx):
-                    continue
-                viable = [v for v in ctx if v not in zeros]
-                if not viable:
-                    return False
-                if len(viable) == 1:
-                    v = viable[0]
-                    ones.add(v)
-                    for u in nbr[v]:
-                        if u in ones:
-                            return False
-                        zeros.add(u)
-                    changed = True
-        return True
+    def propagate(v: int, ones: int, zeros: int) -> tuple[int, int] | None:
+        # set v to 1 and close under the forced moves: the neighbours of a 1
+        # are 0, and a context with no 1 and one member not 0 forces it to 1.
+        # A forced vertex joins ones at once, so no later visit forces it again.
+        ones |= 1 << v
+        queue = [v]
+        while queue:
+            v = queue.pop()
+            if nbr[v] & ones:
+                return None
+            new = nbr[v] & ~zeros
+            zeros |= new
+            for u in _bits(new):
+                for m in holding[u]:
+                    if not m & ones:
+                        left = m & ~zeros
+                        if not left & (left - 1):
+                            if not left:
+                                return None
+                            ones |= left
+                            queue.append(left.bit_length() - 1)
+        return ones, zeros
 
-    def dfs(idx: int, ones: set[int], zeros: set[int]) -> tuple[int, ...] | None:
+    def dfs(idx: int, ones: int, zeros: int) -> tuple[int, ...] | None:
         nonlocal nodes
-        while idx < len(order) and any(v in ones for v in order[idx]):
+        while idx < len(order) and members[idx] & ones:
             idx += 1
         if idx == len(order):
-            return tuple(1 if i in ones else 0 for i in range(vset.n))
+            return tuple(ones >> i & 1 for i in range(n))
         for v in order[idx]:
-            if v in zeros:
+            if zeros >> v & 1:
                 continue
             nodes += 1
-            new_ones = set(ones)
-            new_zeros = set(zeros)
-            new_ones.add(v)
-            conflict = False
-            for u in nbr[v]:
-                if u in new_ones:
-                    conflict = True
-                    break
-                new_zeros.add(u)
-            if conflict:
-                continue
-            if not propagate(new_ones, new_zeros):
-                continue
-            witness = dfs(idx + 1, new_ones, new_zeros)
-            if witness is not None:
-                return witness
+            closed = propagate(v, ones, zeros)
+            if closed is not None:
+                witness = dfs(idx + 1, *closed)
+                if witness is not None:
+                    return witness
         return None
 
-    witness = dfs(0, set(), set())
+    witness = dfs(0, 0, 0)
     if witness is None:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
     assert validate_assignment(vset, contexts, witness, edges_from_contexts_only)

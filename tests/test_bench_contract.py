@@ -43,6 +43,21 @@ def test_every_traced_name_is_a_callable_and_traces(capsys):
     assert tracer.counts["selftest.rows_generated"] > 6
 
 
+def test_ks_verify_counters_trace(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = run(["ks", "verify", "--builtin", "merged6"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.calls("ks_sets.enumerate_contexts") == 1
+    assert tracer.counts["ks_sets.contexts_found"] == 126
+    assert tracer.counts["ks_sets.dfs_nodes"] == 42
+
+
 def test_scan_lane_names_exist():
     assert callable(scan.compiled_available)
     assert isinstance(scan.LANE, str)

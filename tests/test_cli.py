@@ -85,6 +85,29 @@ def test_ks_verify_uncolorable_exits_zero(capsys):
         assert "witness" not in report["results"]
 
 
+@pytest.mark.parametrize(
+    "argv, results",
+    [
+        (["--builtin", "merged10"], {"verdict": "uncolorable", "contexts": 6176, "nodes": 70}),
+        (["--builtin", "merged6"], {"verdict": "uncolorable", "contexts": 126, "nodes": 42}),
+        (
+            ["--edges-from-contexts-only", "--builtin", "ck31"],
+            {
+                "verdict": "colorable",
+                "contexts": 17,
+                "nodes": 8,
+                "witness": [1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0,
+                            0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            },
+        ),
+    ],
+)
+def test_ks_verify_results_are_pinned(capsys, argv, results):
+    code, report = run_report(capsys, ["ks", "verify", *argv])
+    assert code == (0 if results["verdict"] == "uncolorable" else 1)
+    assert report["results"] == results
+
+
 def test_ks_verify_colorable_exits_one(capsys, tmp_path):
     doc = {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
     path = tmp_path / "canonical.json"
@@ -134,6 +157,16 @@ def test_ks_complete_writes_the_closure(capsys, tmp_path):
     assert report["results"]["completed_size"] == 44
     vset, _ = from_json_dict(json.loads(out.read_text(encoding="utf-8")))
     assert vset.n == 44
+
+
+def test_ks_complete_does_not_enumerate_the_input_contexts(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ks complete reads no contexts")
+
+    monkeypatch.setattr("kspt.cli.enumerate_contexts", refuse)
+    code, report = run_report(capsys, ["ks", "complete", "--builtin", "ck31"])
+    assert code == 0
+    assert report["results"]["completed_size"] == 55
 
 
 def test_state_expand_context_8(capsys):

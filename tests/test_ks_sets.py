@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -26,6 +27,8 @@ from kspt.ks_sets import (
     to_json_dict,
     validate_assignment,
 )
+
+from naive import naive_ks_search
 
 
 def test_vector_set_rejects_dimension_mismatch():
@@ -96,6 +99,7 @@ def test_contexts_agree_with_networkx_cliques():
         catalog_conway_kochen31(),
         merged_peres(5),
         merged_peres(6),
+        merged_peres(10),
     ):
         graph = build_orthogonality_graph(vset)
         g = nx.Graph()
@@ -108,6 +112,36 @@ def test_contexts_agree_with_networkx_cliques():
         assert enumerate_contexts(vset, graph) == sorted(cliques)
 
 
+def test_maximal_cliques_smaller_than_d_are_not_contexts():
+    # {0, 1, 2} is the one triad; {0, 3} is a maximal clique of size 2, and
+    # (0, 1, 1) spans no edge with (0, 1, 0) or (0, 0, 1)
+    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))
+    assert enumerate_contexts(vset) == [(0, 1, 2)]
+
+
+def test_search_matches_the_rescan_oracle_on_random_context_subsets():
+    rng = random.Random(2024)
+    verdicts = set()
+    for vset in (
+        catalog_ceg18()[0],
+        catalog_peres24(),
+        catalog_conway_kochen31(),
+        merged_peres(6),
+    ):
+        contexts = enumerate_contexts(vset)
+        for _ in range(50):
+            k = rng.randint(1, len(contexts))
+            # a shuffled subset, each context's members shuffled too: the
+            # search must branch on sorted contexts and on members as given
+            subset = [tuple(rng.sample(ctx, len(ctx))) for ctx in rng.sample(contexts, k)]
+            for only in (False, True):
+                decision = check_ks_property(vset, subset, edges_from_contexts_only=only)
+                expected = naive_ks_search(vset, subset, only)
+                assert (decision.verdict, decision.nodes, decision.witness) == expected
+                verdicts.add(decision.verdict)
+    assert verdicts == {"colorable", "uncolorable"}
+
+
 def test_check_ks_property_requires_contexts():
     vset = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
     with pytest.raises(ValueError):
@@ -118,6 +152,11 @@ def test_check_ks_property_rejects_nonorthogonal_context():
     vset = VectorSet(dim=2, vectors=((1, 0), (1, 1)))
     with pytest.raises(ValueError):
         check_ks_property(vset, [(0, 1)])
+    # a repeated member, and members outside the set: -2 would alias vertex 0
+    canonical = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
+    for ctx in ((0, 0), (0, 2), (2, 0), (-1, 0), (1, -2)):
+        with pytest.raises(ValueError):
+            check_ks_property(canonical, [(0, 1), ctx])
 
 
 def test_catalogs_are_uncolorable():

@@ -176,7 +176,12 @@ def merged_window_bases(d: int) -> list[Context]:
     For window k these are the embedded tetrads {v4..v7} and {v8..v11},
     completed by the canonical vectors outside the window.
     """
-    vset = merged_peres(d)
+    return _window_bases(merged_peres(d))
+
+
+def _window_bases(vset: VectorSet) -> list[Context]:
+    """merged_window_bases for a merged set already built, of dimension vset.dim."""
+    d = vset.dim
     index = {primitive(v): i for i, v in enumerate(vset.vectors)}
     canonical = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
     bases: list[Context] = []

@@ -17,14 +17,18 @@ Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
 
 
-def inner_product(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
-    """Exact Euclidean inner product sum_k u_k v_k."""
+def inner_product(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """Exact Euclidean inner product sum_k u_k v_k.
+
+    The plain sum: an int for integer vectors, a Fraction only when an entry
+    is one.
+    """
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return Fraction(sum(a * b for a, b in zip(u, v)))
+    return sum(a * b for a, b in zip(u, v))
 
 
-def norm_squared(v: Sequence[Scalar]) -> Fraction:
+def norm_squared(v: Sequence[Scalar]) -> Scalar:
     return inner_product(v, v)
 
 

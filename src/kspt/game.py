@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import scan
-from .exact_linalg import inner_product, norm_squared
-from .ks_sets import Context, VectorSet
+from .exact_linalg import norm_squared
+from .ks_sets import Context, VectorSet, check_context
 from .supersinglet import SupersingletState, amplitude, build_supersinglet
 
 DEFAULT_SEARCH_BUDGET = 26
@@ -55,14 +55,7 @@ class GameSpec:
         if not self.contexts:
             raise ValueError("need at least one context")
         for ctx in self.contexts:
-            if len(ctx) != self.d or len(set(ctx)) != self.d:
-                raise ValueError(f"context {ctx} must have {self.d} distinct members")
-            if any(not 0 <= i < self.vset.n for i in ctx):
-                raise ValueError(f"context {ctx} has a member outside [0, {self.vset.n})")
-            for i in range(self.d):
-                for j in range(i + 1, self.d):
-                    if inner_product(self.vset.vectors[ctx[i]], self.vset.vectors[ctx[j]]) != 0:
-                        raise ValueError(f"context {ctx} is not an orthogonal basis")
+            check_context(self.vset, ctx)
 
     @property
     def m(self) -> int:

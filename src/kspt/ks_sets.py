@@ -6,18 +6,20 @@ of d mutually orthogonal rays forming a measurement basis.  A set has the KS
 property when no 0/1 assignment to the rays gives every context exactly one
 1 while never putting two 1s on an orthogonal pair.
 
-Adjacency is held as one integer bitmask per vertex, and a context as the
-bitmask of its members.  Contexts are found by pivoted Bron-Kerbosch on the
-adjacency masks, which is exact here because every d-clique is a maximal
-clique.  The colorability search is a depth-first search over contexts:
-branch on which member of an unsatisfied context receives the 1, propagate
-forced 0s along edges, and propagate forced 1s for contexts left with a
-single viable member.  Propagation is incremental: the 1s and 0s are two
-bitmasks handed down the search, so backtracking restores nothing, and a
-vertex fixed to 0 revisits only the contexts that hold it, each with two
-ANDs.  Condition (i) can be read with all graph edges (default) or only with
-pairs that co-occur in a supplied context; the two readings coincide on
-complete sets.
+Each set builds its orthogonality graph once, on first use, and every
+consumer reads that graph.  Adjacency is held as one integer bitmask per
+vertex, and a context as the bitmask of its members; check_context is the
+one test that a context is an orthogonal basis of its set.  Contexts are
+found by pivoted Bron-Kerbosch on the adjacency masks, which is exact here
+because every d-clique is a maximal clique.  The colorability search is a
+depth-first search over contexts: branch on which member of an unsatisfied
+context receives the 1, propagate forced 0s along edges, and propagate
+forced 1s for contexts left with a single viable member.  Propagation is
+incremental: the 1s and 0s are two bitmasks handed down the search, so
+backtracking restores nothing, and a vertex fixed to 0 revisits only the
+contexts that hold it, each with two ANDs.  Condition (i) can be read with
+all graph edges (default) or only with pairs that co-occur in a supplied
+context; the two readings coincide on complete sets.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .exact_linalg import (
-    inner_product,
     is_orthogonal,
     orthocomplement_basis,
     primitive,
@@ -71,6 +71,11 @@ class VectorSet:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else f"v{i}"
+
+    @cached_property
+    def graph(self) -> OrthogonalityGraph:
+        """The orthogonality graph, built on first use and kept."""
+        return build_orthogonality_graph(self)
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def build_orthogonality_graph(vset: VectorSet) -> OrthogonalityGraph:
     return OrthogonalityGraph(n=vset.n, edges=frozenset(edges))
 
 
-def enumerate_contexts(vset: VectorSet, graph: OrthogonalityGraph | None = None) -> list[Context]:
+def enumerate_contexts(vset: VectorSet) -> list[Context]:
     """All d-cliques of the orthogonality graph, in lexicographic order.
 
     Mutually orthogonal nonzero rays are linearly independent, so no clique
@@ -132,9 +137,7 @@ def enumerate_contexts(vset: VectorSet, graph: OrthogonalityGraph | None = None)
     in P (Tomita), and a branch stops once the clique plus P is smaller
     than d.
     """
-    if graph is None:
-        graph = build_orthogonality_graph(vset)
-    adj = graph._masks
+    adj = vset.graph._masks
     d = vset.dim
     out: list[Context] = []
 
@@ -157,16 +160,40 @@ def enumerate_contexts(vset: VectorSet, graph: OrthogonalityGraph | None = None)
     return out
 
 
-def _condition_edges(
-    graph: OrthogonalityGraph, contexts: list[Context], edges_from_contexts_only: bool
-) -> frozenset[Edge]:
+def check_context(vset: VectorSet, ctx: Context) -> None:
+    """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
+
+    The checks run in order: d distinct members, every member in [0, n)
+    (before any mask lookup, so a negative index cannot alias a vertex),
+    then pairwise orthogonality from the graph's masks.
+    """
+    d, n = vset.dim, vset.n
+    if len(ctx) != d or len(set(ctx)) != d:
+        raise ValueError(f"context {ctx} must have {d} distinct members")
+    if any(not 0 <= v < n for v in ctx):
+        raise ValueError(f"context {ctx} has a member outside [0, {n})")
+    adj = vset.graph._masks
+    mask = sum(1 << v for v in ctx)
+    if any(mask & ~adj[v] != 1 << v for v in ctx):
+        raise ValueError(f"context {ctx} is not an orthogonal basis")
+
+
+def _condition_masks(
+    vset: VectorSet, contexts: list[Context], edges_from_contexts_only: bool
+) -> tuple[int, ...]:
+    """Per vertex, the mask of the vertices condition (i) forbids beside a 1.
+
+    All graph neighbours by default; with edges_from_contexts_only, only the
+    vertices that share a context with it.
+    """
     if not edges_from_contexts_only:
-        return graph.edges
-    edges = set()
+        return vset.graph._masks
+    nbr = [0] * vset.n
     for ctx in contexts:
-        for i, j in itertools.combinations(sorted(ctx), 2):
-            edges.add((i, j))
-    return frozenset(edges)
+        mask = sum(1 << v for v in ctx)
+        for v in ctx:
+            nbr[v] |= mask
+    return tuple(m & ~(1 << v) for v, m in enumerate(nbr))
 
 
 def validate_assignment(
@@ -178,14 +205,13 @@ def validate_assignment(
     """Check conditions (i) and (ii) for a 0/1 assignment directly."""
     if len(assignment) != vset.n or any(b not in (0, 1) for b in assignment):
         return False
-    graph = build_orthogonality_graph(vset)
-    for i, j in _condition_edges(graph, contexts, edges_from_contexts_only):
-        if assignment[i] == 1 and assignment[j] == 1:
-            return False
     for ctx in contexts:
-        if sum(assignment[i] for i in ctx) != 1:
-            return False
-    return True
+        check_context(vset, ctx)
+    nbr = _condition_masks(vset, contexts, edges_from_contexts_only)
+    ones = sum(1 << v for v, b in enumerate(assignment) if b)
+    if any(nbr[v] & ones for v in _bits(ones)):
+        return False
+    return all(sum(assignment[v] for v in ctx) == 1 for ctx in contexts)
 
 
 def check_ks_property(
@@ -202,15 +228,8 @@ def check_ks_property(
     if not contexts:
         raise ValueError("KS property is undefined without contexts")
     n = vset.n
-    adj = build_orthogonality_graph(vset)._masks
     for ctx in contexts:
-        if len(set(ctx)) != vset.dim:
-            raise ValueError(f"context {ctx} does not have {vset.dim} distinct members")
-        if not all(0 <= v < n for v in ctx):
-            raise ValueError(f"context {ctx} is not mutually orthogonal")
-        mask = sum(1 << v for v in ctx)
-        if any(mask & ~adj[v] != 1 << v for v in ctx):
-            raise ValueError(f"context {ctx} is not mutually orthogonal")
+        check_context(vset, ctx)
 
     order = sorted(contexts)
     members = [sum(1 << v for v in ctx) for ctx in order]
@@ -219,10 +238,7 @@ def check_ks_property(
     for ctx, m in zip(order, members):
         for v in ctx:
             holding[v].append(m)
-    nbr = adj
-    if edges_from_contexts_only:
-        # condition (i) only on pairs that share a context
-        nbr = tuple(reduce(or_, holding[v], 0) & ~(1 << v) for v in range(n))
+    nbr = _condition_masks(vset, contexts, edges_from_contexts_only)
     nodes = 0
 
     def propagate(v: int, ones: int, zeros: int) -> tuple[int, int] | None:
@@ -268,7 +284,8 @@ def check_ks_property(
     witness = dfs(0, 0, 0)
     if witness is None:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
-    assert validate_assignment(vset, contexts, witness, edges_from_contexts_only)
+    if not validate_assignment(vset, contexts, witness, edges_from_contexts_only):
+        raise RuntimeError(f"colorable witness {witness} fails conditions (i) and (ii)")
     return KSDecision(verdict="colorable", witness=witness, nodes=nodes)
 
 
@@ -289,12 +306,11 @@ def parity_certificate(vset: VectorSet, contexts: list[Context]) -> bool:
 
 def check_completeness(vset: VectorSet) -> tuple[bool, list[Edge]]:
     """Does every orthogonal pair extend to a full d-clique within the set?"""
-    graph = build_orthogonality_graph(vset)
     covered: set[Edge] = set()
-    for ctx in enumerate_contexts(vset, graph):
+    for ctx in enumerate_contexts(vset):
         for pair in itertools.combinations(sorted(ctx), 2):
             covered.add(pair)
-    uncovered = sorted(e for e in graph.edges if e not in covered)
+    uncovered = sorted(e for e in vset.graph.edges if e not in covered)
     return (not uncovered, uncovered)
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .catalog import merged_peres, merged_window_bases
-from .exact_linalg import Scalar, inner_product, null_space_basis, primitive
-from .ks_sets import Context, VectorSet, enumerate_contexts
+from .catalog import _window_bases, merged_peres
+from .exact_linalg import Scalar, null_space_basis, primitive
+from .ks_sets import Context, VectorSet, check_context, enumerate_contexts
 from .supersinglet import Permutation, levi_civita
 
 MAX_D = 6
@@ -107,14 +107,7 @@ def pqs_constraint_rows(
     provenance concatenated in generation order.
     """
     d = vset.dim
-    if len(context) != d:
-        raise ValueError(f"context {context} must have {d} members")
-    if any(not 0 <= i < vset.n for i in context):
-        raise ValueError(f"context {context} has a member outside [0, {vset.n})")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if inner_product(vset.vectors[context[i]], vset.vectors[context[j]]) != 0:
-                raise ValueError(f"context {context} is not an orthogonal basis")
+    check_context(vset, context)
     perms = list(permutations(range(d)))
     perm_index = {p: i for i, p in enumerate(perms)}
     allowed = set(permutations(context))
@@ -263,4 +256,4 @@ def general_d_selftest(d: int, all_contexts: bool = False) -> SelftestReport:
         )
     vset = merged_peres(d)
     contexts = enumerate_contexts(vset)
-    return certify(vset, contexts, contexts if all_contexts else merged_window_bases(d))
+    return certify(vset, contexts, contexts if all_contexts else _window_bases(vset))

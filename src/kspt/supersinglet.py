@@ -208,8 +208,12 @@ class ExactInvarianceReport:
 def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) -> ExactInvarianceReport:
     """Exact tensor-power action for a rational orthogonal matrix M (rows).
 
-    The image component on outcome tuple t is det of the rows M[t_0..t_{d-1}],
-    zero off injective tuples; comparison against det(M) * sign(t) is exact.
+    The image component on outcome tuple t is the amplitude of the state
+    against the rows M[t_0..t_{d-1}], compared exactly with det(M) *
+    terms[t] and with terms[t] on every injective tuple t.  Tuples with a
+    repeated index are not compared: their component vanishes for an
+    antisymmetric state, and under a signed permutation matrix for any state
+    on permutations.
     """
     d = state.d
     rows = [list(r) for r in M]
@@ -225,11 +229,11 @@ def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) ->
     matches_det = True
     matches_id = True
     for t in permutations(range(d)):
-        component = Fraction(determinant([rows[i] for i in t]))
-        expected = det * levi_civita(t)
-        if component != expected:
+        component = amplitude(state, [rows[i] for i in t]).coeff
+        term = state.terms.get(t, 0)
+        if component != det * term:
             matches_det = False
-        if component != levi_civita(t):
+        if component != term:
             matches_id = False
     return ExactInvarianceReport(
         d=d,

@@ -39,6 +39,12 @@ def test_inner_product_rational_entries():
     assert inner_product((Fraction(1, 2), Fraction(1, 3)), (2, 3)) == 2
 
 
+def test_inner_product_stays_integer_for_integer_vectors():
+    assert type(inner_product((1, -2, 3), (4, 5, 6))) is int
+    assert type(norm_squared((1, -2, 3))) is int
+    assert type(inner_product((Fraction(1, 2), 1), (2, 3))) is Fraction
+
+
 def test_inner_product_symmetric_bilinear():
     rng = random.Random(7)
     for _ in range(50):

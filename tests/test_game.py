@@ -80,16 +80,17 @@ def test_game_spec_validation():
         GameSpec(d=3, vset=vset, contexts=tuple(tetrads))
     with pytest.raises(ValueError):
         GameSpec(d=4, vset=vset, contexts=())
-    with pytest.raises(ValueError):
-        GameSpec(d=4, vset=vset, contexts=((0, 0, 1, 2),))
-    # vectors 0 and 4 are not orthogonal
-    with pytest.raises(ValueError):
-        GameSpec(d=4, vset=vset, contexts=((0, 4, 2, 3),))
-    # members outside [0, 18): -18 would wrap to vertex 0, 18 is past the end
-    with pytest.raises(ValueError):
-        GameSpec(d=4, vset=vset, contexts=((-18, 1, 2, 3),))
-    with pytest.raises(ValueError):
-        GameSpec(d=4, vset=vset, contexts=((1, 2, 3, 18),))
+    # wrong size, a repeated member, members outside [0, 18) (-18 would wrap
+    # to vertex 0, 18 is past the end), and vectors 0 and 4, not orthogonal
+    for ctx, reason in (
+        (tuple(tetrads[0][:3]), "distinct members"),
+        ((0, 0, 1, 2), "distinct members"),
+        ((1, 2, 3, 18), r"outside \[0, 18\)"),
+        ((-18, 1, 2, 3), r"outside \[0, 18\)"),
+        ((0, 4, 2, 3), "not an orthogonal basis"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            GameSpec(d=4, vset=vset, contexts=(tetrads[0], ctx))
     spec = ceg_game()
     assert spec.m == 9
 

@@ -72,6 +72,12 @@ def test_canonical_basis_graph_is_complete():
     assert graph.neighbors(0) == frozenset({1, 2, 3})
 
 
+def test_vector_set_builds_its_graph_once():
+    vset = catalog_peres24()
+    assert vset.graph is vset.graph
+    assert vset.graph == build_orthogonality_graph(vset)
+
+
 def test_orthogonality_graph_edge_counts():
     ceg, _ = catalog_ceg18()
     assert len(build_orthogonality_graph(ceg).edges) == 63
@@ -109,7 +115,7 @@ def test_contexts_agree_with_networkx_cliques():
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == vset.dim
         }
         # same cliques, each once, in lexicographic order
-        assert enumerate_contexts(vset, graph) == sorted(cliques)
+        assert enumerate_contexts(vset) == sorted(cliques)
 
 
 def test_maximal_cliques_smaller_than_d_are_not_contexts():
@@ -150,13 +156,31 @@ def test_check_ks_property_requires_contexts():
 
 def test_check_ks_property_rejects_nonorthogonal_context():
     vset = VectorSet(dim=2, vectors=((1, 0), (1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an orthogonal basis"):
         check_ks_property(vset, [(0, 1)])
-    # a repeated member, and members outside the set: -2 would alias vertex 0
+    # wrong size, a repeated member, and members outside the set: -2 would
+    # alias vertex 0
     canonical = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
-    for ctx in ((0, 0), (0, 2), (2, 0), (-1, 0), (1, -2)):
-        with pytest.raises(ValueError):
+    for ctx, reason in (
+        ((1,), "distinct members"),
+        ((0, 1, 0), "distinct members"),
+        ((0, 0), "distinct members"),
+        ((0, 2), r"outside \[0, 2\)"),
+        ((2, 0), r"outside \[0, 2\)"),
+        ((-1, 0), r"outside \[0, 2\)"),
+        ((1, -2), r"outside \[0, 2\)"),
+    ):
+        with pytest.raises(ValueError, match=reason):
             check_ks_property(canonical, [(0, 1), ctx])
+
+
+def test_colorable_witness_is_checked_without_assert(monkeypatch):
+    # the certificate check must survive python -O, which strips asserts
+    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert check_ks_property(vset, [(0, 1, 2)]).verdict == "colorable"
+    monkeypatch.setattr("kspt.ks_sets.validate_assignment", lambda *args, **kw: False)
+    with pytest.raises(RuntimeError, match="fails conditions"):
+        check_ks_property(vset, [(0, 1, 2)])
 
 
 def test_catalogs_are_uncolorable():
@@ -210,6 +234,9 @@ def test_validate_assignment_rejects_bad_inputs():
     # wrong length and non-binary entries
     assert not validate_assignment(vset, contexts, (1, 0))
     assert not validate_assignment(vset, contexts, (2, 0, 0))
+    # a context that is not a basis of the set: -3 would alias vertex 0
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        validate_assignment(vset, [(-3, 1, 2)], (1, 0, 0))
 
 
 def test_edges_from_contexts_only_relaxes_condition_i():

@@ -98,16 +98,18 @@ def test_constraint_row_for_a_repeated_outcome():
 
 def test_constraint_rows_reject_bad_contexts():
     vset = catalog_conway_kochen31()
-    with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3))
-    # v3 and v13 are not orthogonal
-    with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, 13))
-    # members outside [0, 31): -27 would wrap to v4, 99 is past the end
-    with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, -27))
-    with pytest.raises(ValueError):
-        pqs_constraint_rows(vset, (0, 3, 99))
+    # wrong size, a repeated member, members outside [0, 31) (-27 would wrap
+    # to v4, 31 and 99 are past the end), and v3, v13, not orthogonal
+    for ctx, reason in (
+        ((0, 3), "distinct members"),
+        ((0, 3, 3), "distinct members"),
+        ((0, 3, 31), r"outside \[0, 31\)"),
+        ((0, 3, 99), r"outside \[0, 31\)"),
+        ((0, 3, -27), r"outside \[0, 31\)"),
+        ((0, 3, 13), "not an orthogonal basis"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            pqs_constraint_rows(vset, ctx)
 
 
 def test_constraint_rows_are_primitive_and_distinct():

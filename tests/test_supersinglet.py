@@ -219,6 +219,23 @@ def test_exact_invariance_under_signed_permutations():
             assert rep.equals_state == (det == 1)
 
 
+def test_exact_invariance_reads_the_state_terms():
+    # identity sign flipped: not antisymmetric, so the level swap must not
+    # map it to det * itself
+    state = build_supersinglet(3)
+    corrupted = SupersingletState(d=3, terms={**state.terms, (0, 1, 2): -1})
+    swap = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    rep = check_unitary_invariance_exact(corrupted, swap)
+    assert rep.determinant == -1
+    assert not rep.equals_det_times_state
+    assert not rep.equals_state
+    assert check_unitary_invariance_exact(state, swap).equals_det_times_state
+    # the identity maps every state to itself
+    identity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rep = check_unitary_invariance_exact(corrupted, identity)
+    assert rep.equals_det_times_state and rep.equals_state
+
+
 def test_exact_invariance_rejects_non_orthogonal_matrix():
     state = build_supersinglet(2)
     with pytest.raises(ValueError):

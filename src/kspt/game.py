@@ -17,6 +17,7 @@ scan by split enumeration, returning the smallest maximizing assignment.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import permutations, product
 from . import scan
 from .exact_linalg import norm_squared
 from .ks_sets import Context, VectorSet, check_context
-from .supersinglet import SupersingletState, amplitude, build_supersinglet
+from .supersinglet import SupersingletState, _overlap, _product_expansion, build_supersinglet
 
 DEFAULT_SEARCH_BUDGET = 26
 BUDGET_ENV = "KS_SEARCH_BUDGET"
@@ -81,13 +82,21 @@ def _outcome_probabilities(spec: GameSpec, x: int, state: SupersingletState) -> 
     """Exact {a: [p(a, k) for k in C_x]} of the reference strategy on context x.
 
     a ranges over C_x^{d-1}; tuples with a repeated member have amplitude zero
-    and are skipped.  k is the last party's outcome.
+    and are skipped.  k is the last party's outcome.  Every p(a, k) is read
+    off the context's one product expansion.
     """
-    vectors = spec.vset.vectors
-    ctx = spec.contexts[x]
+    d, ctx = spec.d, spec.contexts[x]
+    vectors = [spec.vset.vectors[i] for i in ctx]
+    norms = [norm_squared(v) for v in vectors]
+    expansion = _product_expansion([vectors] * d)
+
+    def probability(t: tuple[int, ...]) -> Fraction:
+        coeff = _overlap(state, expansion.get(t, {}))
+        return Fraction(coeff * coeff, math.factorial(d) * math.prod(norms[i] for i in t))
+
     return {
-        a: [amplitude(state, [vectors[i] for i in (*a, k)]).probability for k in ctx]
-        for a in permutations(ctx, spec.d - 1)
+        tuple(ctx[i] for i in a): [probability((*a, k)) for k in range(d)]
+        for a in permutations(range(d), d - 1)
     }
 
 
@@ -111,12 +120,9 @@ def _joint_from_table(table: OutcomeTable, col: int) -> dict[OutputTuple, Fracti
     """p(a, b | x, y) from the outcome table of x, for y member col of C_x."""
     dist: dict[OutputTuple, Fraction] = {}
     for a, row in table.items():
-        p_b1 = row[col]
-        p_b0 = sum(row, Fraction(0)) - p_b1
-        if p_b1 != 0:
-            dist[(a, 1)] = p_b1
-        if p_b0 != 0:
-            dist[(a, 0)] = p_b0
+        for b, p in ((1, row[col]), (0, sum(row, Fraction(0)) - row[col])):
+            if p != 0:
+                dist[(a, b)] = p
     return dist
 
 
@@ -160,14 +166,12 @@ def _best_choice(
     C_x always lose, so C_x^{d-1} is exhaustive.
     """
     ctx = spec.contexts[x]
-    best_score = -1
-    best_a: tuple[int, ...] = ()
-    for a in product(sorted(ctx), repeat=spec.d - 1):
-        score = sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
-        if score > best_score:
-            best_score = score
-            best_a = a
-    return best_score, best_a
+
+    def score(a: tuple[int, ...]) -> int:
+        return sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
+
+    best_a = max(product(sorted(ctx), repeat=spec.d - 1), key=score)  # first maximizer
+    return score(best_a), best_a
 
 
 @dataclass(frozen=True)
@@ -259,24 +263,13 @@ def measurement_algebra_check(vset: VectorSet, contexts: list[Context]) -> Algeb
         nn = norm_squared(v)
         return [[Fraction(v[r]) * Fraction(v[c]) / nn for c in range(dim)] for r in range(dim)]
 
+    cells = list(product(range(dim), repeat=2))
     for x, ctx in enumerate(contexts):
         projs = {y: projector(y) for y in ctx}
         for i, y in enumerate(ctx):
             for yp in ctx[i + 1:]:
-                prod_is_zero = all(
-                    sum(projs[y][r][k] * projs[yp][k][c] for k in range(dim)) == 0
-                    for r in range(dim)
-                    for c in range(dim)
-                )
-                if not prod_is_zero:
+                if any(sum(projs[y][r][k] * projs[yp][k][c] for k in range(dim)) for r, c in cells):
                     failures.append(AlgebraFailure(x, "nonzero product", (y, yp)))
-        for r in range(dim):
-            for c in range(dim):
-                total = sum(projs[y][r][c] for y in ctx)
-                if total != (1 if r == c else 0):
-                    failures.append(AlgebraFailure(x, "sum is not identity", None))
-                    break
-            else:
-                continue
-            break
+        if any(sum(projs[y][r][c] for y in ctx) != (r == c) for r, c in cells):
+            failures.append(AlgebraFailure(x, "sum is not identity", None))
     return AlgebraReport(failures=tuple(failures))

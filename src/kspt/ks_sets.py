@@ -360,7 +360,10 @@ def _json_int(x: object) -> int:
 
 
 def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
-    """Read the interchange form; dim, vector entries and context indices must be integers."""
+    """Read the interchange form; dim, vector entries and context indices must be integers.
+
+    Every listed context must pass check_context: an orthogonal basis of the set.
+    """
     try:
         dim = _json_int(doc["dim"])
         vectors = tuple(tuple(_json_int(x) for x in v) for v in doc["vectors"])
@@ -371,8 +374,6 @@ def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector-set document: {exc}") from exc
     vset = VectorSet(dim=dim, vectors=vectors, labels=labels)
-    if contexts is not None:
-        for ctx in contexts:
-            if len(ctx) != dim or not all(0 <= i < vset.n for i in ctx):
-                raise ValueError(f"malformed context {ctx}")
+    for ctx in contexts or ():
+        check_context(vset, ctx)
     return vset, contexts

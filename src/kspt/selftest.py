@@ -9,7 +9,8 @@ the stacked system has rank d! - 1, its null space is one line, and the
 certification succeeds exactly when that line is the permutation-sign
 vector.
 
-Rows, ranks, and null spaces are exact rational computations throughout.
+A context's rows are its product-expansion rows on the tuples that are not
+permutations of it.  Rows, ranks, and null spaces are exact throughout.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 from .catalog import _window_bases, merged_peres
-from .exact_linalg import Scalar, null_space_basis, primitive
+from .exact_linalg import null_space_basis, primitive
 from .ks_sets import Context, VectorSet, check_context, enumerate_contexts
-from .supersinglet import Permutation, levi_civita
+from .supersinglet import Permutation, _product_expansion, levi_civita
 
 MAX_D = 6
 
@@ -77,25 +78,12 @@ class ConstraintRow:
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _row_for_vectors(vectors: list, perm_index: dict[Permutation, int]) -> list[Scalar]:
-    """Row r[pi] = prod_i (v_i)_{pi(i)}, built by support-constrained recursion."""
-    d = len(vectors)
-    supports = [tuple(j for j, x in enumerate(v) if x != 0) for v in vectors]
-    row: list[Scalar] = [0] * len(perm_index)
-    assign = [0] * d
-
-    def rec(i: int, used: int, coeff: Scalar) -> None:
-        if i == d:
-            row[perm_index[tuple(assign)]] += coeff
-            return
-        for level in supports[i]:
-            if used & (1 << level):
-                continue
-            assign[i] = level
-            rec(i + 1, used | (1 << level), coeff * vectors[i][level])
-
-    rec(0, 0, 1)
-    return row
+def _merge(keyed) -> tuple[ConstraintRow, ...]:
+    """Rows in first-seen key order, provenance concatenated in generation order."""
+    merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for key, provenance in keyed:
+        merged.setdefault(key, []).extend(provenance)
+    return tuple(ConstraintRow(entries=key, provenance=tuple(p)) for key, p in merged.items())
 
 
 def pqs_constraint_rows(
@@ -103,28 +91,27 @@ def pqs_constraint_rows(
 ) -> list[ConstraintRow]:
     """Rows from one context: every outcome tuple that is not a permutation of it.
 
-    Identically zero rows are dropped; proportional rows are merged with their
-    provenance concatenated in generation order.
+    Tuples come in the order of product(context, repeat=d); identically zero
+    rows are absent from the expansion.  A row is keyed by its nonzero values
+    made primitive, scattered into the dense d!-tuple; proportional rows are
+    merged with their provenance concatenated in generation order.
     """
     d = vset.dim
     check_context(vset, context)
-    perms = list(permutations(range(d)))
-    perm_index = {p: i for i, p in enumerate(perms)}
-    allowed = set(permutations(context))
-    merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    order: list[tuple[int, ...]] = []
-    for a in product(context, repeat=d):
-        if a in allowed:
-            continue
-        row = _row_for_vectors([vset.vectors[i] for i in a], perm_index)
-        if not any(row):
-            continue
-        key = primitive(row)
-        if key not in merged:
-            merged[key] = []
-            order.append(key)
-        merged[key].append((context_id, a))
-    return [ConstraintRow(entries=key, provenance=tuple(merged[key])) for key in order]
+    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
+    expansion = _product_expansion([[vset.vectors[i] for i in context]] * d)
+
+    def keyed():
+        for pos in sorted(expansion):
+            if len(set(pos)) == d:
+                continue
+            perms, values = zip(*sorted(expansion[pos].items()))
+            key = [0] * len(perm_index)
+            for pi, x in zip(perms, primitive(values)):
+                key[perm_index[pi]] = x
+            yield tuple(key), [(context_id, tuple(context[p] for p in pos))]
+
+    return list(_merge(keyed()))
 
 
 @dataclass(frozen=True)
@@ -154,25 +141,17 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolu
     One elimination, in null_space_basis; rank = variables - nullity.
     """
     d = vset.dim
-    merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    order: list[tuple[int, ...]] = []
-    for ci, ctx in enumerate(contexts):
-        for row in pqs_constraint_rows(vset, ctx, context_id=ci):
-            if row.entries not in merged:
-                merged[row.entries] = []
-                order.append(row.entries)
-            merged[row.entries].extend(row.provenance)
-    rows = tuple(
-        ConstraintRow(entries=key, provenance=tuple(merged[key])) for key in order
+    rows = _merge(
+        (row.entries, row.provenance)
+        for ci, ctx in enumerate(contexts)
+        for row in pqs_constraint_rows(vset, ctx, context_id=ci)
     )
     variables = math.factorial(d)
-    matrix = [list(r.entries) for r in rows]
-    null_vectors = null_space_basis(matrix, ncols=variables)
+    null_vectors = null_space_basis([list(r.entries) for r in rows], ncols=variables)
     system_rank = variables - len(null_vectors)
     perms = list(permutations(range(d)))
     null_basis = tuple(
-        CoefficientVector(d=d, entries={p: Fraction(x[i]) for i, p in enumerate(perms)})
-        for x in null_vectors
+        CoefficientVector(d=d, entries=dict(zip(perms, map(Fraction, x)))) for x in null_vectors
     )
     return SelftestSolution(
         d=d, variables=variables, rows=rows, rank=system_rank, null_basis=null_basis
@@ -190,17 +169,12 @@ def verify_unique_supersinglet(
     if len(null_basis) != 1:
         return False, None
     vec = null_basis[0]
-    d = vec.d
-    identity = tuple(range(d))
-    lead = vec.entries.get(identity, Fraction(0))
+    lead = vec.entries.get(tuple(range(vec.d)), Fraction(0))
     if lead == 0:
         return False, None
     scaled = {p: v / lead for p, v in vec.entries.items()}
-    witness = CoefficientVector(d=d, entries=scaled)
-    for p in permutations(range(d)):
-        if scaled.get(p, Fraction(0)) != levi_civita(p):
-            return False, witness
-    return True, witness
+    witness = CoefficientVector(d=vec.d, entries=scaled)
+    return all(scaled.get(p, 0) == levi_civita(p) for p in permutations(range(vec.d))), witness
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """The totally antisymmetric state of d parties with d levels.
 
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
-normalization kept implicit, so every amplitude against rational party
-vectors is an exact integer-determinant value divided by a symbolic square
-root.  Probabilities are therefore exact rationals; floats enter only in the
-dense tensor-power invariance check.
+normalization kept implicit.  Amplitudes, outcome tables, self-test rows and
+re-expansions read one product expansion E[a][pi] = prod_i v_{a_i}[pi(i)];
+an amplitude is row E[a] dotted with the sign map over a symbolic square
+root, so probabilities are exact rationals.  Floats enter only in the dense
+tensor-power invariance check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .exact_linalg import Scalar, determinant, inner_product, norm_squared
 
 Permutation = tuple[int, ...]
 Vector = tuple[Scalar, ...]
+Expansion = dict[tuple[int, ...], dict[Permutation, Scalar]]
 
 DENSE_CHECK_MAX_D = 6
 
@@ -28,11 +30,7 @@ def levi_civita(p: Permutation) -> int:
     """Sign of a permutation of range(d): +1 even, -1 odd."""
     if sorted(p) != list(range(len(p))):
         raise ValueError(f"not a permutation of range({len(p)}): {p!r}")
-    inversions = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inversions += 1
+    inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
     return -1 if inversions % 2 else 1
 
 
@@ -42,6 +40,12 @@ class SupersingletState:
 
     d: int
     terms: dict[Permutation, int]
+
+    def __post_init__(self) -> None:
+        # the product expansion has no other level maps: it would ignore the key
+        for pi in self.terms:
+            if sorted(pi) != list(range(self.d)):
+                raise ValueError(f"term {pi!r} is not a permutation of range({self.d})")
 
 
 def build_supersinglet(d: int) -> SupersingletState:
@@ -70,14 +74,52 @@ class Amplitude:
         return self.coeff == 0
 
 
+def _product_expansion(choices: list[list[Vector]], injective: bool = False) -> Expansion:
+    """E[a][pi] = prod_i choices[i][a_i][pi(i)] for every nonzero product.
+
+    Party i picks the vector at position a_i of choices[i] and a level pi(i),
+    the levels distinct (and the positions, with injective).  One recursion
+    over (party, unused level, member nonzero at that level) visits each
+    nonzero (a, pi) once and never a tuple whose products all vanish, so a
+    missing a is a zero row.  Products stay int for integer vectors.
+    """
+    d = len(choices)
+    # nonzero[i][j]: (position, entry, position bit) of the members of choices[i] nonzero at j
+    nonzero = [[[(p, v[j], 1 << d + p if injective else 0) for p, v in enumerate(vs) if v[j] != 0]
+                for j in range(d)] for vs in choices]
+    expansion: Expansion = {}
+    a, pi = [0] * d, [0] * d
+
+    def rec(i: int, used: int, prod: Scalar) -> None:
+        # used: levels taken in bits 0..d-1, positions taken from bit d on
+        if i == d:
+            expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
+            return
+        for level in range(d):
+            if used >> level & 1:
+                continue
+            pi[i] = level
+            for p, x, taken in nonzero[i][level]:
+                if not used & taken:
+                    a[i] = p
+                    rec(i + 1, used | 1 << level | taken, prod * x)
+
+    rec(0, 0, 1)
+    return expansion
+
+
+def _overlap(state: SupersingletState, row: dict[Permutation, Scalar]) -> Scalar:
+    """sum_pi terms[pi] * row[pi], the unnormalized amplitude of an expansion row."""
+    return sum(state.terms.get(pi, 0) * x for pi, x in row.items())
+
+
 def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitude:
     """Overlap of one product of rational party vectors with the state.
 
     coeff = sum over terms pi of sign(pi) * prod_i (v_i)_{pi(i)}, the radicand
     scale = d! * prod ||v_i||^2.  For the canonical sign map the coefficient
-    equals det(rows = party vectors); the generic sum keeps the evaluation
-    honest for deliberately corrupted sign maps too.  The sum is in int for
-    integer vectors and becomes a Fraction only on return.
+    equals det(rows = party vectors); reading the terms keeps the evaluation
+    honest for deliberately corrupted sign maps too.
     """
     d = state.d
     if len(party_vectors) != d:
@@ -85,20 +127,9 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     for v in party_vectors:
         if len(v) != d:
             raise ValueError(f"party vector of dimension {len(v)}, expected {d}")
-    coeff = 0
-    for pi, sign in state.terms.items():
-        prod = sign
-        for i in range(d):
-            entry = party_vectors[i][pi[i]]
-            if entry == 0:
-                break
-            prod *= entry
-        else:
-            coeff += prod
-    scale = Fraction(math.factorial(d))
-    for v in party_vectors:
-        scale *= norm_squared(v)
-    return Amplitude(coeff=Fraction(coeff), scale=scale)
+    row = _product_expansion([[v] for v in party_vectors]).get((0,) * d, {})
+    scale = math.factorial(d) * math.prod(norm_squared(v) for v in party_vectors)
+    return Amplitude(coeff=Fraction(_overlap(state, row)), scale=Fraction(scale))
 
 
 @dataclass(frozen=True)
@@ -124,21 +155,27 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     """Rewrite the state in an orthogonal (not necessarily normalized) basis.
 
     Outcome tuples with a repeated index carry amplitude zero (repeated
-    determinant rows) and are omitted; only the d! injective tuples are
-    evaluated and stored.
+    determinant rows) and are omitted; only the d! injective tuples are read
+    from the basis's product expansion and stored.
     """
     d = state.d
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
+    norms = [norm_squared(v) for v in basis]
     for i in range(d):
-        if norm_squared(basis[i]) == 0:
+        if len(basis[i]) != d:
+            raise ValueError(f"basis vector {i} has dimension {len(basis[i])}, expected {d}")
+        if norms[i] == 0:
             raise ValueError(f"basis vector {i} is zero")
         for j in range(i + 1, d):
             if inner_product(basis[i], basis[j]) != 0:
                 raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
-    coefficients: dict[Permutation, Amplitude] = {}
-    for t in permutations(range(d)):
-        coefficients[t] = amplitude(state, [basis[i] for i in t])
+    expansion = _product_expansion([basis] * d, injective=True)
+    scale = Fraction(math.factorial(d) * math.prod(norms))
+    coefficients = {
+        t: Amplitude(coeff=Fraction(_overlap(state, expansion.get(t, {}))), scale=scale)
+        for t in permutations(range(d))
+    }
     return ProductBasisExpansion(d=d, basis=tuple(tuple(v) for v in basis), coefficients=coefficients)
 
 
@@ -208,10 +245,10 @@ class ExactInvarianceReport:
 def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) -> ExactInvarianceReport:
     """Exact tensor-power action for a rational orthogonal matrix M (rows).
 
-    The image component on outcome tuple t is the amplitude of the state
-    against the rows M[t_0..t_{d-1}], compared exactly with det(M) *
-    terms[t] and with terms[t] on every injective tuple t.  Tuples with a
-    repeated index are not compared: their component vanishes for an
+    The image component on outcome tuple t is the state's overlap with row t
+    of the product expansion over the rows of M, compared exactly with
+    det(M) * terms[t] and with terms[t] on every injective tuple t.  Tuples
+    with a repeated index are not compared: their component vanishes for an
     antisymmetric state, and under a signed permutation matrix for any state
     on permutations.
     """
@@ -226,20 +263,16 @@ def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) ->
             if dot != (1 if i == j else 0):
                 raise ValueError(f"matrix columns {i},{j} fail exact orthonormality")
     det = Fraction(determinant(rows))
-    matches_det = True
-    matches_id = True
-    for t in permutations(range(d)):
-        component = amplitude(state, [rows[i] for i in t]).coeff
-        term = state.terms.get(t, 0)
-        if component != det * term:
-            matches_det = False
-        if component != term:
-            matches_id = False
+    expansion = _product_expansion([rows] * d, injective=True)
+    pairs = [
+        (_overlap(state, expansion.get(t, {})), state.terms.get(t, 0))
+        for t in permutations(range(d))
+    ]
     return ExactInvarianceReport(
         d=d,
         determinant=det,
-        equals_det_times_state=matches_det,
-        equals_state=matches_id,
+        equals_det_times_state=all(component == det * term for component, term in pairs),
+        equals_state=all(component == term for component, term in pairs),
     )
 
 

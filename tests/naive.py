@@ -11,13 +11,21 @@ naive_ks_search: the colorability search with set-based state that rescans
 every context on every propagation pass.  It branches exactly as
 check_ks_property does (contexts in sorted order, members in context order),
 so the two must agree on the verdict, the node count and the witness.
+
+naive_amplitude_coeff and naive_row / naive_constraint_rows: the product
+expansion computed the long way.  The amplitude loops over every term of the
+state; the rows walk all d^d outcome tuples of a context and expand each one
+by its own support-constrained recursion, keeping the tuples whose row is
+not identically zero.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+from kspt.exact_linalg import primitive
 from kspt.game import GameSpec, winning_predicate
-from kspt.ks_sets import build_orthogonality_graph
+from kspt.ks_sets import build_orthogonality_graph, check_context
+from kspt.selftest import ConstraintRow
 
 
 def naive_classical_value(spec: GameSpec) -> Fraction:
@@ -100,3 +108,51 @@ def naive_ks_search(vset, contexts, edges_from_contexts_only=False):
 
     witness = dfs(0, set(), set())
     return ("uncolorable" if witness is None else "colorable"), nodes, witness
+
+
+def naive_amplitude_coeff(state, party_vectors):
+    """sum over the state's terms pi of terms[pi] * prod_i v_i[pi(i)]."""
+    coeff = 0
+    for pi, sign in state.terms.items():
+        prod = sign
+        for i, level in enumerate(pi):
+            prod *= party_vectors[i][level]
+        coeff += prod
+    return coeff
+
+
+def naive_row(vectors):
+    """Dense row r[pi] = prod_i v_i[pi(i)] over the lexicographic permutations."""
+    d = len(vectors)
+    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
+    supports = [tuple(j for j, x in enumerate(v) if x != 0) for v in vectors]
+    row = [0] * len(perm_index)
+    assign = [0] * d
+
+    def rec(i, used, coeff):
+        if i == d:
+            row[perm_index[tuple(assign)]] += coeff
+            return
+        for level in supports[i]:
+            if used & (1 << level):
+                continue
+            assign[i] = level
+            rec(i + 1, used | (1 << level), coeff * vectors[i][level])
+
+    rec(0, 0, 1)
+    return row
+
+
+def naive_constraint_rows(vset, context, context_id=0):
+    """pqs_constraint_rows from every tuple of product(context, repeat=d)."""
+    d = vset.dim
+    check_context(vset, context)
+    allowed = set(permutations(context))
+    merged = {}
+    for a in product(context, repeat=d):
+        if a in allowed:
+            continue
+        row = naive_row([vset.vectors[i] for i in a])
+        if any(row):
+            merged.setdefault(primitive(row), []).append((context_id, a))
+    return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]

@@ -147,6 +147,16 @@ def test_ks_contexts_counts(capsys):
     assert len(report["results"]["contexts"]) == 17
 
 
+def test_ks_contexts_rejects_a_document_context_that_is_not_a_basis(capsys, tmp_path):
+    path = tmp_path / "not_a_basis.json"
+    doc = {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "contexts": [[0, 1, 3]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["ks", "contexts", "--set", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "not an orthogonal basis" in captured.err
+
+
 def test_ks_complete_writes_the_closure(capsys, tmp_path):
     out = tmp_path / "completed.json"
     code, report = run_report(

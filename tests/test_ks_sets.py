@@ -330,6 +330,13 @@ def test_from_json_dict_rejects_malformed_documents():
     # a context or label list of the wrong shape
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "contexts": [5]})
+    # a listed context must be an orthogonal basis: (1, 1, 0) is not orthogonal to e1
+    with pytest.raises(ValueError):
+        from_json_dict({
+            "dim": 3,
+            "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+            "contexts": [[0, 1, 3]],
+        })
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "vectors": [[1, 0], [0, 1]], "labels": 5})
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,8 @@ from kspt.catalog import (
     catalog_ceg18,
     catalog_conway_kochen31,
     catalog_peres24,
+    merged_peres,
+    merged_window_bases,
 )
 from kspt.exact_linalg import primitive, rank
 from kspt.ks_sets import enumerate_contexts
@@ -20,6 +23,7 @@ from kspt.selftest import (
     verify_unique_supersinglet,
 )
 from kspt.supersinglet import levi_civita
+from naive import naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
 # two tetrads {v4..v7} and {v8..v11}: 23 rows over the 24 permutation
@@ -150,6 +154,37 @@ def test_provenance_replays_to_the_stored_row():
                 for p in perms
             ]
             assert primitive(raw) == row.entries
+
+
+def test_constraint_rows_match_the_all_tuples_oracle():
+    # the oracle walks all d^d outcome tuples and expands each one separately
+    ck31 = catalog_conway_kochen31()
+    ceg, tetrads = catalog_ceg18()
+    merged4 = merged_peres(4)
+    cases = [
+        (ck31, enumerate_contexts(ck31)),
+        (ceg, tetrads),
+        (merged4, enumerate_contexts(merged4)),
+        (merged_peres(5), merged_window_bases(5)),
+    ]
+    for vset, contexts in cases:
+        for ci, ctx in enumerate(contexts):
+            assert pqs_constraint_rows(vset, ctx, ci) == naive_constraint_rows(vset, ctx, ci)
+
+
+def test_d6_window_basis_rows_are_pinned():
+    # count and sha256 of (entries, provenance) of the merged rows, recorded
+    # from the d^d-tuple generator
+    vset = merged_peres(6)
+    merged = {}
+    for ci, ctx in enumerate(merged_window_bases(6)):
+        for row in pqs_constraint_rows(vset, ctx, ci):
+            merged.setdefault(row.entries, []).extend(row.provenance)
+    rows = [(entries, tuple(provenance)) for entries, provenance in merged.items()]
+    assert len(rows) == 3240
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "304f59bdea3caf1657bf465affaa935496172fae7aba2649bcb8bf572680097c"
+    )
 
 
 def test_d3_system_certifies_the_state():

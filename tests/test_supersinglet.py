@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from kspt.exact_linalg import determinant
 from kspt.supersinglet import (
     DENSE_CHECK_MAX_D,
     SupersingletState,
+    _product_expansion,
     amplitude,
     build_supersinglet,
     check_unitary_invariance,
@@ -20,6 +21,7 @@ from kspt.supersinglet import (
     random_special_unitary,
     reexpand_in_basis,
 )
+from naive import naive_amplitude_coeff, naive_row
 
 
 def test_levi_civita_examples():
@@ -59,6 +61,14 @@ def test_build_supersinglet_d3_signs():
 def test_build_supersinglet_rejects_d1():
     with pytest.raises(ValueError):
         build_supersinglet(1)
+
+
+def test_state_rejects_terms_that_are_not_permutations():
+    # the expansion enumerates level permutations only, so such a key would be ignored
+    with pytest.raises(ValueError):
+        SupersingletState(d=3, terms={**build_supersinglet(3).terms, (0, 0, 5): 1})
+    with pytest.raises(ValueError):
+        SupersingletState(d=3, terms={(0, 1): 1})
 
 
 def test_amplitude_on_canonical_basis():
@@ -242,3 +252,54 @@ def test_exact_invariance_rejects_non_orthogonal_matrix():
         check_unitary_invariance_exact(state, [(1, 1), (0, 1)])
     with pytest.raises(ValueError):
         check_unitary_invariance_exact(state, [(1, 0)])
+
+
+def _random_vector(rng, d, exact_kind):
+    if exact_kind == "int":
+        return tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(d))
+    return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))
+
+
+def _corrupted(state, rng):
+    # flip, drop or rescale a few signs
+    terms = dict(state.terms)
+    for pi in rng.sample(sorted(terms), k=min(3, len(terms))):
+        change = rng.choice(("flip", "drop", "double"))
+        if change == "drop":
+            del terms[pi]
+        else:
+            terms[pi] *= -1 if change == "flip" else 2
+    return SupersingletState(d=state.d, terms=terms)
+
+
+def test_product_expansion_matches_the_naive_oracles():
+    rng = random.Random(11)
+    for d in (2, 3, 4, 5):
+        canonical = build_supersinglet(d)
+        states = [canonical, _corrupted(canonical, rng), _corrupted(canonical, rng)]
+        most = max(2, 6 - d)  # vectors per party
+        for exact_kind in ("int", "fraction"):
+            for _ in range(3):
+                choices = [
+                    [_random_vector(rng, d, exact_kind) for _ in range(rng.randint(1, most))]
+                    for _ in range(d)
+                ]
+                expansion = _product_expansion(choices)
+                assert all(x != 0 for row in expansion.values() for x in row.values())
+                for a in product(*(range(len(c)) for c in choices)):
+                    vectors = [choices[i][p] for i, p in enumerate(a)]
+                    row = naive_row(vectors)
+                    stored = expansion.get(a, {})
+                    assert [stored.get(pi, 0) for pi in permutations(range(d))] == row
+                    assert (a in expansion) == any(row)
+                    for state in states:
+                        assert amplitude(state, vectors).coeff == naive_amplitude_coeff(state, vectors)
+                # injective: the rows of the tuples with distinct positions, and no others
+                # (d = 5 is left out: a dense full expansion has d^d * d! entries)
+                if d == 5:
+                    continue
+                shared = [_random_vector(rng, d, exact_kind) for _ in range(d)]
+                full = _product_expansion([shared] * d)
+                assert _product_expansion([shared] * d, injective=True) == {
+                    a: row for a, row in full.items() if len(set(a)) == d
+                }

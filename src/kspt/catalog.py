@@ -182,7 +182,7 @@ def merged_window_bases(d: int) -> list[Context]:
 def _window_bases(vset: VectorSet) -> list[Context]:
     """merged_window_bases for a merged set already built, of dimension vset.dim."""
     d = vset.dim
-    index = {primitive(v): i for i, v in enumerate(vset.vectors)}
+    index = vset._ray_index
     canonical = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
     bases: list[Context] = []
     for k in range(d - 3):

@@ -36,6 +36,7 @@ from .ks_sets import (
 )
 from .selftest import certify, general_d_selftest
 from .supersinglet import (
+    DENSE_CHECK_MAX_D,
     build_supersinglet,
     check_unitary_invariance,
     check_unitary_invariance_exact,
@@ -168,6 +169,10 @@ def _cmd_state(args: argparse.Namespace) -> int:
         _emit("state expand", {**inputs, "context": args.context}, results, t0)
         return 0
     d = args.d
+    if args.samples < 0 or args.signed < 0:
+        raise ValueError("--samples and --signed must be non-negative")
+    if args.samples > 0 and not 2 <= d <= DENSE_CHECK_MAX_D:
+        raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
     inputs = {
         "d": d,
         "samples": args.samples,

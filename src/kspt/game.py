@@ -7,12 +7,14 @@ outputs enumerate all of C_x except one member, and the last party's bit says
 whether the left-out member is y.
 
 The quantum side evaluates the reference strategy (shared antisymmetric
-state, basis measurements) with exact rational probabilities, one outcome
-table p(a, k) per context.  The classical side maximizes over all
-deterministic strategies: for a fixed {0,1} vertex assignment the per-context
-choices decouple, so one lookup per context per assignment in the game's one
-score table suffices, and ``scan.best_assignment`` runs the 2^n assignment
-scan by split enumeration, returning the smallest maximizing assignment.
+state, basis measurements) in one integer pass per context: every outcome
+tuple with nonzero amplitude gets an integer weight over one denominator, and
+Fractions are formed only for the returned probabilities.  The classical
+side maximizes over all deterministic strategies: for a fixed {0,1} vertex
+assignment the per-context choices decouple, so one lookup per context per
+assignment in the game's one score table suffices, and
+``scan.best_assignment`` runs the 2^n assignment scan by split enumeration,
+returning the smallest maximizing assignment.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from . import scan
-from .exact_linalg import norm_squared
+from .exact_linalg import norm_squared, primitive
 from .ks_sets import Context, VectorSet, check_context
 from .supersinglet import SupersingletState, _overlap, _product_expansion, build_supersinglet
 
@@ -32,7 +34,6 @@ DEFAULT_SEARCH_BUDGET = 26
 BUDGET_ENV = "KS_SEARCH_BUDGET"
 
 OutputTuple = tuple[tuple[int, ...], int]
-OutcomeTable = dict[tuple[int, ...], list[Fraction]]
 
 
 class SearchBudgetError(RuntimeError):
@@ -78,26 +79,30 @@ def winning_predicate(spec: GameSpec, x: int, y: int, a: tuple[int, ...], b: int
     return (left_out == y) == bool(b)
 
 
-def _outcome_probabilities(spec: GameSpec, x: int, state: SupersingletState) -> OutcomeTable:
-    """Exact {a: [p(a, k) for k in C_x]} of the reference strategy on context x.
+def _outcome_weights(
+    spec: GameSpec, x: int, state: SupersingletState
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer weights w(t) and one denominator D with p(t) = w(t) / D on context x.
 
-    a ranges over C_x^{d-1}; tuples with a repeated member have amplitude zero
-    and are skipped.  k is the last party's outcome.  Every p(a, k) is read
-    off the context's one product expansion.
+    t is an outcome tuple in C_x^d (first parties, then the last party), kept
+    when its overlap with the state, read off the context's one product
+    expansion, is nonzero.  Rays are read as primitive integers; with N the
+    product of the context's squared norms, w(t) = coeff(t)^2 * prod_i
+    N / |v_{t_i}|^2 and D = d! * N^d.
     """
+    if state.d != spec.d:
+        raise ValueError(f"state has d={state.d}, the game has d={spec.d}")
     d, ctx = spec.d, spec.contexts[x]
-    vectors = [spec.vset.vectors[i] for i in ctx]
+    vectors = [primitive(spec.vset.vectors[i]) for i in ctx]
     norms = [norm_squared(v) for v in vectors]
-    expansion = _product_expansion([vectors] * d)
-
-    def probability(t: tuple[int, ...]) -> Fraction:
-        coeff = _overlap(state, expansion.get(t, {}))
-        return Fraction(coeff * coeff, math.factorial(d) * math.prod(norms[i] for i in t))
-
-    return {
-        tuple(ctx[i] for i in a): [probability((*a, k)) for k in range(d)]
-        for a in permutations(range(d), d - 1)
-    }
+    big = math.prod(norms)
+    cofactors = [big // n for n in norms]
+    weights = {}
+    for t, row in _product_expansion([vectors] * d).items():
+        coeff = _overlap(state, row)
+        if coeff:
+            weights[tuple(ctx[i] for i in t)] = coeff * coeff * math.prod(cofactors[i] for i in t)
+    return weights, math.factorial(d) * big**d
 
 
 def quantum_joint_distribution(
@@ -105,25 +110,18 @@ def quantum_joint_distribution(
 ) -> dict[OutputTuple, Fraction]:
     """Exact p(a, b | x, y) for the reference strategy; zero entries omitted.
 
-    The b=1 branch is p(a, y); the b=0 branch is the marginal p(a), summed
-    over the last party's basis, minus it.
+    b = 1 collects the outcomes whose last-party member is y, b = 0 the rest.
     """
-    ctx = spec.contexts[x]
-    if y not in ctx:
+    if y not in spec.contexts[x]:
         raise ValueError(f"input {y} is not a member of context {x}")
     if state is None:
         state = build_supersinglet(spec.d)
-    return _joint_from_table(_outcome_probabilities(spec, x, state), ctx.index(y))
-
-
-def _joint_from_table(table: OutcomeTable, col: int) -> dict[OutputTuple, Fraction]:
-    """p(a, b | x, y) from the outcome table of x, for y member col of C_x."""
-    dist: dict[OutputTuple, Fraction] = {}
-    for a, row in table.items():
-        for b, p in ((1, row[col]), (0, sum(row, Fraction(0)) - row[col])):
-            if p != 0:
-                dist[(a, b)] = p
-    return dist
+    weights, denominator = _outcome_weights(spec, x, state)
+    sums: dict[OutputTuple, int] = {}
+    for t, w in weights.items():
+        key = (t[:-1], int(t[-1] == y))
+        sums[key] = sums.get(key, 0) + w
+    return {key: Fraction(w, denominator) for key, w in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,12 @@ def verify_perfect_strategy(
         state = build_supersinglet(spec.d)
     per_input: list[tuple[int, int, Fraction]] = []
     for x, ctx in enumerate(spec.contexts):
-        table = _outcome_probabilities(spec, x, state)
-        for col, y in enumerate(ctx):
-            dist = _joint_from_table(table, col)
-            success = sum(
-                (p for (a, b), p in dist.items() if winning_predicate(spec, x, y, a, b)),
-                Fraction(0),
+        weights, denominator = _outcome_weights(spec, x, state)
+        for y in ctx:
+            won = sum(
+                w for t, w in weights.items() if winning_predicate(spec, x, y, t[:-1], t[-1] == y)
             )
-            per_input.append((x, y, success))
+            per_input.append((x, y, Fraction(won, denominator)))
     min_success = min(p for _, _, p in per_input)
     return PerfectStrategyReport(per_input=tuple(per_input), min_success=min_success)
 

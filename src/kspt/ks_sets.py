@@ -52,16 +52,7 @@ class VectorSet:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
-        rays = set()
-        for v in self.vectors:
-            if len(v) != self.dim:
-                raise ValueError(f"vector {v} does not have dimension {self.dim}")
-            ray = primitive(v)
-            if not any(ray):
-                raise ValueError(f"zero vector {v} is not a ray")
-            if ray in rays:
-                raise ValueError(f"duplicate ray {v}")
-            rays.add(ray)
+        self._ray_index  # validates every vector
         if self.labels is not None and len(self.labels) != len(self.vectors):
             raise ValueError("label count does not match vector count")
 
@@ -71,6 +62,21 @@ class VectorSet:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else f"v{i}"
+
+    @cached_property
+    def _ray_index(self) -> dict[tuple[int, ...], int]:
+        """{primitive ray: vector index}, built once when the set is validated."""
+        index: dict[tuple[int, ...], int] = {}
+        for i, v in enumerate(self.vectors):
+            if len(v) != self.dim:
+                raise ValueError(f"vector {v} does not have dimension {self.dim}")
+            ray = primitive(v)
+            if not any(ray):
+                raise ValueError(f"zero vector {v} is not a ray")
+            if ray in index:
+                raise ValueError(f"duplicate ray {v}")
+            index[ray] = i
+        return index
 
     @cached_property
     def graph(self) -> OrthogonalityGraph:

@@ -51,7 +51,7 @@ def support_restriction_constraints(
     are emitted; the record carries the context that justifies it.
     """
     d = vset.dim
-    index = {primitive(v): i for i, v in enumerate(vset.vectors)}
+    index = vset._ray_index
     canonical = []
     for t in range(d):
         ray = tuple(1 if j == t else 0 for j in range(d))

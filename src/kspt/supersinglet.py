@@ -1,11 +1,11 @@
 """The totally antisymmetric state of d parties with d levels.
 
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
-normalization kept implicit.  Amplitudes, outcome tables, self-test rows and
-re-expansions read one product expansion E[a][pi] = prod_i v_{a_i}[pi(i)];
-an amplitude is row E[a] dotted with the sign map over a symbolic square
-root, so probabilities are exact rationals.  Floats enter only in the dense
-tensor-power invariance check.
+normalization kept implicit.  Amplitudes, the game's outcome weights,
+self-test rows and re-expansions read one product expansion E[a][pi] =
+prod_i v_{a_i}[pi(i)]; an amplitude is row E[a] dotted with the sign map
+over a symbolic square root, so probabilities are exact rationals.  Floats
+enter only in the dense tensor-power invariance check.
 """
 
 from __future__ import annotations
@@ -136,8 +136,10 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
 class ProductBasisExpansion:
     """Expansion of the state in a product basis b_{t_0} x ... x b_{t_{d-1}}.
 
-    coefficients holds every outcome tuple with nonzero amplitude; for an
-    orthogonal basis these are exactly the d! injective tuples.
+    coefficients holds the d! injective outcome tuples.  The state is
+    antisymmetric up to a nonzero factor, so in an orthogonal basis every
+    tuple with a repeated index has amplitude zero and every injective one a
+    nonzero amplitude.
     """
 
     d: int
@@ -154,13 +156,19 @@ class ProductBasisExpansion:
 def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductBasisExpansion:
     """Rewrite the state in an orthogonal (not necessarily normalized) basis.
 
-    Outcome tuples with a repeated index carry amplitude zero (repeated
-    determinant rows) and are omitted; only the d! injective tuples are read
-    from the basis's product expansion and stored.
+    Only the d! injective tuples are read from the basis's product expansion
+    and stored.  That read is exact only for a state whose terms[pi] * sign(pi)
+    is one nonzero constant over all d! permutations: there a tuple with a
+    repeated index has a determinant with repeated rows, amplitude zero.  Any
+    other state would lose probability to such tuples and is rejected.
     """
     d = state.d
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
+    signed = {state.terms.get(pi, 0) * levi_civita(pi) for pi in permutations(range(d))}
+    if len(signed) != 1 or 0 in signed:
+        raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
+                         "must be one nonzero constant over all permutations")
     norms = [norm_squared(v) for v in basis]
     for i in range(d):
         if len(basis[i]) != d:

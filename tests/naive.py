@@ -17,8 +17,13 @@ expansion computed the long way.  The amplitude loops over every term of the
 state; the rows walk all d^d outcome tuples of a context and expand each one
 by its own support-constrained recursion, keeping the tuples whose row is
 not identically zero.
+
+naive_joint_distribution: p(a, b | x, y) from all d^d outcome tuples of the
+context, each amplitude from naive_amplitude_coeff on the vectors as stored,
+each probability a Fraction.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -119,6 +124,19 @@ def naive_amplitude_coeff(state, party_vectors):
             prod *= party_vectors[i][level]
         coeff += prod
     return coeff
+
+
+def naive_joint_distribution(spec, x, y, state):
+    """{(a, b): p} over every tuple of C_x^d, b = 1 when the last member is y."""
+    d, ctx = spec.d, spec.contexts[x]
+    dist = {}
+    for t in product(ctx, repeat=d):
+        vectors = [spec.vset.vectors[i] for i in t]
+        coeff = naive_amplitude_coeff(state, vectors)
+        scale = math.factorial(d) * math.prod(sum(c * c for c in v) for v in vectors)
+        key = (t[:-1], int(t[-1] == y))
+        dist[key] = dist.get(key, Fraction(0)) + Fraction(coeff * coeff, scale)
+    return {key: p for key, p in dist.items() if p != 0}
 
 
 def naive_row(vectors):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -212,6 +213,43 @@ def test_state_invariance_report(capsys):
     assert results["signed_exact_det_covariance"] is True
     assert len(results["signed_determinants"]) == 2
     assert set(results["signed_determinants"]) <= {"1/1", "-1/1"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--d", "9"], "--samples needs 2 <= --d <= 6"),
+        (["--d", "12", "--samples", "1", "--signed", "0"], "--samples needs 2 <= --d <= 6"),
+        (["--d", "3", "--samples", "-2", "--signed", "-1"], "must be non-negative"),
+        (["--d", "3", "--signed", "-1"], "must be non-negative"),
+    ],
+)
+def test_state_invariance_refuses_bad_requests_before_building_the_state(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state must not be built for a refused request")
+
+    monkeypatch.setattr("kspt.cli.build_supersinglet", refuse)
+    assert run(["state", "invariance", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("ceg18", "29d53ed82b483f154245eb7544d48926ca18b1e3584e1aa5d49f6e1f0ec84b21"),
+        ("ck31", "eb286654415a3cea26ab2525c9b7f767cc6811447af76079bb76e8ed3294ae46"),
+        ("merged5", "9274a61aff03c07fd0ea95c65f66dee4d5e034cb2f34483353bffe57cc1b108b"),
+    ],
+)
+def test_game_quantum_verify_results_are_pinned(capsys, name, digest):
+    # sha256 of the canonical JSON of results; a change to the quantum path
+    # must reproduce every per-input probability bit for bit
+    code, report = run_report(capsys, ["game", "quantum-verify", "--builtin", name])
+    assert code == 0
+    canonical = json.dumps(report["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 def test_game_quantum_verify_perfect(capsys):

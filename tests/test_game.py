@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from kspt.game import (
 from kspt.ks_sets import VectorSet, enumerate_contexts
 from kspt.supersinglet import SupersingletState, build_supersinglet
 
-from naive import naive_classical_value
+from naive import naive_classical_value, naive_joint_distribution
 
 
 def ceg_game() -> GameSpec:
@@ -160,6 +161,39 @@ def test_corrupted_state_breaks_perfection():
                 )
                 expected.append((x, y, success))
         assert verify_perfect_strategy(spec, state=state).per_input == tuple(expected)
+
+
+def _sign_flipped(state, rng):
+    # flip a few signs: no longer antisymmetric, still of norm 1
+    terms = dict(state.terms)
+    for pi in rng.sample(sorted(terms), k=3):
+        terms[pi] = -terms[pi]
+    return SupersingletState(d=state.d, terms=terms)
+
+
+def test_quantum_joint_distribution_matches_the_all_tuples_oracle():
+    # the oracle reads every tuple of C_x^d, including those whose first d-1
+    # members repeat; for a state that is not antisymmetric they carry
+    # probability, and the distribution must still sum to exactly 1
+    rng = random.Random(5)
+    for spec in (ck_game(), ceg_game()):
+        canonical = build_supersinglet(spec.d)
+        states = [canonical, _sign_flipped(canonical, rng), _sign_flipped(canonical, rng)]
+        for x in rng.sample(range(spec.m), k=3):
+            for state in states:
+                for y in spec.contexts[x]:
+                    dist = quantum_joint_distribution(spec, x, y, state)
+                    assert dist == naive_joint_distribution(spec, x, y, state)
+                    assert sum(dist.values(), Fraction(0)) == 1
+
+
+def test_quantum_game_rejects_a_state_of_another_dimension():
+    spec = ceg_game()
+    for d in (3, 5):
+        with pytest.raises(ValueError, match="state has d="):
+            verify_perfect_strategy(spec, state=build_supersinglet(d))
+        with pytest.raises(ValueError, match="state has d="):
+            quantum_joint_distribution(spec, 0, spec.contexts[0][0], build_supersinglet(d))
 
 
 def test_classical_value_matches_naive_enumeration_on_toy_game():

@@ -168,6 +168,31 @@ def test_reexpand_defg_tetrad_signs_and_weights():
     assert exp.total_probability() == 1
 
 
+def test_reexpand_rejects_a_state_that_is_not_antisymmetric():
+    # flipping the sign of (0, 1, 2) puts probability on tuples with a
+    # repeated index, which the injective read would silently drop
+    state = build_supersinglet(3)
+    flipped = SupersingletState(d=3, terms={**state.terms, (0, 1, 2): -1})
+    basis = [(1, 1, 0), (1, -1, 0), (0, 0, 1)]
+
+    def probability(t):
+        vectors = [basis[i] for i in t]
+        coeff = naive_amplitude_coeff(flipped, vectors)
+        return Fraction(coeff * coeff, 6 * math.prod(sum(c * c for c in v) for v in vectors))
+
+    assert probability((0, 0, 2)) == Fraction(1, 6)
+    assert sum(probability(t) for t in product(range(3), repeat=3)) == 1
+    assert sum(probability(t) for t in permutations(range(3))) == Fraction(2, 3)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        reexpand_in_basis(flipped, basis)
+    dropped = SupersingletState(d=3, terms={p: s for p, s in state.terms.items() if p != (2, 1, 0)})
+    with pytest.raises(ValueError, match="antisymmetric"):
+        reexpand_in_basis(dropped, basis)
+    # one nonzero constant times the sign map is read exactly
+    negated = SupersingletState(d=3, terms={p: -s for p, s in state.terms.items()})
+    assert reexpand_in_basis(negated, basis).total_probability() == 1
+
+
 def test_reexpand_rejects_bad_bases():
     state = build_supersinglet(2)
     with pytest.raises(ValueError):

@@ -45,6 +45,10 @@ from .supersinglet import (
     reexpand_in_basis,
 )
 
+# state invariance builds the d!-term state for the exact signed check; its
+# time and memory grow ninefold from d = 8 to d = 9
+_STATE_MAX_D = 8
+
 
 def _fr(x: Fraction) -> str:
     x = Fraction(x)
@@ -173,6 +177,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
         raise ValueError("--samples and --signed must be non-negative")
     if args.samples > 0 and not 2 <= d <= DENSE_CHECK_MAX_D:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
+    if d > _STATE_MAX_D:
+        raise ValueError(f"--d must be at most {_STATE_MAX_D}: the d!-term state is built")
     inputs = {
         "d": d,
         "samples": args.samples,

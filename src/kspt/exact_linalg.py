@@ -2,9 +2,10 @@
 
 Vectors are tuples of ints or fractions.Fraction, matrices are sequences of
 such rows.  Everything here is exact: no floats, no tolerances.  Elimination
-is fraction-free (integer-preserving), with deterministic pivoting (first
-nonzero entry in column order), so ranks, null spaces and canonical ray
-representatives are reproducible bit for bit.
+is fraction-free on sparse integer rows {column: nonzero}; each column's pivot
+is its shortest remaining row.  The pivot columns do not depend on that choice,
+nor does the primitive null vector of a free column, so ranks, null spaces and
+canonical ray representatives are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -71,39 +72,39 @@ def _reduce_row(row: list[int]) -> list[int]:
 
 
 def row_echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """Integer-preserving row echelon form.
+    """Integer-preserving row echelon form of equal-length rows.
 
-    Returns (echelon rows, pivot column indices).  Pivots are chosen as the
-    first row with a nonzero entry in the current column, columns scanned
-    left to right.  Rows are kept primitive after every elimination step to
-    bound coefficient growth.
+    Returns (dense echelon rows, pivot columns).  Columns go left to right; the
+    pivot row is the shortest remaining row nonzero there, the first on a tie,
+    and every other such row is cleared by an integer step and made primitive.
     """
-    work = [_reduce_row(_integer_row(r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rows differ in length")
+    work = []
+    for r in rows:
+        cols = [c for c, x in enumerate(r) if x != 0]
+        work.append(dict(zip(cols, _reduce_row(_integer_row([r[c] for c in cols])))))
+    remaining = [i for i, row in enumerate(work) if row]
+    echelon, pivots = [], []
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        hits = [i for i in remaining if c in work[i]]
+        if not hits:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        for i in range(r + 1, len(work)):
-            m = work[i][c]
-            if m == 0:
-                continue
-            g = gcd(abs(p), abs(m))
-            a, b = p // g, m // g
-            work[i] = _reduce_row([a * x - b * y for x, y in zip(work[i], work[r])])
+        k = min(hits, key=lambda i: len(work[i]))
+        prow = work[k]
+        for i in hits:
+            if i != k:
+                row = work[i]
+                g = gcd(prow[c], row[c])
+                a, b = prow[c] // g, row[c] // g
+                new = {j: v for j in row.keys() | prow.keys()
+                       if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
+                work[i] = dict(zip(new, _reduce_row(list(new.values()))))
+        remaining = [i for i in remaining if i != k and work[i]]
+        echelon.append([prow.get(j, 0) for j in range(ncols)])
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return echelon, pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -160,6 +161,8 @@ def null_space_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None)
         if not rows:
             raise ValueError("cannot infer column count from an empty matrix")
         ncols = len(rows[0])
+    elif rows and len(rows[0]) != ncols:
+        raise ValueError(f"rows of length {len(rows[0])} for {ncols} columns")
     echelon, pivots = row_echelon(rows) if rows else ([], [])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -201,9 +204,6 @@ def orthocomplement_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> list
     space basis is then orthogonalized over the rationals and canonicalized
     (primitive integers, first nonzero positive, lexicographic order).
     """
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError(f"vector of dimension {len(v)} in dimension-{dim} space")
     if not vectors:
         return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     kernel = null_space_basis(list(vectors), ncols=dim)

@@ -21,6 +21,12 @@ not identically zero.
 naive_joint_distribution: p(a, b | x, y) from all d^d outcome tuples of the
 context, each amplitude from naive_amplitude_coeff on the vectors as stored,
 each probability a Fraction.
+
+naive_row_echelon: the dense fraction-free elimination that row_echelon
+replaced.  Every row is a dense primitive integer list and the pivot is the
+first row nonzero in the column, so its echelon rows differ from the sparse
+kernel's, but its pivot columns, and the null space back-substituted from
+them, must agree.
 """
 
 import math
@@ -174,3 +180,40 @@ def naive_constraint_rows(vset, context, context_id=0):
         if any(row):
             merged.setdefault(primitive(row), []).append((context_id, a))
     return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
+
+
+def _primitive_ints(row):
+    den = math.lcm(1, *(Fraction(x).denominator for x in row))
+    ints = [int(x * den) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def naive_row_echelon(rows):
+    """(echelon rows, pivot columns), pivoting on the first nonzero row."""
+    work = [_primitive_ints(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        p = work[r][c]
+        for i in range(r + 1, len(work)):
+            m = work[i][c]
+            if m == 0:
+                continue
+            g = math.gcd(p, m)
+            a, b = p // g, m // g
+            work[i] = _primitive_ints([a * x - b * y for x, y in zip(work[i], work[r])])
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots

@@ -83,6 +83,16 @@ def test_selftest_builds_the_merged_set_once(capsys):
     assert tracer.calls("catalog.merged_peres") == 1
 
 
+def test_selftest_elimination_traces(capsys):
+    # null_space_basis must reach row_echelon through its module attribute,
+    # where the tracer counts calls and matrix cells
+    code, tracer = _traced_run(["selftest", "--d", "4"])
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.calls("exact_linalg.row_echelon") == 1
+    assert tracer.counts["exact_linalg.matrix_cells"] > 0
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_every_workload_builds_its_jobs(seed, tmp_path):
     workloads = _load_bench_module("workloads")

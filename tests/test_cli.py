@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import kspt
 from kspt.catalog import catalog_ceg18, catalog_peres24
 from kspt.cli import run
 from kspt.ks_sets import from_json_dict, to_json_dict
+from kspt.supersinglet import levi_civita
 
 
 def run_report(capsys, argv):
@@ -222,6 +224,7 @@ def test_state_invariance_report(capsys):
         (["--d", "12", "--samples", "1", "--signed", "0"], "--samples needs 2 <= --d <= 6"),
         (["--d", "3", "--samples", "-2", "--signed", "-1"], "must be non-negative"),
         (["--d", "3", "--signed", "-1"], "must be non-negative"),
+        (["--d", "9", "--samples", "0", "--signed", "1"], "--d must be at most 8"),
     ],
 )
 def test_state_invariance_refuses_bad_requests_before_building_the_state(
@@ -292,6 +295,23 @@ def test_selftest_merged_d4(capsys):
     assert results["unique"] is True
     assert results["witness"]["0,1,2,3"] == "1/1"
     assert results["witness"]["1,0,2,3"] == "-1/1"
+
+
+def test_selftest_d6_certifies_and_is_pinned(capsys):
+    # sha256 of the canonical JSON of results, recorded with the dense
+    # elimination; the 3240 x 720 system must give the same rank and witness
+    code, report = run_report(capsys, ["selftest", "--d", "6"])
+    assert code == 0
+    results = report["results"]
+    assert (results["rows"], results["rank"], results["nullity"]) == (3240, 719, 1)
+    assert results["unique"] is True
+    assert results["witness"] == {
+        ",".join(map(str, p)): f"{levi_civita(p)}/1" for p in permutations(range(6))
+    }
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "79b840ddf41fdc00f75cfe17ebad14af8e971f67836d20f57a19b6ef55e9ff1c"
+    )
 
 
 def test_selftest_single_tetrad_fails(capsys):

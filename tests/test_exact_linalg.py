@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from kspt import exact_linalg
+from kspt.catalog import merged_peres, merged_window_bases
 from kspt.exact_linalg import (
     determinant,
     gram_schmidt,
@@ -16,6 +18,8 @@ from kspt.exact_linalg import (
     rank,
     row_echelon,
 )
+from kspt.selftest import assemble_and_solve
+from naive import naive_row_echelon
 
 
 def test_inner_product_canonical_orthogonality():
@@ -144,6 +148,55 @@ def test_row_echelon_pivots():
     rows, pivots = row_echelon([[0, 2, 1], [0, 4, 2], [1, 0, 0]])
     assert len(rows) == len(pivots) == 2
     assert pivots[0] == 0
+
+
+def test_elimination_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        rank([[1], [1, 1]])
+    with pytest.raises(ValueError):
+        null_space_basis([[1, 2, 3]], ncols=2)
+    with pytest.raises(ValueError):
+        row_echelon([[0], [1, 5]])
+    with pytest.raises(ValueError):
+        row_echelon([[1, 2], [3]])
+
+
+def _oracle_matrices():
+    rng = random.Random(31)
+
+    def sparse(nrows, ncols):
+        m = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(ncols)] for _ in range(nrows)]
+        m += [[0] * ncols, list(m[0]), list(m[-1])]  # a zero row and duplicates
+        rng.shuffle(m)
+        return m
+
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        yield [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        yield [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(ncols)]
+               for _ in range(nrows)]
+        yield sparse(nrows, ncols)
+    for nrows, ncols in ((3, 30), (30, 3), (1, 12), (12, 1)):
+        yield [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    yield sparse(8, 40)
+    yield sparse(60, 8)
+    for d in (4, 5):
+        solution = assemble_and_solve(merged_peres(d), merged_window_bases(d))
+        yield [list(r.entries) for r in solution.rows]
+
+
+def test_sparse_elimination_matches_the_dense_oracle(monkeypatch):
+    # the pivot row may differ, so only pivots, rank and null space must agree
+    for m in _oracle_matrices():
+        ncols = len(m[0])
+        echelon, pivots = row_echelon(m)
+        for row, c in zip(echelon, pivots):
+            assert not any(row[:c]) and row[c] != 0
+        got = (pivots, rank(m), null_space_basis(m, ncols=ncols))
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "row_echelon", naive_row_echelon)
+            want = (naive_row_echelon(m)[1], rank(m), null_space_basis(m, ncols=ncols))
+        assert got == want, m
 
 
 def test_determinant_basics():

@@ -34,7 +34,7 @@ from .ks_sets import (
     from_json_dict,
     to_json_dict,
 )
-from .selftest import certify, general_d_selftest
+from .selftest import MAX_D, certify, general_d_selftest
 from .supersinglet import (
     DENSE_CHECK_MAX_D,
     build_supersinglet,
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="constraint-system uniqueness certification")
     group = p_selftest.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=int, help="merged-family dimension (4 to 6)")
+    group.add_argument("--d", type=int, help=f"merged-family dimension (4 to {MAX_D})")
     group.add_argument("--builtin", help="built-in set name")
     group.add_argument("--set", help="path to an interchange JSON document")
     p_selftest.add_argument(

@@ -1,21 +1,24 @@
 """Exact rational linear algebra over plain tuples and lists.
 
 Vectors are tuples of ints or fractions.Fraction, matrices are sequences of
-such rows.  Everything here is exact: no floats, no tolerances.  Elimination
-is fraction-free on sparse integer rows {column: nonzero}; each column's pivot
-is its shortest remaining row.  The pivot columns do not depend on that choice,
-nor does the primitive null vector of a free column, so ranks, null spaces and
-canonical ray representatives are reproducible bit for bit.
+such rows or of {column: value} mappings.  Everything here is exact: no
+floats, no tolerances.  Elimination is fraction-free on sparse integer rows
+{column: nonzero}; each column's pivot is its shortest remaining row.  The
+pivot columns do not depend on that choice, nor does the primitive null vector
+of a free column, so ranks, null spaces and canonical ray representatives are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
+Rows = Sequence[Sequence[Scalar] | Mapping[int, Scalar]]
 
 
 def inner_product(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -45,49 +48,54 @@ def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
     to itself.
     """
     ints = _reduce_row(_integer_row(v))
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    if next(filter(None, ints), 0) < 0:
+        return tuple([-x for x in ints])
     return tuple(ints)
 
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
     # clear denominators; row scaling never changes a ray, a rank or a null space
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
+    den = lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
     return [int(x * den) for x in row]
 
 
 def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def row_echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """Integer-preserving row echelon form of equal-length rows.
+def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[list[dict[int, int]], int | None]:
+    """Rows as primitive integer {column: nonzero} dicts, and the column count.
 
-    Returns (dense echelon rows, pivot columns).  Columns go left to right; the
-    pivot row is the shortest remaining row nonzero there, the first on a tie,
-    and every other such row is cleared by an integer step and made primitive.
+    Dense rows all have ncols entries (by default their common length);
+    mapping columns lie in [0, ncols).  The count is None when neither ncols
+    nor a dense row gives it.
     """
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("rows differ in length")
+    lengths = {len(r) for r in rows if not isinstance(r, Mapping)}
+    if ncols is None and len(lengths) == 1:
+        ncols = lengths.pop()
+    if lengths - {ncols}:
+        raise ValueError(f"dense rows of lengths {sorted(lengths)}, ncols = {ncols}")
     work = []
     for r in rows:
-        cols = [c for c, x in enumerate(r) if x != 0]
-        work.append(dict(zip(cols, _reduce_row(_integer_row([r[c] for c in cols])))))
+        row = {c: x for c, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x != 0}
+        if row and not 0 <= min(row) <= max(row) < (inf if ncols is None else ncols):
+            raise ValueError(f"columns {sorted(row)} outside [0, ncols), ncols = {ncols}")
+        work.append(dict(zip(row, _reduce_row(_integer_row(list(row.values()))))))
+    return work, ncols
+
+
+def row_echelon(rows: Rows) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer-preserving row echelon form: ({column: nonzero} rows, pivot columns).
+
+    Columns go left to right; the pivot row is the shortest remaining row
+    nonzero there, the first on a tie, and every other such row is cleared by
+    an integer step and made primitive.
+    """
+    work, _ = _read_rows(rows)
     remaining = [i for i, row in enumerate(work) if row]
     echelon, pivots = [], []
-    for c in range(ncols):
+    for c in sorted(set().union(*work)):
         hits = [i for i in remaining if c in work[i]]
         if not hits:
             continue
@@ -102,7 +110,7 @@ def row_echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list
                        if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
                 work[i] = dict(zip(new, _reduce_row(list(new.values()))))
         remaining = [i for i in remaining if i != k and work[i]]
-        echelon.append([prow.get(j, 0) for j in range(ncols)])
+        echelon.append(prow)
         pivots.append(c)
     return echelon, pivots
 
@@ -149,31 +157,26 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     return scale * sign * m[n - 1][n - 1]
 
 
-def null_space_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[int, ...]]:
+def null_space_basis(rows: Rows, ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of {x : Mx = 0}, one primitive integer vector per free column.
 
-    Back-substitution stays in integers: at pivot p with row sum s, x is
-    scaled by p / g and x[pivot] = -s / g, g = gcd(s, p).  Basis vectors are
-    emitted in increasing free-column order; each is scaled to primitive
-    integer form with the first nonzero entry positive.
+    Mapping rows need ncols.  Back-substitution runs in integers on the sparse
+    echelon rows: at pivot p with row sum s, x is scaled by p / g and x[pivot]
+    = -s / g, g = gcd(s, p).  Basis vectors are emitted in increasing
+    free-column order, each primitive with the first nonzero entry positive.
     """
+    work, ncols = _read_rows(rows, ncols)
     if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer column count from an empty matrix")
-        ncols = len(rows[0])
-    elif rows and len(rows[0]) != ncols:
-        raise ValueError(f"rows of length {len(rows[0])} for {ncols} columns")
-    echelon, pivots = row_echelon(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
+        raise ValueError("cannot infer the column count: pass ncols")
+    echelon, pivots = row_echelon(work)
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)).difference(pivots)):
         x = [0] * ncols
         x[f] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            s = sum(echelon[i][j] * x[j] for j in range(c + 1, ncols))
-            g = gcd(s, echelon[i][c])
-            x = [echelon[i][c] // g * e for e in x]
+        for row, c in zip(reversed(echelon), reversed(pivots)):
+            s = sum(v * x[j] for j, v in row.items() if j != c)
+            g = gcd(s, row[c])
+            x = [row[c] // g * e for e in x]
             x[c] = -s // g
         basis.append(primitive(x))
     return basis
@@ -206,5 +209,4 @@ def orthocomplement_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> list
     """
     if not vectors:
         return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    kernel = null_space_basis(list(vectors), ncols=dim)
-    return sorted(gram_schmidt(kernel))
+    return sorted(gram_schmidt(null_space_basis(vectors, ncols=dim)))

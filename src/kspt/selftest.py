@@ -59,7 +59,7 @@ def support_restriction_constraints(
             raise ValueError(f"canonical basis vector e_{t} is absent from the set")
         canonical.append(index[ray])
     ctx = tuple(sorted(canonical))
-    if ctx not in {tuple(c) for c in contexts}:
+    if ctx not in {tuple(sorted(c)) for c in contexts}:
         raise ValueError("canonical basis is not a context of the supplied set")
     return SupportRestrictionRecord(d=d, variables=math.factorial(d), canonical_context=ctx)
 
@@ -68,13 +68,13 @@ def support_restriction_constraints(
 class ConstraintRow:
     """One deduplicated homogeneous row over the d! permutation coefficients.
 
-    entries follow the lexicographic permutation order; rows are scaled to
-    primitive integers with positive leading entry, so equal rows merge and
-    provenance lists every (context position, forbidden outcome tuple) that
-    produced them.
+    entries are the row's nonzeros as ascending (column, value) pairs, columns
+    in the lexicographic permutation order; values are primitive integers with
+    the first one positive, so equal rows merge and provenance lists every
+    (context position, forbidden outcome tuple) that produced them.
     """
 
-    entries: tuple[int, ...]
+    entries: tuple[tuple[int, int], ...]
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -92,9 +92,9 @@ def pqs_constraint_rows(
     """Rows from one context: every outcome tuple that is not a permutation of it.
 
     Tuples come in the order of product(context, repeat=d); identically zero
-    rows are absent from the expansion.  A row is keyed by its nonzero values
-    made primitive, scattered into the dense d!-tuple; proportional rows are
-    merged with their provenance concatenated in generation order.
+    rows are absent from the expansion.  A row is keyed by its (column, value)
+    pairs, the values made primitive; proportional rows are merged with their
+    provenance concatenated in generation order.
     """
     d = vset.dim
     check_context(vset, context)
@@ -106,10 +106,8 @@ def pqs_constraint_rows(
             if len(set(pos)) == d:
                 continue
             perms, values = zip(*sorted(expansion[pos].items()))
-            key = [0] * len(perm_index)
-            for pi, x in zip(perms, primitive(values)):
-                key[perm_index[pi]] = x
-            yield tuple(key), [(context_id, tuple(context[p] for p in pos))]
+            key = tuple(zip(map(perm_index.__getitem__, perms), primitive(values)))
+            yield key, [(context_id, tuple(context[p] for p in pos))]
 
     return list(_merge(keyed()))
 
@@ -147,7 +145,7 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolu
         for row in pqs_constraint_rows(vset, ctx, context_id=ci)
     )
     variables = math.factorial(d)
-    null_vectors = null_space_basis([list(r.entries) for r in rows], ncols=variables)
+    null_vectors = null_space_basis([dict(r.entries) for r in rows], ncols=variables)
     system_rank = variables - len(null_vectors)
     perms = list(permutations(range(d)))
     null_basis = tuple(

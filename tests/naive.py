@@ -15,8 +15,9 @@ so the two must agree on the verdict, the node count and the witness.
 naive_amplitude_coeff and naive_row / naive_constraint_rows: the product
 expansion computed the long way.  The amplitude loops over every term of the
 state; the rows walk all d^d outcome tuples of a context and expand each one
-by its own support-constrained recursion, keeping the tuples whose row is
-not identically zero.
+by its own support-constrained recursion into a dense row, keeping the tuples
+whose row is not identically zero.  densify turns a row's (column, value)
+pairs back into that dense tuple.
 
 naive_joint_distribution: p(a, b | x, y) from all d^d outcome tuples of the
 context, each amplitude from naive_amplitude_coeff on the vectors as stored,
@@ -26,10 +27,11 @@ naive_row_echelon: the dense fraction-free elimination that row_echelon
 replaced.  Every row is a dense primitive integer list and the pivot is the
 first row nonzero in the column, so its echelon rows differ from the sparse
 kernel's, but its pivot columns, and the null space back-substituted from
-them, must agree.
+them, must agree.  It takes and returns rows in row_echelon's formats.
 """
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -167,6 +169,12 @@ def naive_row(vectors):
     return row
 
 
+def densify(row, ncols):
+    """The dense tuple of a row given as (column, value) pairs or a mapping."""
+    entries = dict(row)
+    return tuple(entries.get(j, 0) for j in range(ncols))
+
+
 def naive_constraint_rows(vset, context, context_id=0):
     """pqs_constraint_rows from every tuple of product(context, repeat=d)."""
     d = vset.dim
@@ -178,7 +186,8 @@ def naive_constraint_rows(vset, context, context_id=0):
             continue
         row = naive_row([vset.vectors[i] for i in a])
         if any(row):
-            merged.setdefault(primitive(row), []).append((context_id, a))
+            key = tuple((j, x) for j, x in enumerate(primitive(row)) if x != 0)
+            merged.setdefault(key, []).append((context_id, a))
     return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
 
 
@@ -190,9 +199,13 @@ def _primitive_ints(row):
 
 
 def naive_row_echelon(rows):
-    """(echelon rows, pivot columns), pivoting on the first nonzero row."""
-    work = [_primitive_ints(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+    """({column: nonzero} echelon rows, pivot columns), pivoting on the first nonzero row.
+
+    Mapping rows are densified up to their largest column.
+    """
+    rows = [r if isinstance(r, Mapping) else dict(enumerate(r)) for r in rows]
+    ncols = max((max(r, default=-1) + 1 for r in rows), default=0)
+    work = [_primitive_ints(densify(r, ncols)) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -216,4 +229,4 @@ def naive_row_echelon(rows):
         r += 1
         if r == len(work):
             break
-    return work[:r], pivots
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in work[:r]], pivots

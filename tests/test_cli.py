@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import kspt
-from kspt.catalog import catalog_ceg18, catalog_peres24
+from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
 from kspt.cli import run
-from kspt.ks_sets import from_json_dict, to_json_dict
+from kspt.ks_sets import enumerate_contexts, from_json_dict, to_json_dict
 from kspt.supersinglet import levi_civita
 
 
@@ -378,6 +378,20 @@ def test_selftest_support_is_checked_against_the_document_contexts(capsys, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "not a context" in captured.err
+
+
+def test_selftest_support_accepts_document_contexts_in_any_member_order(capsys, tmp_path):
+    # the document lists the canonical basis as [2, 1, 0]
+    vset = catalog_conway_kochen31()
+    contexts = [(2, 1, 0) if c == (0, 1, 2) else c for c in enumerate_contexts(vset)]
+    path = tmp_path / "ck31_reordered.json"
+    path.write_text(json.dumps(to_json_dict(vset, contexts)), encoding="utf-8")
+    code, report = run_report(
+        capsys, ["selftest", "--set", str(path), "--contexts", "0,3,4", "1,5,6"]
+    )
+    assert code == 0
+    assert report["results"]["canonical_context"] == [0, 1, 2]
+    assert report["results"]["unique"] is True
 
 
 @pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])

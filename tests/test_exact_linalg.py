@@ -19,7 +19,7 @@ from kspt.exact_linalg import (
     row_echelon,
 )
 from kspt.selftest import assemble_and_solve
-from naive import naive_row_echelon
+from naive import densify, naive_row_echelon
 
 
 def test_inner_product_canonical_orthogonality():
@@ -161,6 +161,18 @@ def test_elimination_rejects_ragged_rows():
         row_echelon([[1, 2], [3]])
 
 
+def test_elimination_rejects_bad_mapping_rows():
+    # mapping columns must lie in [0, ncols), and only ncols can size them
+    with pytest.raises(ValueError, match="outside"):
+        null_space_basis([{0: 1}, {3: 2}], ncols=3)
+    with pytest.raises(ValueError, match="outside"):
+        null_space_basis([{-1: 1, 0: 2}], ncols=3)
+    with pytest.raises(ValueError, match="outside"):
+        row_echelon([{0: 1}, {-2: 1}])
+    with pytest.raises(ValueError, match="ncols"):
+        null_space_basis([{0: 1, 2: 1}])
+
+
 def _oracle_matrices():
     rng = random.Random(31)
 
@@ -182,21 +194,24 @@ def _oracle_matrices():
     yield sparse(60, 8)
     for d in (4, 5):
         solution = assemble_and_solve(merged_peres(d), merged_window_bases(d))
-        yield [list(r.entries) for r in solution.rows]
+        yield [list(densify(r.entries, solution.variables)) for r in solution.rows]
 
 
 def test_sparse_elimination_matches_the_dense_oracle(monkeypatch):
-    # the pivot row may differ, so only pivots, rank and null space must agree
+    # the pivot row may differ, so only pivots, rank and null space must agree;
+    # every matrix is run once as dense rows and once as {column: value} rows
     for m in _oracle_matrices():
         ncols = len(m[0])
-        echelon, pivots = row_echelon(m)
-        for row, c in zip(echelon, pivots):
-            assert not any(row[:c]) and row[c] != 0
-        got = (pivots, rank(m), null_space_basis(m, ncols=ncols))
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "row_echelon", naive_row_echelon)
             want = (naive_row_echelon(m)[1], rank(m), null_space_basis(m, ncols=ncols))
-        assert got == want, m
+        mapped = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+        for rows in (m, mapped):
+            echelon, pivots = row_echelon(rows)
+            for row, c in zip(echelon, pivots):
+                assert min(row) == c and all(row.values())
+            got = (pivots, rank(rows), null_space_basis(rows, ncols=ncols))
+            assert got == want, rows
 
 
 def test_determinant_basics():

@@ -23,7 +23,7 @@ from kspt.selftest import (
     verify_unique_supersinglet,
 )
 from kspt.supersinglet import levi_civita
-from naive import naive_constraint_rows
+from naive import densify, naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
 # two tetrads {v4..v7} and {v8..v11}: 23 rows over the 24 permutation
@@ -73,6 +73,13 @@ def test_support_restriction_on_the_24_ray_set():
     assert record.canonical_context == (0, 1, 2, 3)
 
 
+def test_support_restriction_accepts_a_context_listed_in_any_order():
+    vset = catalog_conway_kochen31()
+    contexts = [(2, 1, 0) if c == (0, 1, 2) else c for c in enumerate_contexts(vset)]
+    record = support_restriction_constraints(vset, contexts)
+    assert record.canonical_context == (0, 1, 2)
+
+
 def test_support_restriction_needs_the_canonical_rays():
     # the 18-ray set lacks (0, 0, 1, 0)
     ceg, tetrads = catalog_ceg18()
@@ -94,7 +101,7 @@ def test_constraint_row_for_a_repeated_outcome():
     by_outcome = {}
     for row in rows:
         for _, a in row.provenance:
-            by_outcome[a] = row.entries
+            by_outcome[a] = densify(row.entries, 6)
     # outcome (v0, v3, v3): v0 pins the first level to 0, the two v3 factors
     # fill levels 1 and 2 with product 1 * (-1) either way
     assert by_outcome[(0, 3, 3)] == (1, 1, 0, 0, 0, 0)
@@ -121,9 +128,13 @@ def test_constraint_rows_are_primitive_and_distinct():
     rows = pqs_constraint_rows(vset, (4, 5, 6, 7))
     seen = set()
     for row in rows:
-        assert row.entries not in seen
-        seen.add(row.entries)
-        lead = next(x for x in row.entries if x != 0)
+        columns = [c for c, _ in row.entries]
+        assert columns == sorted(set(columns)) and all(x != 0 for _, x in row.entries)
+        dense = densify(row.entries, 24)
+        assert dense not in seen
+        seen.add(dense)
+        assert primitive(dense) == dense
+        lead = next(x for x in dense if x != 0)
         assert lead > 0
         assert row.provenance
 
@@ -138,7 +149,7 @@ def test_constraint_rows_annihilate_the_sign_vector():
         eps = [levi_civita(p) for p in permutations(range(d))]
         for ctx in contexts:
             for row in pqs_constraint_rows(vset, ctx):
-                assert sum(e * s for e, s in zip(row.entries, eps)) == 0
+                assert sum(e * s for e, s in zip(densify(row.entries, len(eps)), eps)) == 0
 
 
 def test_provenance_replays_to_the_stored_row():
@@ -153,7 +164,7 @@ def test_provenance_replays_to_the_stored_row():
                 )
                 for p in perms
             ]
-            assert primitive(raw) == row.entries
+            assert primitive(raw) == densify(row.entries, 24)
 
 
 def test_constraint_rows_match_the_all_tuples_oracle():
@@ -180,7 +191,7 @@ def test_d6_window_basis_rows_are_pinned():
     for ci, ctx in enumerate(merged_window_bases(6)):
         for row in pqs_constraint_rows(vset, ctx, ci):
             merged.setdefault(row.entries, []).extend(row.provenance)
-    rows = [(entries, tuple(provenance)) for entries, provenance in merged.items()]
+    rows = [(densify(entries, 720), tuple(provenance)) for entries, provenance in merged.items()]
     assert len(rows) == 3240
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "304f59bdea3caf1657bf465affaa935496172fae7aba2649bcb8bf572680097c"
@@ -216,18 +227,18 @@ def test_d4_system_certifies_the_state():
 def test_d4_rank_matches_sympy():
     vset = catalog_peres24()
     solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
-    matrix = sympy.Matrix([list(r.entries) for r in solution.rows])
+    matrix = sympy.Matrix([densify(r.entries, 24) for r in solution.rows])
     assert matrix.rank() == 23
 
 
 def test_reference_rows_are_reproduced_by_the_generator():
     vset = catalog_peres24()
     solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
-    generated = {row.entries for row in solution.rows}
+    generated = {densify(row.entries, 24) for row in solution.rows}
     for ref in REFERENCE_ROWS_D4:
         assert primitive(ref) in generated
     assert rank(REFERENCE_ROWS_D4) == 23
-    stacked = [list(r.entries) for r in solution.rows] + REFERENCE_ROWS_D4
+    stacked = [list(densify(r.entries, 24)) for r in solution.rows] + REFERENCE_ROWS_D4
     assert rank(stacked) == 23
 
 

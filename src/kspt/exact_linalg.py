@@ -115,7 +115,7 @@ def row_echelon(rows: Rows) -> tuple[list[dict[int, int]], list[int]]:
     return echelon, pivots
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+def rank(rows: Rows) -> int:
     """Exact matrix rank."""
     return len(row_echelon(rows)[0])
 
@@ -207,6 +207,4 @@ def orthocomplement_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> list
     space basis is then orthogonalized over the rationals and canonicalized
     (primitive integers, first nonzero positive, lexicographic order).
     """
-    if not vectors:
-        return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     return sorted(gram_schmidt(null_space_basis(vectors, ncols=dim)))

@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from . import scan
 from .exact_linalg import norm_squared, primitive
@@ -158,15 +158,16 @@ def _best_choice(
     """Best score on context x and its lexicographically first maximizing joint output.
 
     The score of a first-party output a is the number of members y of C_x it
-    wins against the last party's answer bit[y].  First-party outputs outside
-    C_x always lose, so C_x^{d-1} is exhaustive.
+    wins against the last party's answer bit[y].  Outputs outside C_x or with
+    a repeated member always lose, and a best score is at least 1, so the
+    first maximizer of C_x^{d-1} is among the sorted (d-1)-subsets of C_x.
     """
     ctx = spec.contexts[x]
 
     def score(a: tuple[int, ...]) -> int:
         return sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
 
-    best_a = max(product(sorted(ctx), repeat=spec.d - 1), key=score)  # first maximizer
+    best_a = max(combinations(sorted(ctx), spec.d - 1), key=score)  # first maximizer
     return score(best_a), best_a
 
 

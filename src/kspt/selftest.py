@@ -4,24 +4,24 @@ A perfect strategy forces the shared state's coefficient vector, indexed by
 outcome tuples, to vanish on every product-basis outcome that the winning
 condition forbids.  With the canonical basis available as one context, the
 surviving coefficients live on permutations only (d! variables); every other
-context contributes one homogeneous row per forbidden outcome tuple.  When
-the stacked system has rank d! - 1, its null space is one line, and the
-certification succeeds exactly when that line is the permutation-sign
-vector.
+context contributes one homogeneous row per forbidden outcome tuple.
 
 A context's rows are its product-expansion rows on the tuples that are not
-permutations of it.  Rows, ranks, and null spaces are exact throughout.
+permutations of it.  Such a tuple repeats a member, so the row's product with
+the permutation-sign vector is a determinant with two equal rows: every row
+annihilates the sign vector.  The certificate is that integer check plus the
+exact rank: nullity = d! - rank, and nullity 1 means the null space is the
+sign vector's line, so the state is unique.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .catalog import _window_bases, merged_peres
-from .exact_linalg import null_space_basis, primitive
+from .exact_linalg import primitive, rank
 from .ks_sets import Context, VectorSet, check_context, enumerate_contexts
 from .supersinglet import Permutation, _product_expansion, levi_civita
 
@@ -114,10 +114,10 @@ def pqs_constraint_rows(
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """A rational vector over the d! permutations."""
+    """An integer vector over the d! permutations."""
 
     d: int
-    entries: dict[Permutation, Fraction]
+    entries: dict[Permutation, int]
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,18 @@ class SelftestSolution:
     variables: int
     rows: tuple[ConstraintRow, ...]
     rank: int
-    null_basis: tuple[CoefficientVector, ...]
 
     @property
     def nullity(self) -> int:
-        return len(self.null_basis)
+        return self.variables - self.rank
 
 
 def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolution:
-    """Stack the rows of the chosen contexts and solve the homogeneous system.
+    """Stack the rows of the chosen contexts, check them on the sign vector, rank them.
 
-    One elimination, in null_space_basis; rank = variables - nullity.
+    Every merged row must annihilate the permutation-sign vector, in integers;
+    a row that does not is a generator fault and raises RuntimeError.  The
+    rank is one elimination of the sparse rows.
     """
     d = vset.dim
     rows = _merge(
@@ -144,35 +145,26 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolu
         for ci, ctx in enumerate(contexts)
         for row in pqs_constraint_rows(vset, ctx, context_id=ci)
     )
-    variables = math.factorial(d)
-    null_vectors = null_space_basis([dict(r.entries) for r in rows], ncols=variables)
-    system_rank = variables - len(null_vectors)
-    perms = list(permutations(range(d)))
-    null_basis = tuple(
-        CoefficientVector(d=d, entries=dict(zip(perms, map(Fraction, x)))) for x in null_vectors
-    )
-    return SelftestSolution(
-        d=d, variables=variables, rows=rows, rank=system_rank, null_basis=null_basis
-    )
+    signs = [levi_civita(p) for p in permutations(range(d))]
+    for row in rows:
+        if sum(v * signs[c] for c, v in row.entries):
+            raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")
+    system_rank = rank([dict(r.entries) for r in rows])
+    return SelftestSolution(d=d, variables=len(signs), rows=rows, rank=system_rank)
 
 
 def verify_unique_supersinglet(
-    null_basis: tuple[CoefficientVector, ...],
+    solution: SelftestSolution,
 ) -> tuple[bool, CoefficientVector | None]:
-    """True iff the null space is one line spanned by the permutation signs.
+    """True iff the null space is one line, and then the sign vector is its witness.
 
-    The witness is rescaled so the identity permutation's coefficient is +1;
-    on success its entries are exactly the Levi-Civita signs.
+    assemble_and_solve has checked that every row annihilates the sign
+    vector, so nullity 1 means the null space is exactly its line.
     """
-    if len(null_basis) != 1:
+    if solution.nullity != 1:
         return False, None
-    vec = null_basis[0]
-    lead = vec.entries.get(tuple(range(vec.d)), Fraction(0))
-    if lead == 0:
-        return False, None
-    scaled = {p: v / lead for p, v in vec.entries.items()}
-    witness = CoefficientVector(d=vec.d, entries=scaled)
-    return all(scaled.get(p, 0) == levi_civita(p) for p in permutations(range(vec.d))), witness
+    perms = permutations(range(solution.d))
+    return True, CoefficientVector(d=solution.d, entries={p: levi_civita(p) for p in perms})
 
 
 @dataclass(frozen=True)
@@ -194,12 +186,18 @@ def certify(
     """Certify the state from row_contexts, with the support taken from contexts.
 
     contexts are the game's contexts: the canonical basis must be one of them
-    for the permutation-only variable space to hold.  row_contexts are the
-    contexts whose forbidden outcomes give the rows.
+    for the permutation-only variable space to hold.  Perfect play forces only
+    the rows of measured contexts, so each row context must be one of them
+    too (members in any order), or ValueError.  Unique iff the rank is d! - 1.
     """
     support = support_restriction_constraints(vset, contexts)
+    measured = {tuple(sorted(c)) for c in contexts}
+    for ctx in row_contexts:
+        check_context(vset, ctx)
+        if tuple(sorted(ctx)) not in measured:
+            raise ValueError(f"context {ctx} is not a context of the game")
     solution = assemble_and_solve(vset, row_contexts)
-    unique, witness = verify_unique_supersinglet(solution.null_basis)
+    unique, witness = verify_unique_supersinglet(solution)
     return SelftestReport(
         d=vset.dim,
         variables=solution.variables,

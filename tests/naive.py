@@ -19,6 +19,10 @@ by its own support-constrained recursion into a dense row, keeping the tuples
 whose row is not identically zero.  densify turns a row's (column, value)
 pairs back into that dense tuple.
 
+naive_best_choice: _best_choice over every first-party output in
+C_x^(d-1), repeated members and unsorted orders included; the lexicographically
+first maximizer, with its score.
+
 naive_joint_distribution: p(a, b | x, y) from all d^d outcome tuples of the
 context, each amplitude from naive_amplitude_coeff on the vectors as stored,
 each probability a Fraction.
@@ -59,6 +63,16 @@ def naive_classical_value(spec: GameSpec) -> Fraction:
             if value > best:
                 best = value
     return best
+
+
+def naive_best_choice(spec: GameSpec, x, bit):
+    ctx = spec.contexts[x]
+
+    def score(a):
+        return sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
+
+    best_a = max(product(sorted(ctx), repeat=spec.d - 1), key=score)
+    return score(best_a), best_a
 
 
 def naive_ks_search(vset, contexts, edges_from_contexts_only=False):

@@ -182,7 +182,7 @@ def test_criterion_05_tetrad_expansion(capsys):
 
 def test_criterion_06_selftest_d4(capsys):
     solution = assemble_and_solve(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
-    unique, witness = verify_unique_supersinglet(solution.null_basis)
+    unique, witness = verify_unique_supersinglet(solution)
     witness_ok = unique and all(
         witness.entries[p] == levi_civita(p) for p in permutations(range(4))
     )
@@ -200,7 +200,7 @@ def test_criterion_07_selftest_d3_and_d5(capsys):
     budget_s = 120.0
     ck = catalog_conway_kochen31()
     solution3 = assemble_and_solve(ck, [(0, 3, 4), (1, 5, 6)])
-    unique3, witness3 = verify_unique_supersinglet(solution3.null_basis)
+    unique3, witness3 = verify_unique_supersinglet(solution3)
     d3_ok = (
         solution3.rank == 5
         and solution3.variables == 6

@@ -84,12 +84,15 @@ def test_selftest_builds_the_merged_set_once(capsys):
 
 
 def test_selftest_elimination_traces(capsys):
-    # null_space_basis must reach row_echelon through its module attribute,
-    # where the tracer counts calls and matrix cells
+    # the self-test takes one rank and no null space; rank must reach
+    # row_echelon through its module attribute, where the tracer counts
+    # calls and matrix cells
     code, tracer = _traced_run(["selftest", "--d", "4"])
     capsys.readouterr()
     assert code == 0
+    assert tracer.calls("exact_linalg.rank") == 1
     assert tracer.calls("exact_linalg.row_echelon") == 1
+    assert tracer.calls("exact_linalg.null_space_basis") == 0
     assert tracer.counts["exact_linalg.matrix_cells"] > 0
 
 

@@ -394,6 +394,22 @@ def test_selftest_support_accepts_document_contexts_in_any_member_order(capsys, 
     assert report["results"]["unique"] is True
 
 
+def test_selftest_rejects_row_contexts_the_game_does_not_measure(capsys, tmp_path):
+    # (0, 3, 4) is an orthogonal basis of ck31, but the document's game
+    # measures only (0, 1, 2) and (1, 5, 6)
+    path = tmp_path / "ck31_two_contexts.json"
+    vset = catalog_conway_kochen31()
+    path.write_text(json.dumps(to_json_dict(vset, [(0, 1, 2), (1, 5, 6)])), encoding="utf-8")
+    code = run(["selftest", "--set", str(path), "--contexts", "0,3,4", "1,5,6"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "not a context of the game" in captured.err
+    code, report = run_report(capsys, ["selftest", "--set", str(path), "--contexts", "1,5,6"])
+    assert code == 1
+    assert report["results"]["nullity"] == 3
+
+
 @pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])
 def test_selftest_rejects_context_members_outside_the_set(capsys, contexts):
     # 99 is past the 31 rays; -27 must not be read as vertex 4

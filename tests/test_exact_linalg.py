@@ -250,7 +250,7 @@ def test_orthocomplement_of_full_basis_is_empty():
 
 def test_orthocomplement_of_empty_input():
     basis = orthocomplement_basis([], 3)
-    assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert basis == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_orthocomplement_properties_random():

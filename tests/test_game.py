@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kspt import scan
-from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
+from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24, merged_peres
 from kspt.game import (
     GameSpec,
     _best_choice,
@@ -19,7 +19,7 @@ from kspt.game import (
 from kspt.ks_sets import VectorSet, enumerate_contexts
 from kspt.supersinglet import SupersingletState, build_supersinglet
 
-from naive import naive_classical_value, naive_joint_distribution
+from naive import naive_best_choice, naive_classical_value, naive_joint_distribution
 
 
 def ceg_game() -> GameSpec:
@@ -271,6 +271,18 @@ def test_every_context_scores_like_the_shared_table(monkeypatch):
                 for p in range(1 << spec.d)
             ]
             assert seen["tables"][x] == own
+
+
+def test_best_choice_matches_the_all_outputs_oracle():
+    # the sorted (d-1)-subsets against every output in C_x^(d-1), on every
+    # pattern of every context (the first 6 of merged5)
+    merged5 = merged_peres(5)
+    merged = GameSpec(d=5, vset=merged5, contexts=tuple(enumerate_contexts(merged5)[:6]))
+    for spec in (ceg_game(), ck_game(), merged):
+        for x, ctx in enumerate(spec.contexts):
+            for p in range(1 << spec.d):
+                bit = {y: (p >> j) & 1 for j, y in enumerate(ctx)}
+                assert _best_choice(spec, x, bit) == naive_best_choice(spec, x, bit)
 
 
 def test_classical_value_invariant_under_vertex_relabeling():

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 import sympy
 
+from kspt import selftest
 from kspt.catalog import (
     catalog_ceg18,
     catalog_conway_kochen31,
@@ -12,11 +13,12 @@ from kspt.catalog import (
     merged_peres,
     merged_window_bases,
 )
-from kspt.exact_linalg import primitive, rank
+from kspt.exact_linalg import null_space_basis, primitive, rank
 from kspt.ks_sets import enumerate_contexts
 from kspt.selftest import (
-    CoefficientVector,
+    ConstraintRow,
     assemble_and_solve,
+    certify,
     general_d_selftest,
     pqs_constraint_rows,
     support_restriction_constraints,
@@ -205,7 +207,7 @@ def test_d3_system_certifies_the_state():
     assert len(solution.rows) == 6
     assert solution.rank == 5
     assert solution.nullity == 1
-    unique, witness = verify_unique_supersinglet(solution.null_basis)
+    unique, witness = verify_unique_supersinglet(solution)
     assert unique
     chain = tuple(witness.entries[p] for p in permutations(range(3)))
     assert chain == (1, -1, -1, 1, 1, -1)
@@ -218,7 +220,7 @@ def test_d4_system_certifies_the_state():
     assert len(solution.rows) == 36
     assert solution.rank == 23
     assert solution.nullity == 1
-    unique, witness = verify_unique_supersinglet(solution.null_basis)
+    unique, witness = verify_unique_supersinglet(solution)
     assert unique
     for p in permutations(range(4)):
         assert witness.entries[p] == levi_civita(p)
@@ -247,7 +249,7 @@ def test_single_tetrad_leaves_a_six_dimensional_null_space():
     solution = assemble_and_solve(vset, [(4, 5, 6, 7)])
     assert solution.rank == 18
     assert solution.nullity == 6
-    unique, witness = verify_unique_supersinglet(solution.null_basis)
+    unique, witness = verify_unique_supersinglet(solution)
     assert not unique
     assert witness is None
 
@@ -260,20 +262,40 @@ def test_adding_contexts_never_lowers_the_rank():
     assert both.rank == 23
 
 
-def test_verify_rejects_wrong_null_lines():
-    # a symmetric line is a single null vector that is not the sign vector
-    entries = {p: Fraction(1) for p in permutations(range(3))}
-    unique, witness = verify_unique_supersinglet(
-        (CoefficientVector(d=3, entries=entries),)
-    )
-    assert not unique
-    assert witness is not None
-    # zero identity coefficient cannot be normalized
-    entries = {p: Fraction(0 if p == (0, 1, 2) else 1) for p in permutations(range(3))}
-    unique, witness = verify_unique_supersinglet(
-        (CoefficientVector(d=3, entries=entries),)
-    )
-    assert not unique and witness is None
+def test_a_row_off_the_sign_vector_is_refused(monkeypatch):
+    # the identity column alone has product +1 with the sign vector
+    bad = ConstraintRow(entries=((0, 1),), provenance=((0, (0, 0, 0)),))
+    monkeypatch.setattr(selftest, "pqs_constraint_rows", lambda *args, **kwargs: [bad])
+    with pytest.raises(RuntimeError, match="sign vector"):
+        assemble_and_solve(catalog_conway_kochen31(), CK_SELFTEST_CONTEXTS)
+
+
+@pytest.mark.parametrize(
+    "vset, contexts",
+    [
+        (catalog_conway_kochen31(), CK_SELFTEST_CONTEXTS),
+        (catalog_peres24(), PERES_WINDOW_TETRADS),
+        (merged_peres(5), merged_window_bases(5)),
+    ],
+    ids=["ck31", "peres24-window", "merged5-window"],
+)
+def test_back_substituted_kernel_is_the_sign_vector(vset, contexts):
+    # the rank-only certificate against the reference back-substitution
+    solution = assemble_and_solve(vset, contexts)
+    signs = tuple(levi_civita(p) for p in permutations(range(vset.dim)))
+    rows = [dict(r.entries) for r in solution.rows]
+    assert null_space_basis(rows, ncols=solution.variables) == [signs]
+    assert solution.nullity == 1
+
+
+def test_row_contexts_must_be_game_contexts():
+    # (0, 3, 4) is an orthogonal basis of ck31 but not a context of this game
+    vset = catalog_conway_kochen31()
+    game = [(0, 1, 2), (6, 5, 1)]
+    with pytest.raises(ValueError, match="not a context of the game"):
+        certify(vset, game, CK_SELFTEST_CONTEXTS)
+    report = certify(vset, game, [(1, 5, 6)])
+    assert (report.rank, report.nullity, report.unique) == (3, 3, False)
 
 
 def test_general_selftest_d4():

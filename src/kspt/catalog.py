@@ -7,15 +7,9 @@ set is the dimension-4 set with 24 tetrads, complete as it stands.  The
 {0, +-1, +-2}.  Beyond these, merged_peres builds the d-dimensional family
 obtained by embedding the 24-ray set in every window of four consecutive
 coordinates.
-
-Each catalog is embedded in source and mirrored by a JSON fixture under
-kspt/data/; the test suite asserts the two never drift apart.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 from .exact_linalg import primitive
 from .ks_sets import Context, VectorSet
@@ -215,10 +209,3 @@ def load_builtin(name: str) -> tuple[VectorSet, list[Context] | None]:
             raise KeyError(f"unknown builtin set {name!r}")
         return merged_peres(d), None
     raise KeyError(f"unknown builtin set {name!r}")
-
-
-def load_fixture(name: str) -> dict:
-    """Read the JSON fixture mirroring a built-in catalog."""
-    path = resources.files("kspt").joinpath(f"data/{name}.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)

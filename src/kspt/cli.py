@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -175,6 +176,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
     d = args.d
     if args.samples < 0 or args.signed < 0:
         raise ValueError("--samples and --signed must be non-negative")
+    if not 0 <= args.tolerance < math.inf:
+        raise ValueError("--tolerance must be finite and non-negative")
     if args.samples > 0 and not 2 <= d <= DENSE_CHECK_MAX_D:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
     if d > _STATE_MAX_D:

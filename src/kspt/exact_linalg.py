@@ -2,7 +2,9 @@
 
 Vectors are tuples of ints or fractions.Fraction, matrices are sequences of
 such rows or of {column: value} mappings.  Everything here is exact: no
-floats, no tolerances.  Elimination is fraction-free on sparse integer rows
+floats, no tolerances.  Every kernel computes in integers, clearing a row's
+denominators once on entry; the only Fraction built is the value that
+determinant returns.  Elimination is fraction-free on sparse integer rows
 {column: nonzero}; each column's pivot is its shortest remaining row.  The
 pivot columns do not depend on that choice, nor does the primitive null vector
 of a free column, so ranks, null spaces and canonical ray representatives are
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -36,10 +38,6 @@ def norm_squared(v: Sequence[Scalar]) -> Scalar:
     return inner_product(v, v)
 
 
-def is_orthogonal(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
-    return inner_product(u, v) == 0
-
-
 def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
     """Canonical ray representative: primitive integers, first nonzero positive.
 
@@ -55,7 +53,7 @@ def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
     # clear denominators; row scaling never changes a ray, a rank or a null space
-    den = lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
+    den = lcm(*[x.denominator for x in row])
     return [int(x * den) for x in row]
 
 
@@ -121,40 +119,30 @@ def rank(rows: Rows) -> int:
 
 
 def determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant: Bareiss fraction-free elimination in integers.
+
+    Each row is scaled once by the lcm of its denominators, so the value is
+    the integer determinant over the product of those lcms.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return Fraction(1)
-    ints = [_integer_row(r) for r in rows]
-    scale = Fraction(1)
-    for orig, cleared in zip(rows, ints):
-        # undo the per-row denominator clearing in the final value
-        for x, y in zip(orig, cleared):
-            if y != 0:
-                scale *= Fraction(x) / y
-                break
-        else:
-            return Fraction(0)
-    m = [list(r) for r in ints]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
+    dens = [lcm(*[x.denominator for x in r]) for r in rows]
+    m = [[int(x * den) for x in r] for r, den in zip(rows, dens)]
+    sign, pivot = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            sign = 0
+            break
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return scale * sign * m[n - 1][n - 1]
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return Fraction(sign * pivot, prod(dens))
 
 
 def null_space_basis(rows: Rows, ncols: int | None = None) -> list[tuple[int, ...]]:
@@ -183,21 +171,24 @@ def null_space_basis(rows: Rows, ncols: int | None = None) -> list[tuple[int, ..
 
 
 def gram_schmidt(vectors: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Rational Gram-Schmidt without normalization.
+    """Fraction-free Gram-Schmidt without normalization.
 
     Returns pairwise-orthogonal primitive integer vectors spanning the same
-    space.  Linearly dependent inputs contribute nothing (zero vectors are
-    dropped).
+    space.  Each input is projected off every earlier output u as
+    w <- (u.u) w - (w.u) u, a positive multiple of the rational projection,
+    and made primitive after each step.  Linearly dependent inputs contribute
+    nothing (zero vectors are dropped).
     """
-    ortho: list[tuple[Fraction, ...]] = []
+    ortho: list[tuple[int, ...]] = []
     for v in vectors:
-        w = [Fraction(x) for x in v]
+        w = _reduce_row(_integer_row(v))
         for u in ortho:
-            c = inner_product(w, u) / inner_product(u, u)
-            w = [wi - c * ui for wi, ui in zip(w, u)]
+            if c := inner_product(w, u):
+                uu = norm_squared(u)
+                w = _reduce_row([uu * wi - c * ui for wi, ui in zip(w, u)])
         if any(w):
-            ortho.append(tuple(w))
-    return [primitive(u) for u in ortho]
+            ortho.append(primitive(w))
+    return ortho
 
 
 def orthocomplement_basis(vectors: Sequence[Sequence[Scalar]], dim: int) -> list[tuple[int, ...]]:

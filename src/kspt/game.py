@@ -249,24 +249,25 @@ def measurement_algebra_check(vset: VectorSet, contexts: list[Context]) -> Algeb
 
     For P_y = |v_y><v_y| / ||v_y||^2, checks that products of distinct
     projectors within a context vanish and that each context's projectors sum
-    to the identity.  Contexts are taken as given, so a non-basis context is
-    reported, not rejected.
+    to the identity.  Both tests run on the integer matrices Q_y = r_y r_y^T
+    = ||r_y||^2 P_y of the primitive rays r_y, the identity sum scaled by the
+    lcm L of the squared norms: sum_y (L / ||r_y||^2) Q_y = L I.  A positive
+    scaling changes no zero test.  Contexts are taken as given, so a
+    non-basis context is reported, not rejected.
     """
     dim = vset.dim
     failures: list[AlgebraFailure] = []
-
-    def projector(idx: int) -> list[list[Fraction]]:
-        v = vset.vectors[idx]
-        nn = norm_squared(v)
-        return [[Fraction(v[r]) * Fraction(v[c]) / nn for c in range(dim)] for r in range(dim)]
-
     cells = list(product(range(dim), repeat=2))
     for x, ctx in enumerate(contexts):
-        projs = {y: projector(y) for y in ctx}
+        rays = {y: primitive(vset.vectors[y]) for y in ctx}
+        projs = {y: [[r[a] * r[b] for b in range(dim)] for a in range(dim)] for y, r in rays.items()}
         for i, y in enumerate(ctx):
             for yp in ctx[i + 1:]:
                 if any(sum(projs[y][r][k] * projs[yp][k][c] for k in range(dim)) for r, c in cells):
                     failures.append(AlgebraFailure(x, "nonzero product", (y, yp)))
-        if any(sum(projs[y][r][c] for y in ctx) != (r == c) for r, c in cells):
+        norms = {y: norm_squared(r) for y, r in rays.items()}
+        scale = math.lcm(*norms.values())
+        if any(sum(scale // norms[y] * projs[y][r][c] for y in ctx) != scale * (r == c)
+               for r, c in cells):
             failures.append(AlgebraFailure(x, "sum is not identity", None))
     return AlgebraReport(failures=tuple(failures))

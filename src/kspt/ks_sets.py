@@ -29,11 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact_linalg import (
-    is_orthogonal,
-    orthocomplement_basis,
-    primitive,
-)
+from .exact_linalg import inner_product, orthocomplement_basis, primitive
 
 Context = tuple[int, ...]
 Edge = tuple[int, int]
@@ -126,7 +122,7 @@ def build_orthogonality_graph(vset: VectorSet) -> OrthogonalityGraph:
     edges = set()
     for i in range(vset.n):
         for j in range(i + 1, vset.n):
-            if is_orthogonal(vset.vectors[i], vset.vectors[j]):
+            if inner_product(vset.vectors[i], vset.vectors[j]) == 0:
                 edges.add((i, j))
     return OrthogonalityGraph(n=vset.n, edges=frozenset(edges))
 
@@ -365,15 +361,22 @@ def _json_int(x: object) -> int:
     return x
 
 
+def _json_labels(x: object) -> tuple[str, ...]:
+    # str() would read "ab" as two labels and null as "None"
+    if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
+        raise ValueError(f"expected a JSON list of strings, got {x!r}")
+    return tuple(x)
+
+
 def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
-    """Read the interchange form; dim, vector entries and context indices must be integers.
+    """Read the interchange form: integer dim, entries and indices, string labels.
 
     Every listed context must pass check_context: an orthogonal basis of the set.
     """
     try:
         dim = _json_int(doc["dim"])
         vectors = tuple(tuple(_json_int(x) for x in v) for v in doc["vectors"])
-        labels = tuple(str(s) for s in doc["labels"]) if "labels" in doc else None
+        labels = _json_labels(doc["labels"]) if "labels" in doc else None
         contexts = None
         if "contexts" in doc:
             contexts = [tuple(_json_int(i) for i in c) for c in doc["contexts"]]

@@ -1,11 +1,13 @@
 """The totally antisymmetric state of d parties with d levels.
 
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
-normalization kept implicit.  Amplitudes, the game's outcome weights,
-self-test rows and re-expansions read one product expansion E[a][pi] =
-prod_i v_{a_i}[pi(i)]; an amplitude is row E[a] dotted with the sign map
-over a symbolic square root, so probabilities are exact rationals.  Floats
-enter only in the dense tensor-power invariance check.
+normalization kept implicit.  Amplitudes, the game's outcome weights and
+self-test rows read one product expansion E[a][pi] = prod_i v_{a_i}[pi(i)];
+an amplitude is row E[a] dotted with the sign map over a symbolic square
+root, so probabilities are exact rationals.  A re-expansion in a basis B
+reads one determinant instead: the overlap of c * sign with a product of
+basis vectors is c * det of those rows.  Floats enter only in the dense
+tensor-power invariance check.
 """
 
 from __future__ import annotations
@@ -156,16 +158,17 @@ class ProductBasisExpansion:
 def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductBasisExpansion:
     """Rewrite the state in an orthogonal (not necessarily normalized) basis.
 
-    Only the d! injective tuples are read from the basis's product expansion
-    and stored.  That read is exact only for a state whose terms[pi] * sign(pi)
-    is one nonzero constant over all d! permutations: there a tuple with a
-    repeated index has a determinant with repeated rows, amplitude zero.  Any
-    other state would lose probability to such tuples and is rejected.
+    The state must be c * sign for one nonzero constant c: terms[pi] * sign(pi)
+    = c over all d! permutations, and any other state is rejected.  Its
+    overlap with b_{t_0} x ... x b_{t_{d-1}} is then c * det of those rows:
+    c * sign(t) * det(basis) for each of the d! injective tuples t, and zero
+    for a tuple with a repeated index (two equal rows), so nothing is lost.
     """
     d = state.d
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
-    signed = {state.terms.get(pi, 0) * levi_civita(pi) for pi in permutations(range(d))}
+    signs = {pi: levi_civita(pi) for pi in permutations(range(d))}
+    signed = {state.terms.get(pi, 0) * sign for pi, sign in signs.items()}
     if len(signed) != 1 or 0 in signed:
         raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
                          "must be one nonzero constant over all permutations")
@@ -178,12 +181,10 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
         for j in range(i + 1, d):
             if inner_product(basis[i], basis[j]) != 0:
                 raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
-    expansion = _product_expansion([basis] * d, injective=True)
+    (c,) = signed
+    base = c * determinant(basis)
     scale = Fraction(math.factorial(d) * math.prod(norms))
-    coefficients = {
-        t: Amplitude(coeff=Fraction(_overlap(state, expansion.get(t, {}))), scale=scale)
-        for t in permutations(range(d))
-    }
+    coefficients = {t: Amplitude(coeff=sign * base, scale=scale) for t, sign in signs.items()}
     return ProductBasisExpansion(d=d, basis=tuple(tuple(v) for v in basis), coefficients=coefficients)
 
 
@@ -267,10 +268,10 @@ def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) ->
     # M^T M = I, checked exactly entrywise
     for i in range(d):
         for j in range(d):
-            dot = sum(Fraction(rows[k][i]) * Fraction(rows[k][j]) for k in range(d))
+            dot = sum(rows[k][i] * rows[k][j] for k in range(d))
             if dot != (1 if i == j else 0):
                 raise ValueError(f"matrix columns {i},{j} fail exact orthonormality")
-    det = Fraction(determinant(rows))
+    det = determinant(rows)
     expansion = _product_expansion([rows] * d, injective=True)
     pairs = [
         (_overlap(state, expansion.get(t, {})), state.terms.get(t, 0))

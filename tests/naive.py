@@ -32,6 +32,11 @@ replaced.  Every row is a dense primitive integer list and the pivot is the
 first row nonzero in the column, so its echelon rows differ from the sparse
 kernel's, but its pivot columns, and the null space back-substituted from
 them, must agree.  It takes and returns rows in row_echelon's formats.
+
+naive_gram_schmidt: the rational Gram-Schmidt that the fraction-free one
+replaced.  Every vector is projected in Fractions, w - (w.u / u.u) u, and
+only the finished orthogonal vectors are made primitive, so the two must
+return the same rays.
 """
 
 import math
@@ -244,3 +249,16 @@ def naive_row_echelon(rows):
         if r == len(work):
             break
     return [{j: x for j, x in enumerate(row) if x != 0} for row in work[:r]], pivots
+
+
+def naive_gram_schmidt(vectors):
+    """Pairwise-orthogonal primitive rays spanning vectors, projected in Fractions."""
+    ortho = []
+    for v in vectors:
+        w = [Fraction(x) for x in v]
+        for u in ortho:
+            c = sum(a * b for a, b in zip(w, u)) / sum(a * a for a in u)
+            w = [wi - c * ui for wi, ui in zip(w, u)]
+        if any(w):
+            ortho.append(tuple(w))
+    return [primitive(u) for u in ortho]

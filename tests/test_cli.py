@@ -198,6 +198,25 @@ def test_state_expand_context_8(capsys):
     assert all(t["probability"] == "1/24" for t in terms)
 
 
+@pytest.mark.parametrize(
+    "name, context, digest",
+    [
+        ("ceg18", 8, "8e8c75258ee3851be1be11f8ece337a0c72149180470b2ca5d5dd02a45b7a708"),
+        ("ck31", 0, "9166576bcbfa9659d68338697ae2397d4958c793bdee3b3d0d2783dee7fb9035"),
+        ("merged5", 0, "1014cafad6cfb70a2cbf8e029b9c286abfbe2c3e359c6229b50fc02105d10616"),
+    ],
+)
+def test_state_expand_results_are_pinned(capsys, name, context, digest):
+    # sha256 of the canonical JSON of results, recorded when the re-expansion
+    # read the product expansion term by term
+    code, report = run_report(
+        capsys, ["state", "expand", "--builtin", name, "--context", str(context)]
+    )
+    assert code == 0
+    canonical = json.dumps(report["results"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
 def test_state_expand_bad_context_index(capsys):
     code = run(["state", "expand", "--builtin", "ceg18", "--context", "99"])
     assert code == 2
@@ -225,6 +244,10 @@ def test_state_invariance_report(capsys):
         (["--d", "3", "--samples", "-2", "--signed", "-1"], "must be non-negative"),
         (["--d", "3", "--signed", "-1"], "must be non-negative"),
         (["--d", "9", "--samples", "0", "--signed", "1"], "--d must be at most 8"),
+        (["--d", "3", "--tolerance", "-1"], "--tolerance must be finite and non-negative"),
+        (["--d", "3", "--tolerance", "nan"], "--tolerance must be finite and non-negative"),
+        (["--d", "3", "--tolerance", "inf"], "--tolerance must be finite and non-negative"),
+        (["--d", "3", "--tolerance=-inf"], "--tolerance must be finite and non-negative"),
     ],
 )
 def test_state_invariance_refuses_bad_requests_before_building_the_state(

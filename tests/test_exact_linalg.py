@@ -19,7 +19,7 @@ from kspt.exact_linalg import (
     row_echelon,
 )
 from kspt.selftest import assemble_and_solve
-from naive import densify, naive_row_echelon
+from naive import densify, naive_gram_schmidt, naive_row_echelon
 
 
 def test_inner_product_canonical_orthogonality():
@@ -230,6 +230,18 @@ def test_determinant_rational_and_sympy():
         assert determinant(m) == sympy.Matrix(m).det()
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+    frng = random.Random(29)
+    for _ in range(30):
+        dim = frng.randint(1, 5)
+        m = [[Fraction(frng.randint(-6, 6), frng.randint(1, 5)) for _ in range(dim)]
+             for _ in range(dim)]
+        assert determinant(m) == sympy.Matrix(m).det()
+        m[frng.randrange(dim)] = [Fraction(0)] * dim
+        assert determinant(m) == 0
+    # a zero pivot that a row swap fixes, with rational rows
+    m = [[0, Fraction(2, 3), 1], [Fraction(1, 2), 0, 2], [1, 1, Fraction(-1, 4)]]
+    assert determinant(m) == sympy.Matrix(m).det() != 0
+    assert determinant([]) == 1
 
 
 def test_orthocomplement_of_two_canonical():
@@ -277,3 +289,23 @@ def test_gram_schmidt_orthogonalizes():
     out = gram_schmidt([(1, 1, 0), (1, 0, 0), (2, 2, 0)])
     assert len(out) == 2
     assert inner_product(out[0], out[1]) == 0
+
+
+def test_gram_schmidt_matches_the_rational_oracle():
+    rng = random.Random(31)
+    for trial in range(300):
+        dim = rng.randint(1, 5)
+        if trial % 2:
+            vs = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim))
+                  for _ in range(rng.randint(0, dim + 1))]
+        else:
+            vs = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                  for _ in range(rng.randint(0, dim + 1))]
+        if vs:
+            # a dependent vector and a zero vector contribute nothing
+            vs.insert(rng.randint(0, len(vs)), tuple(-2 * x for x in vs[0]))
+            vs.insert(rng.randint(0, len(vs)), (0,) * dim)
+        out = gram_schmidt(vs)
+        assert out == naive_gram_schmidt(vs), vs
+        assert all(inner_product(u, v) == 0 for i, u in enumerate(out) for v in out[i + 1:])
+        assert len(out) == (rank(vs) if vs else 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kspt.catalog import CEG18_VECTORS, catalog_ceg18
-from kspt.exact_linalg import determinant
+from kspt.exact_linalg import determinant, gram_schmidt
 from kspt.supersinglet import (
     DENSE_CHECK_MAX_D,
     SupersingletState,
@@ -170,7 +170,7 @@ def test_reexpand_defg_tetrad_signs_and_weights():
 
 def test_reexpand_rejects_a_state_that_is_not_antisymmetric():
     # flipping the sign of (0, 1, 2) puts probability on tuples with a
-    # repeated index, which the injective read would silently drop
+    # repeated index, which reading c * sign(t) * det(B) would silently drop
     state = build_supersinglet(3)
     flipped = SupersingletState(d=3, terms={**state.terms, (0, 1, 2): -1})
     basis = [(1, 1, 0), (1, -1, 0), (0, 0, 1)]
@@ -191,6 +191,33 @@ def test_reexpand_rejects_a_state_that_is_not_antisymmetric():
     # one nonzero constant times the sign map is read exactly
     negated = SupersingletState(d=3, terms={p: -s for p, s in state.terms.items()})
     assert reexpand_in_basis(negated, basis).total_probability() == 1
+
+
+def test_reexpand_coefficients_match_the_naive_overlap():
+    # c * sign(t) * det(B) against the term-by-term overlap, on random
+    # orthogonal bases: integer, rational, and each vector rescaled
+    rng = random.Random(37)
+    for d in (2, 3, 4, 5):
+        for c in (1, -3):
+            state = SupersingletState(
+                d=d, terms={p: c * s for p, s in build_supersinglet(d).terms.items()})
+            for kind in ("integer", "fraction", "rescaled"):
+                while True:
+                    basis = gram_schmidt([tuple(rng.randint(-3, 3) for _ in range(d))
+                                          for _ in range(d)])
+                    if len(basis) == d:
+                        break
+                if kind == "fraction":
+                    basis = [tuple(Fraction(x, k) for x in v)
+                             for v, k in zip(basis, rng.choices(range(2, 8), k=d))]
+                elif kind == "rescaled":
+                    basis = [tuple(k * x for x in v)
+                             for v, k in zip(basis, rng.choices((-2, -1, 3), k=d))]
+                exp = reexpand_in_basis(state, basis)
+                assert list(exp.coefficients) == list(permutations(range(d)))
+                for t, amp in exp.coefficients.items():
+                    assert amp.coeff == naive_amplitude_coeff(state, [basis[i] for i in t])
+                assert exp.total_probability() == c * c
 
 
 def test_reexpand_rejects_bad_bases():

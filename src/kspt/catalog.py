@@ -11,6 +11,8 @@ coordinates.
 
 from __future__ import annotations
 
+import re
+
 from .exact_linalg import primitive
 from .ks_sets import Context, VectorSet
 
@@ -202,10 +204,8 @@ def load_builtin(name: str) -> tuple[VectorSet, list[Context] | None]:
     """Resolve a built-in set name, including merged<d> for the merged family."""
     if name in _BUILTIN_BUILDERS:
         return _BUILTIN_BUILDERS[name]()
-    if name.startswith("merged"):
-        try:
-            d = int(name[len("merged"):])
-        except ValueError:
-            raise KeyError(f"unknown builtin set {name!r}")
-        return merged_peres(d), None
+    # one spelling per d: ASCII digits, no sign, space or leading zero
+    family = re.fullmatch(r"merged([1-9][0-9]*)", name)
+    if family:
+        return merged_peres(int(family[1])), None
     raise KeyError(f"unknown builtin set {name!r}")

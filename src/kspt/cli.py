@@ -85,7 +85,8 @@ def _load_set(args: argparse.Namespace) -> tuple[VectorSet, list[Context] | None
 
 
 def _contexts_or_enumerated(vset: VectorSet, contexts: list[Context] | None) -> list[Context]:
-    return contexts if contexts else enumerate_contexts(vset)
+    """The document's contexts, an empty list included, else the enumerated ones."""
+    return enumerate_contexts(vset) if contexts is None else contexts
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -266,7 +267,7 @@ def _witness_json(witness) -> dict[str, str] | None:
     if witness is None:
         return None
     return {
-        ",".join(map(str, p)): _fr(v) for p, v in sorted(witness.entries.items())
+        ",".join(map(str, p)): _fr(v) for p, v in sorted(witness.terms.items())
     }
 
 
@@ -288,7 +289,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         inputs = {**inputs, "contexts": [list(c) for c in chosen]}
     results = {"d": report.d, "variables": report.variables}
     if args.d is None:
-        results["canonical_context"] = list(report.support.canonical_context)
+        results["canonical_context"] = list(report.canonical_context)
     results.update(
         contexts=[list(c) for c in report.contexts],
         rows=report.row_count,

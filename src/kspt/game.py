@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import scan
 from .exact_linalg import norm_squared, primitive
@@ -44,7 +44,10 @@ class SearchBudgetError(RuntimeError):
 class GameSpec:
     """A playable instance: d parties, the vector set, the context alphabet.
 
-    Inputs are drawn uniformly: x over the contexts, then y over C_x.
+    Inputs are drawn uniformly: x over the contexts, then y over C_x.  Every
+    context must pass check_context.  For d distinct nonzero rays, being
+    pairwise orthogonal is the whole projector algebra of a measurement: the
+    rank-one projectors then annihilate each other pairwise and sum to I.
     """
 
     d: int
@@ -194,7 +197,11 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
     read as a tuple, and per context the lexicographically first best choice.
     """
     n = spec.vset.n
-    budget = int(os.environ.get(BUDGET_ENV, DEFAULT_SEARCH_BUDGET))
+    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_SEARCH_BUDGET))
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
     if n > budget:
         raise SearchBudgetError(
             f"scan over 2^{n} assignments exceeds the budget of 2^{budget}; "
@@ -226,48 +233,3 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
 
 def classical_value(spec: GameSpec) -> Fraction:
     return classical_value_report(spec).value
-
-
-@dataclass(frozen=True)
-class AlgebraFailure:
-    context_index: int
-    kind: str
-    pair: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class AlgebraReport:
-    failures: tuple[AlgebraFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def measurement_algebra_check(vset: VectorSet, contexts: list[Context]) -> AlgebraReport:
-    """Exact projector algebra for each context's normalized projectors.
-
-    For P_y = |v_y><v_y| / ||v_y||^2, checks that products of distinct
-    projectors within a context vanish and that each context's projectors sum
-    to the identity.  Both tests run on the integer matrices Q_y = r_y r_y^T
-    = ||r_y||^2 P_y of the primitive rays r_y, the identity sum scaled by the
-    lcm L of the squared norms: sum_y (L / ||r_y||^2) Q_y = L I.  A positive
-    scaling changes no zero test.  Contexts are taken as given, so a
-    non-basis context is reported, not rejected.
-    """
-    dim = vset.dim
-    failures: list[AlgebraFailure] = []
-    cells = list(product(range(dim), repeat=2))
-    for x, ctx in enumerate(contexts):
-        rays = {y: primitive(vset.vectors[y]) for y in ctx}
-        projs = {y: [[r[a] * r[b] for b in range(dim)] for a in range(dim)] for y, r in rays.items()}
-        for i, y in enumerate(ctx):
-            for yp in ctx[i + 1:]:
-                if any(sum(projs[y][r][k] * projs[yp][k][c] for k in range(dim)) for r, c in cells):
-                    failures.append(AlgebraFailure(x, "nonzero product", (y, yp)))
-        norms = {y: norm_squared(r) for y, r in rays.items()}
-        scale = math.lcm(*norms.values())
-        if any(sum(scale // norms[y] * projs[y][r][c] for y in ctx) != scale * (r == c)
-               for r, c in cells):
-            failures.append(AlgebraFailure(x, "sum is not identity", None))
-    return AlgebraReport(failures=tuple(failures))

@@ -23,32 +23,20 @@ from itertools import permutations
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import primitive, rank
 from .ks_sets import Context, VectorSet, check_context, enumerate_contexts
-from .supersinglet import Permutation, _product_expansion, levi_civita
+from .supersinglet import SupersingletState, _product_expansion, build_supersinglet
 
 MAX_D = 6
 
 
-@dataclass(frozen=True)
-class SupportRestrictionRecord:
-    """Why the variable space is the d! permutation-indexed coefficients.
+def support_restriction_constraints(vset: VectorSet, contexts: list[Context]) -> Context:
+    """Check the canonical basis is one of the set's contexts and return it sorted.
 
     Measuring the canonical-basis context perfectly means the d parties'
     levels are always a permutation of range(d), so coefficients on all other
-    outcome tuples vanish before any further context is considered.
-    """
-
-    d: int
-    variables: int
-    canonical_context: Context
-
-
-def support_restriction_constraints(
-    vset: VectorSet, contexts: list[Context]
-) -> SupportRestrictionRecord:
-    """Check the canonical basis is one of the set's contexts and record it.
-
-    The restriction is structural (it shrinks the variable space), so no rows
-    are emitted; the record carries the context that justifies it.
+    outcome tuples vanish before any further context is considered: the
+    variable space is the d! permutation-indexed coefficients.  The
+    restriction is structural (it shrinks the variable space), so no rows are
+    emitted; the returned context is what justifies it.
     """
     d = vset.dim
     index = vset._ray_index
@@ -61,7 +49,7 @@ def support_restriction_constraints(
     ctx = tuple(sorted(canonical))
     if ctx not in {tuple(sorted(c)) for c in contexts}:
         raise ValueError("canonical basis is not a context of the supplied set")
-    return SupportRestrictionRecord(d=d, variables=math.factorial(d), canonical_context=ctx)
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -113,14 +101,6 @@ def pqs_constraint_rows(
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """An integer vector over the d! permutations."""
-
-    d: int
-    entries: dict[Permutation, int]
-
-
-@dataclass(frozen=True)
 class SelftestSolution:
     d: int
     variables: int
@@ -145,7 +125,7 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolu
         for ci, ctx in enumerate(contexts)
         for row in pqs_constraint_rows(vset, ctx, context_id=ci)
     )
-    signs = [levi_civita(p) for p in permutations(range(d))]
+    signs = list(build_supersinglet(d).terms.values())  # in lexicographic order, as the columns
     for row in rows:
         if sum(v * signs[c] for c, v in row.entries):
             raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")
@@ -155,16 +135,15 @@ def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolu
 
 def verify_unique_supersinglet(
     solution: SelftestSolution,
-) -> tuple[bool, CoefficientVector | None]:
-    """True iff the null space is one line, and then the sign vector is its witness.
+) -> tuple[bool, SupersingletState | None]:
+    """True iff the null space is one line, and then the state is its witness.
 
-    assemble_and_solve has checked that every row annihilates the sign
-    vector, so nullity 1 means the null space is exactly its line.
+    assemble_and_solve has checked that every row annihilates the state's
+    sign vector, so nullity 1 means the null space is exactly its line.
     """
     if solution.nullity != 1:
         return False, None
-    perms = permutations(range(solution.d))
-    return True, CoefficientVector(d=solution.d, entries={p: levi_civita(p) for p in perms})
+    return True, build_supersinglet(solution.d)
 
 
 @dataclass(frozen=True)
@@ -172,12 +151,12 @@ class SelftestReport:
     d: int
     variables: int
     contexts: tuple[Context, ...]
-    support: SupportRestrictionRecord
+    canonical_context: Context
     row_count: int
     rank: int
     nullity: int
     unique: bool
-    witness: CoefficientVector | None
+    witness: SupersingletState | None
 
 
 def certify(
@@ -190,7 +169,7 @@ def certify(
     the rows of measured contexts, so each row context must be one of them
     too (members in any order), or ValueError.  Unique iff the rank is d! - 1.
     """
-    support = support_restriction_constraints(vset, contexts)
+    canonical_context = support_restriction_constraints(vset, contexts)
     measured = {tuple(sorted(c)) for c in contexts}
     for ctx in row_contexts:
         check_context(vset, ctx)
@@ -202,7 +181,7 @@ def certify(
         d=vset.dim,
         variables=solution.variables,
         contexts=tuple(row_contexts),
-        support=support,
+        canonical_context=canonical_context,
         row_count=len(solution.rows),
         rank=solution.rank,
         nullity=solution.nullity,

@@ -6,8 +6,11 @@ self-test rows read one product expansion E[a][pi] = prod_i v_{a_i}[pi(i)];
 an amplitude is row E[a] dotted with the sign map over a symbolic square
 root, so probabilities are exact rationals.  A re-expansion in a basis B
 reads one determinant instead: the overlap of c * sign with a product of
-basis vectors is c * det of those rows.  Floats enter only in the dense
-tensor-power invariance check.
+basis vectors is c * det of those rows.  A signed permutation matrix acts
+on the state by relabeling and signing its terms, so the exact invariance
+check reads no expansion.  Every reader of the sign vector takes it from
+build_supersinglet.  Floats enter only in the dense tensor-power invariance
+check.
 """
 
 from __future__ import annotations
@@ -76,24 +79,24 @@ class Amplitude:
         return self.coeff == 0
 
 
-def _product_expansion(choices: list[list[Vector]], injective: bool = False) -> Expansion:
+def _product_expansion(choices: list[list[Vector]]) -> Expansion:
     """E[a][pi] = prod_i choices[i][a_i][pi(i)] for every nonzero product.
 
     Party i picks the vector at position a_i of choices[i] and a level pi(i),
-    the levels distinct (and the positions, with injective).  One recursion
-    over (party, unused level, member nonzero at that level) visits each
-    nonzero (a, pi) once and never a tuple whose products all vanish, so a
-    missing a is a zero row.  Products stay int for integer vectors.
+    the levels distinct.  One recursion over (party, unused level, member
+    nonzero at that level) visits each nonzero (a, pi) once and never a tuple
+    whose products all vanish, so a missing a is a zero row.  Products stay
+    int for integer vectors.
     """
     d = len(choices)
-    # nonzero[i][j]: (position, entry, position bit) of the members of choices[i] nonzero at j
-    nonzero = [[[(p, v[j], 1 << d + p if injective else 0) for p, v in enumerate(vs) if v[j] != 0]
-                for j in range(d)] for vs in choices]
+    # nonzero[i][j]: (position, entry) of the members of choices[i] nonzero at level j
+    nonzero = [[[(p, v[j]) for p, v in enumerate(vs) if v[j] != 0] for j in range(d)]
+               for vs in choices]
     expansion: Expansion = {}
     a, pi = [0] * d, [0] * d
 
     def rec(i: int, used: int, prod: Scalar) -> None:
-        # used: levels taken in bits 0..d-1, positions taken from bit d on
+        # used: the levels taken, one bit each
         if i == d:
             expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
             return
@@ -101,10 +104,9 @@ def _product_expansion(choices: list[list[Vector]], injective: bool = False) -> 
             if used >> level & 1:
                 continue
             pi[i] = level
-            for p, x, taken in nonzero[i][level]:
-                if not used & taken:
-                    a[i] = p
-                    rec(i + 1, used | 1 << level | taken, prod * x)
+            for p, x in nonzero[i][level]:
+                a[i] = p
+                rec(i + 1, used | 1 << level, prod * x)
 
     rec(0, 0, 1)
     return expansion
@@ -167,7 +169,7 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     d = state.d
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
-    signs = {pi: levi_civita(pi) for pi in permutations(range(d))}
+    signs = build_supersinglet(d).terms
     signed = {state.terms.get(pi, 0) * sign for pi, sign in signs.items()}
     if len(signed) != 1 or 0 in signed:
         raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
@@ -213,8 +215,8 @@ class InvarianceReport:
 def _dense_state(d: int) -> np.ndarray:
     s = np.zeros((d,) * d, dtype=complex)
     w = 1.0 / math.sqrt(math.factorial(d))
-    for p in permutations(range(d)):
-        s[p] = levi_civita(p) * w
+    for p, sign in build_supersinglet(d).terms.items():
+        s[p] = sign * w
     return s
 
 
@@ -251,34 +253,41 @@ class ExactInvarianceReport:
     equals_state: bool
 
 
-def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) -> ExactInvarianceReport:
-    """Exact tensor-power action for a rational orthogonal matrix M (rows).
+def _signed_permutation_image(state: SupersingletState, M: list[Vector]) -> dict[Permutation, Scalar]:
+    """Components of M tensored d times applied to the state, on the injective tuples.
 
-    The image component on outcome tuple t is the state's overlap with row t
-    of the product expansion over the rows of M, compared exactly with
-    det(M) * terms[t] and with terms[t] on every injective tuple t.  Tuples
-    with a repeated index are not compared: their component vanishes for an
-    antisymmetric state, and under a signed permutation matrix for any state
-    on permutations.
+    Row i of M must be s_i * e_{sigma(i)} with s_i = +-1 and the columns
+    sigma(i) distinct; any other matrix raises ValueError.  Such an M only
+    relabels and signs the levels: the component on t, the state's overlap
+    with rows t_0..t_{d-1} of M, is prod_i s_{t_i} * terms[sigma o t], and on
+    an injective t that sign product is prod_i s_i.
     """
     d = state.d
-    rows = [list(r) for r in M]
-    if len(rows) != d or any(len(r) != d for r in rows):
+    if len(M) != d or any(len(r) != d for r in M):
         raise ValueError(f"expected a {d}x{d} matrix")
-    # M^T M = I, checked exactly entrywise
-    for i in range(d):
-        for j in range(d):
-            dot = sum(rows[k][i] * rows[k][j] for k in range(d))
-            if dot != (1 if i == j else 0):
-                raise ValueError(f"matrix columns {i},{j} fail exact orthonormality")
-    det = determinant(rows)
-    expansion = _product_expansion([rows] * d, injective=True)
-    pairs = [
-        (_overlap(state, expansion.get(t, {})), state.terms.get(t, 0))
-        for t in permutations(range(d))
-    ]
+    # sigma(i) for each row with exactly one nonzero entry, and that entry +-1
+    nonzero = [[(c, x) for c, x in enumerate(r) if x != 0] for r in M]
+    sigma = [nz[0][0] for nz in nonzero if len(nz) == 1 and nz[0][1] in (1, -1)]
+    if sorted(sigma) != list(range(d)):
+        raise ValueError("expected a signed permutation matrix: row i = +-e_sigma(i), sigma a bijection")
+    sign = math.prod(r[c] for r, c in zip(M, sigma))
+    return {t: sign * state.terms.get(tuple(sigma[i] for i in t), 0) for t in permutations(range(d))}
+
+
+def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) -> ExactInvarianceReport:
+    """Exact tensor-power action of a signed permutation matrix M (rows).
+
+    The image component on every injective outcome tuple t, read off by
+    relabeling (_signed_permutation_image), is compared exactly with
+    det(M) * terms[t] and with terms[t].  Tuples with a repeated index are
+    not compared: sigma o t is then no permutation, so their component
+    vanishes for any state on permutations.
+    """
+    image = _signed_permutation_image(state, M)
+    det = determinant([list(r) for r in M])
+    pairs = [(component, state.terms.get(t, 0)) for t, component in image.items()]
     return ExactInvarianceReport(
-        d=d,
+        d=state.d,
         determinant=det,
         equals_det_times_state=all(component == det * term for component, term in pairs),
         equals_state=all(component == term for component, term in pairs),

@@ -184,7 +184,7 @@ def test_criterion_06_selftest_d4(capsys):
     solution = assemble_and_solve(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
     unique, witness = verify_unique_supersinglet(solution)
     witness_ok = unique and all(
-        witness.entries[p] == levi_civita(p) for p in permutations(range(4))
+        witness.terms[p] == levi_civita(p) for p in permutations(range(4))
     )
     ok = solution.rank == 23 and solution.variables == 24 and solution.nullity == 1 and witness_ok
     _report(
@@ -205,7 +205,7 @@ def test_criterion_07_selftest_d3_and_d5(capsys):
         solution3.rank == 5
         and solution3.variables == 6
         and unique3
-        and all(witness3.entries[p] == levi_civita(p) for p in permutations(range(3)))
+        and all(witness3.terms[p] == levi_civita(p) for p in permutations(range(3)))
     )
     t0 = time.monotonic()
     report5 = general_d_selftest(5)

@@ -141,6 +141,37 @@ def test_unknown_builtin_exits_two(capsys):
     code = run(["ks", "verify", "--builtin", "nosuchset"])
     assert code == 2
     assert "nosuchset" in capsys.readouterr().err
+    # merged<d> has one spelling per d, so one set has one inputs_digest
+    for name in ("merged05", "merged+5", "merged 5", "merged\u0665"):
+        assert run(["ks", "contexts", "--builtin", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown builtin set" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ks", "verify"], "undefined without contexts"),
+        (["game", "quantum-verify"], "need at least one context"),
+        (["game", "classical-bound"], "need at least one context"),
+        (["state", "expand", "--context", "0"], "out of range"),
+        (["selftest", "--contexts", "0,1,2"], "canonical basis is not a context"),
+    ],
+)
+def test_an_empty_context_list_is_not_replaced_by_the_enumerated_one(
+    capsys, tmp_path, argv, message
+):
+    # five ck31 rays hold two bases, (0, 1, 2) and (0, 3, 4); the document
+    # lists none, and its inputs_digest hashes that empty list
+    vset = catalog_conway_kochen31()
+    path = tmp_path / "no_contexts.json"
+    doc = {"dim": 3, "vectors": [list(v) for v in vset.vectors[:5]], "contexts": []}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_report(capsys, ["ks", "contexts", "--set", str(path)])
+    assert code == 0 and report["results"]["count"] == 0
+    assert run([*argv, "--set", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_ks_contexts_counts(capsys):
@@ -307,6 +338,13 @@ def test_game_classical_bound_respects_budget(capsys, monkeypatch):
     code = run(["game", "classical-bound", "--builtin", "ck31"])
     assert code == 2
     assert "KS_SEARCH_BUDGET" in capsys.readouterr().err
+
+
+def test_game_classical_bound_names_a_malformed_budget(capsys, monkeypatch):
+    monkeypatch.setenv("KS_SEARCH_BUDGET", "abc")
+    assert run(["game", "classical-bound", "--builtin", "ceg18"]) == 2
+    err = capsys.readouterr().err
+    assert "KS_SEARCH_BUDGET must be an integer" in err and "'abc'" in err
 
 
 def test_selftest_merged_d4(capsys):
@@ -516,3 +554,10 @@ def test_export_document_matches_library_serialization(capsys):
     assert code == 0
     ceg, tetrads = catalog_ceg18()
     assert doc == to_json_dict(ceg, tetrads)
+
+
+def test_public_names_resolve_once_in_sorted_order():
+    names = kspt.__all__
+    assert all(hasattr(kspt, name) for name in names)
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

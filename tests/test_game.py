@@ -11,7 +11,6 @@ from kspt.game import (
     SearchBudgetError,
     classical_value,
     classical_value_report,
-    measurement_algebra_check,
     quantum_joint_distribution,
     verify_perfect_strategy,
     winning_predicate,
@@ -313,19 +312,3 @@ def test_search_budget_override(monkeypatch):
     monkeypatch.setenv("KS_SEARCH_BUDGET", "18")
     assert classical_value_report(spec).value == Fraction(35, 36)
 
-
-def test_measurement_algebra_on_orthogonal_bases():
-    vset, tetrads = catalog_ceg18()
-    assert measurement_algebra_check(vset, tetrads).ok
-    canonical = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert measurement_algebra_check(canonical, [(0, 1, 2)]).ok
-
-
-def test_measurement_algebra_reports_failures():
-    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)))
-    report = measurement_algebra_check(vset, [(0, 1, 3)])
-    assert not report.ok
-    kinds = {f.kind for f in report.failures}
-    assert kinds == {"nonzero product", "sum is not identity"}
-    pairs = {f.pair for f in report.failures if f.pair is not None}
-    assert (0, 3) in pairs and (1, 3) in pairs

@@ -349,10 +349,10 @@ def test_load_builtin_names_and_merged_family():
     assert contexts is not None and len(contexts) == 9
     vset, contexts = load_builtin("peres24")
     assert vset.n == 24 and contexts is None
-    with pytest.raises(KeyError):
-        load_builtin("merged")
-    with pytest.raises(KeyError):
-        load_builtin("unknown")
+    assert load_builtin("merged5")[0].n == 39
+    for name in ("merged", "unknown", "merged05", "merged+5", "merged 5", "merged\u0665"):
+        with pytest.raises(KeyError):
+            load_builtin(name)
 
 
 def test_merged_family_shapes():

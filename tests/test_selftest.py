@@ -24,7 +24,7 @@ from kspt.selftest import (
     support_restriction_constraints,
     verify_unique_supersinglet,
 )
-from kspt.supersinglet import levi_civita
+from kspt.supersinglet import build_supersinglet, levi_civita
 from naive import densify, naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
@@ -62,24 +62,27 @@ PERES_WINDOW_TETRADS = [(4, 5, 6, 7), (8, 9, 10, 11)]
 
 def test_support_restriction_on_the_31_ray_set():
     vset = catalog_conway_kochen31()
-    record = support_restriction_constraints(vset, enumerate_contexts(vset))
-    assert record.d == 3
-    assert record.variables == 6
-    assert record.canonical_context == (0, 1, 2)
+    contexts = enumerate_contexts(vset)
+    assert support_restriction_constraints(vset, contexts) == (0, 1, 2)
+    report = certify(vset, contexts, CK_SELFTEST_CONTEXTS)
+    assert report.d == 3
+    assert report.variables == 6
+    assert report.canonical_context == (0, 1, 2)
 
 
 def test_support_restriction_on_the_24_ray_set():
     vset = catalog_peres24()
-    record = support_restriction_constraints(vset, enumerate_contexts(vset))
-    assert record.variables == 24
-    assert record.canonical_context == (0, 1, 2, 3)
+    contexts = enumerate_contexts(vset)
+    assert support_restriction_constraints(vset, contexts) == (0, 1, 2, 3)
+    report = certify(vset, contexts, PERES_WINDOW_TETRADS)
+    assert report.variables == 24
+    assert report.canonical_context == (0, 1, 2, 3)
 
 
 def test_support_restriction_accepts_a_context_listed_in_any_order():
     vset = catalog_conway_kochen31()
     contexts = [(2, 1, 0) if c == (0, 1, 2) else c for c in enumerate_contexts(vset)]
-    record = support_restriction_constraints(vset, contexts)
-    assert record.canonical_context == (0, 1, 2)
+    assert support_restriction_constraints(vset, contexts) == (0, 1, 2)
 
 
 def test_support_restriction_needs_the_canonical_rays():
@@ -209,8 +212,9 @@ def test_d3_system_certifies_the_state():
     assert solution.nullity == 1
     unique, witness = verify_unique_supersinglet(solution)
     assert unique
-    chain = tuple(witness.entries[p] for p in permutations(range(3)))
+    chain = tuple(witness.terms[p] for p in permutations(range(3)))
     assert chain == (1, -1, -1, 1, 1, -1)
+    assert witness == build_supersinglet(3)
 
 
 def test_d4_system_certifies_the_state():
@@ -223,7 +227,8 @@ def test_d4_system_certifies_the_state():
     unique, witness = verify_unique_supersinglet(solution)
     assert unique
     for p in permutations(range(4)):
-        assert witness.entries[p] == levi_civita(p)
+        assert witness.terms[p] == levi_civita(p)
+    assert witness == build_supersinglet(4)
 
 
 def test_d4_rank_matches_sympy():
@@ -301,13 +306,14 @@ def test_row_contexts_must_be_game_contexts():
 def test_general_selftest_d4():
     report = general_d_selftest(4)
     assert report.variables == 24
-    assert report.support.variables == 24
+    assert report.canonical_context == (0, 1, 2, 3)
     assert report.row_count == 36
     assert report.rank == 23
     assert report.nullity == 1
     assert report.unique
     for p in permutations(range(4)):
-        assert report.witness.entries[p] == levi_civita(p)
+        assert report.witness.terms[p] == levi_civita(p)
+    assert report.witness == build_supersinglet(4)
 
 
 def test_general_selftest_d4_with_all_contexts():
@@ -323,6 +329,7 @@ def test_general_selftest_d5():
     assert report.rank == 119
     assert report.nullity == 1
     assert report.unique
+    assert report.witness == build_supersinglet(5)
 
 
 def test_general_selftest_rejects_out_of_range_d():

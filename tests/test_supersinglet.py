@@ -12,6 +12,7 @@ from kspt.supersinglet import (
     DENSE_CHECK_MAX_D,
     SupersingletState,
     _product_expansion,
+    _signed_permutation_image,
     amplitude,
     build_supersinglet,
     check_unitary_invariance,
@@ -304,6 +305,41 @@ def test_exact_invariance_rejects_non_orthogonal_matrix():
         check_unitary_invariance_exact(state, [(1, 1), (0, 1)])
     with pytest.raises(ValueError):
         check_unitary_invariance_exact(state, [(1, 0)])
+    # an exactly orthogonal rational rotation is refused too: the exact check
+    # acts by relabeling, so it takes signed permutation matrices only
+    rotation = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))]
+    for m in (rotation, [(2, 0), (0, 1)], [(1, 0), (-1, 0)], [(0, 0), (0, 1)]):
+        with pytest.raises(ValueError, match="signed permutation"):
+            check_unitary_invariance_exact(state, m)
+
+
+def test_exact_invariance_matches_the_naive_overlaps():
+    # every signed permutation matrix for d = 2..4, on the canonical state and
+    # on states with one sign flipped: image component t is the state's
+    # overlap with the product of rows t of M
+    seen = set()
+    for d in (2, 3, 4):
+        canonical = build_supersinglet(d)
+        perms = sorted(canonical.terms)
+        states = [canonical] + [
+            SupersingletState(d=d, terms={**canonical.terms, p: -canonical.terms[p]})
+            for p in (perms[0], perms[-1])
+        ]
+        for sigma in permutations(range(d)):
+            for signs in product((1, -1), repeat=d):
+                m = [tuple(signs[i] * (c == sigma[i]) for c in range(d)) for i in range(d)]
+                det = determinant([list(r) for r in m])
+                for state in states:
+                    image = {t: naive_amplitude_coeff(state, [m[i] for i in t]) for t in perms}
+                    assert _signed_permutation_image(state, m) == image
+                    rep = check_unitary_invariance_exact(state, m)
+                    assert rep.determinant == det
+                    assert rep.equals_det_times_state == all(
+                        image[t] == det * state.terms[t] for t in perms
+                    )
+                    assert rep.equals_state == all(image[t] == state.terms[t] for t in perms)
+                    seen.add((rep.equals_det_times_state, rep.equals_state))
+    assert len(seen) == 4  # every combination of the two verdicts occurs
 
 
 def _random_vector(rng, d, exact_kind):
@@ -346,12 +382,3 @@ def test_product_expansion_matches_the_naive_oracles():
                     assert (a in expansion) == any(row)
                     for state in states:
                         assert amplitude(state, vectors).coeff == naive_amplitude_coeff(state, vectors)
-                # injective: the rows of the tuples with distinct positions, and no others
-                # (d = 5 is left out: a dense full expansion has d^d * d! entries)
-                if d == 5:
-                    continue
-                shared = [_random_vector(rng, d, exact_kind) for _ in range(d)]
-                full = _product_expansion([shared] * d)
-                assert _product_expansion([shared] * d, injective=True) == {
-                    a: row for a, row in full.items() if len(set(a)) == d
-                }

@@ -11,10 +11,8 @@ coordinates.
 
 from __future__ import annotations
 
-import re
-
 from .exact_linalg import primitive
-from .ks_sets import Context, VectorSet
+from .ks_sets import Context, VectorSet, parse_decimal
 
 CEG18_LABELS = tuple("123456789ABCDEFGHI")
 
@@ -201,11 +199,11 @@ def builtin_names() -> list[str]:
 
 
 def load_builtin(name: str) -> tuple[VectorSet, list[Context] | None]:
-    """Resolve a built-in set name, including merged<d> for the merged family."""
+    """Resolve a built-in set name, merged<d> included; ValueError for an unknown name."""
     if name in _BUILTIN_BUILDERS:
         return _BUILTIN_BUILDERS[name]()
-    # one spelling per d: ASCII digits, no sign, space or leading zero
-    family = re.fullmatch(r"merged([1-9][0-9]*)", name)
-    if family:
-        return merged_peres(int(family[1])), None
-    raise KeyError(f"unknown builtin set {name!r}")
+    # one spelling per d (parse_decimal); merged0 names no set
+    d = parse_decimal(name.removeprefix("merged")) if name.startswith("merged") else None
+    if d:
+        return merged_peres(d), None
+    raise ValueError(f"unknown builtin set {name!r}")

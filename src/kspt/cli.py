@@ -4,8 +4,9 @@ Every subcommand prints a report object {command, inputs_digest, results,
 timings_ms}; catalog export instead prints the raw interchange document so
 the output round-trips through the importer bit-identically.  Exit codes:
 0 success, 1 verification failure (a colorable set, an imperfect strategy, a
-non-unique null space), 2 usage errors, malformed input, or exceeded search
-budgets.  Exact rationals are serialized as "num/den" strings, never floats.
+non-unique null space), 2 any refusal (usage, ValueError or OSError: bad input
+or an exceeded budget).  Any other exception is a fault and propagates.  Exact
+rationals are serialized as "num/den" strings, never floats.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from fractions import Fraction
 
 from . import catalog as catalog_mod
 from . import scan
-from .game import (
-    GameSpec,
-    SearchBudgetError,
-    classical_value_report,
-    verify_perfect_strategy,
-)
+from .game import GameSpec, classical_value_report, verify_perfect_strategy
 from .ks_sets import (
     Context,
     VectorSet,
@@ -33,6 +29,7 @@ from .ks_sets import (
     complete_set,
     enumerate_contexts,
     from_json_dict,
+    parse_decimal,
     to_json_dict,
 )
 from .selftest import MAX_D, certify, general_d_selftest
@@ -256,10 +253,10 @@ def _cmd_game(args: argparse.Namespace) -> int:
 def _parse_context_args(raw: list[str]) -> list[Context]:
     contexts = []
     for chunk in raw:
-        try:
-            contexts.append(tuple(int(p) for p in chunk.split(",")))
-        except ValueError:
+        ctx = tuple(parse_decimal(p) for p in chunk.split(","))
+        if None in ctx:
             raise ValueError(f"context {chunk!r} is not a comma-separated index list")
+        contexts.append(ctx)
     return contexts
 
 
@@ -391,16 +388,13 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except SearchBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,17 +27,13 @@ from itertools import combinations
 
 from . import scan
 from .exact_linalg import norm_squared, primitive
-from .ks_sets import Context, VectorSet, check_context
+from .ks_sets import Context, VectorSet, check_context, parse_decimal
 from .supersinglet import SupersingletState, _overlap, _product_expansion, build_supersinglet
 
 DEFAULT_SEARCH_BUDGET = 26
 BUDGET_ENV = "KS_SEARCH_BUDGET"
 
 OutputTuple = tuple[tuple[int, ...], int]
-
-
-class SearchBudgetError(RuntimeError):
-    """Raised when the classical scan would exceed the assignment budget."""
 
 
 @dataclass(frozen=True)
@@ -192,18 +188,18 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
     """Scan all 2^n vertex assignments for the exact classical optimum.
 
     Guarded by the assignment budget (default n <= 26); the KS_SEARCH_BUDGET
-    environment variable raises or lowers the cap.  The witness is
+    environment variable (parse_decimal's spelling) raises or lowers the cap;
+    a malformed budget or a set over it raises ValueError.  The witness is
     deterministic: the smallest maximizing assignment v (vertex i is bit i),
     read as a tuple, and per context the lexicographically first best choice.
     """
     n = spec.vset.n
     raw = os.environ.get(BUDGET_ENV, str(DEFAULT_SEARCH_BUDGET))
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+    budget = parse_decimal(raw)
+    if budget is None:
+        raise ValueError(f"{BUDGET_ENV} must be an integer in plain ASCII digits, got {raw!r}")
     if n > budget:
-        raise SearchBudgetError(
+        raise ValueError(
             f"scan over 2^{n} assignments exceeds the budget of 2^{budget}; "
             f"set {BUDGET_ENV}={n} or higher to run anyway"
         )
@@ -216,7 +212,7 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
         for pattern in range(1 << spec.d)
     ]
     members = [tuple(c) for c in spec.contexts]
-    best_total, best_v = scan.best_assignment(members, [table] * spec.m, n)
+    best_total, best_v = scan.best_assignment(members, table, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))
     choices = tuple(_best_choice(spec, x, assignment)[1] for x in range(spec.m))
     return ClassicalBoundReport(

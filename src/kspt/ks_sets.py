@@ -25,6 +25,7 @@ context; the two readings coincide on complete sets.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -322,7 +323,7 @@ def complete_set(vset: VectorSet) -> VectorSet:
     Round by round, every currently uncovered edge (in lexicographic order)
     gets the orthocomplement basis of its two rays appended (canonical
     primitive representatives, deduplicated against the set so far).  Raises
-    if the closure does not stabilize within MAX_ROUNDS.
+    ValueError if the closure does not stabilize within MAX_ROUNDS.
     """
     vectors = list(vset.vectors)
     labels = list(vset.labels) if vset.labels is not None else None
@@ -341,7 +342,7 @@ def complete_set(vset: VectorSet) -> VectorSet:
                     if labels is not None:
                         labels.append(f"c{added}")
                     added += 1
-    raise RuntimeError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")
+    raise ValueError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")
 
 
 def to_json_dict(vset: VectorSet, contexts: list[Context] | None = None) -> dict:
@@ -366,6 +367,12 @@ def _json_labels(x: object) -> tuple[str, ...]:
     if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
         raise ValueError(f"expected a JSON list of strings, got {x!r}")
     return tuple(x)
+
+
+def parse_decimal(text: str) -> int | None:
+    # 0 or ASCII digits, no sign, space, underscore or leading zero: int()
+    # would read +18, " 18 ", 1_8, Arabic-Indic digits and 018 all as 18
+    return int(text) if re.fullmatch(r"0|[1-9][0-9]*", text) else None
 
 
 def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:

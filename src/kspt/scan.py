@@ -1,8 +1,8 @@
 """Exhaustive scan over binary vertex assignments, by split enumeration.
 
-The scan maximizes sum_x tables[x][pattern_x(v)] over all 2^n assignments v,
-where bit j of pattern_x(v) is the v-bit of vertex members[x][j].  It splits
-each assignment as v = (h << k) | low with k = min(n, SPLIT_BITS):
+The scan maximizes sum_x table[pattern_x(v)], one score table for every
+context, over all 2^n assignments v, where bit j of pattern_x(v) is the v-bit
+of vertex members[x][j].  It splits v = (h << k) | low, k = min(n, SPLIT_BITS):
 
 - every context's pattern over the 2^k low values is computed once, as an
   index vector;
@@ -29,37 +29,21 @@ def compiled_available() -> bool:
 
 
 def best_assignment(
-    members: list[tuple[int, ...]], tables: list[list[int]], n: int
+    members: list[tuple[int, ...]], table: list[int], n: int
 ) -> tuple[int, int]:
-    """Maximize sum_x tables[x][pattern_x(v)] over v in [0, 2^n).
+    """Maximize sum_x table[pattern_x(v)] over v in [0, 2^n).
 
-    members[x] lists the distinct vertex indices in [0, n) whose v-bits form
-    the lookup pattern of context x (bit j of the pattern is the v-bit of
-    members[x][j]).  All contexts must have equal size.  Returns
-    (best_score, best_v), best_v the smallest maximizer.
+    Bit j of context x's pattern is the v-bit of members[x][j].  The caller
+    guarantees what GameSpec and its score table decide: n >= 0, at least one
+    context, each of d distinct members in [0, n) for one d, and a table of
+    2^d entries.  Returns (best_score, best_v), best_v the smallest maximizer.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if not members:
-        raise ValueError("need at least one context")
-    if len(tables) != len(members):
-        raise ValueError("need one table per context")
-    d = len(members[0])
-    for ctx, table in zip(members, tables):
-        if len(ctx) != d:
-            raise ValueError("contexts must have equal size")
-        if len(table) != (1 << d):
-            raise ValueError(f"each table must have 2^{d} entries")
-        if len(set(ctx)) != d:
-            raise ValueError(f"context {tuple(ctx)} repeats a vertex")
-        if any(not 0 <= vertex < n for vertex in ctx):
-            raise ValueError(f"context {tuple(ctx)} has a vertex outside [0, {n})")
+    table = np.asarray(table, dtype=np.int64)
     k = min(n, SPLIT_BITS)
     low = np.arange(1 << k, dtype=np.intp)
     base = np.zeros(1 << k, dtype=np.int64)
     split = []
-    for ctx, table in zip(members, tables):
-        table = np.asarray(table, dtype=np.int64)
+    for ctx in members:
         lowpat = np.zeros(1 << k, dtype=np.intp)
         high = []
         for j, vertex in enumerate(ctx):
@@ -68,14 +52,14 @@ def best_assignment(
             else:
                 high.append((vertex - k, j))
         if high:
-            split.append((table, lowpat, high))
+            split.append((lowpat, high))
         else:
             base += table[lowpat]
 
     best_score = best_v = None
     for h in range(1 << (n - k)):
         total = base.copy()
-        for table, lowpat, high in split:
+        for lowpat, high in split:
             offset = sum(((h >> bit) & 1) << j for bit, j in high)
             # low and high pattern bits are disjoint, so lowpat | offset is
             # lowpat + offset: gather from a shifted view, with no OR pass

@@ -13,7 +13,7 @@ import pytest
 
 import kspt
 from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
-from kspt.cli import run
+from kspt.cli import _HANDLERS, run
 from kspt.ks_sets import enumerate_contexts, from_json_dict, to_json_dict
 from kspt.supersinglet import levi_civita
 
@@ -213,6 +213,25 @@ def test_ks_complete_does_not_enumerate_the_input_contexts(capsys, monkeypatch):
     assert report["results"]["completed_size"] == 55
 
 
+def test_ks_complete_over_its_round_limit_exits_two(capsys, monkeypatch):
+    # ck31 needs three rounds to close; over the limit is a refusal, not a fault
+    monkeypatch.setattr("kspt.ks_sets.MAX_ROUNDS", 1)
+    assert run(["ks", "complete", "--builtin", "ck31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "did not stabilize" in captured.err
+
+
+def test_a_fault_inside_a_handler_propagates(monkeypatch):
+    # only ValueError and OSError are refusals; a KeyError is a program fault
+    def fault(args):
+        raise KeyError("fault")
+
+    monkeypatch.setitem(_HANDLERS, "catalog", fault)
+    with pytest.raises(KeyError):
+        run(["catalog", "list"])
+
+
 def test_state_expand_context_8(capsys):
     code, report = run_report(
         capsys, ["state", "expand", "--builtin", "ceg18", "--context", "8"]
@@ -341,10 +360,24 @@ def test_game_classical_bound_respects_budget(capsys, monkeypatch):
 
 
 def test_game_classical_bound_names_a_malformed_budget(capsys, monkeypatch):
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "abc")
-    assert run(["game", "classical-bound", "--builtin", "ceg18"]) == 2
-    err = capsys.readouterr().err
-    assert "KS_SEARCH_BUDGET must be an integer" in err and "'abc'" in err
+    # int() would read every spelling after "abc" as 18, or -1 as a budget
+    # that refuses every set; the budget has one spelling per value
+    for raw in ("abc", "+18", " 18 ", "1_8", "\u0661\u0668", "018", "-1"):
+        monkeypatch.setenv("KS_SEARCH_BUDGET", raw)
+        assert run(["game", "classical-bound", "--builtin", "ceg18"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "KS_SEARCH_BUDGET must be an integer" in captured.err
+        assert repr(raw) in captured.err
+
+
+@pytest.mark.parametrize("chunk", ["+0,3,4", "0,03,4", "1_0,5,6", "\u0660,3,4", "0, 3,4"])
+def test_selftest_contexts_have_one_spelling(capsys, chunk):
+    # int() would read each of these as a valid ck31 context or another index
+    assert run(["selftest", "--builtin", "ck31", "--contexts", chunk, "1,5,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"context {chunk!r} is not a comma-separated index list" in captured.err
 
 
 def test_selftest_merged_d4(capsys):
@@ -473,12 +506,17 @@ def test_selftest_rejects_row_contexts_the_game_does_not_measure(capsys, tmp_pat
 
 @pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])
 def test_selftest_rejects_context_members_outside_the_set(capsys, contexts):
-    # 99 is past the 31 rays; -27 must not be read as vertex 4
+    # 99 is past the 31 rays; -27 must not be read as vertex 4, and since an
+    # index has no sign it is refused as it is read
+    message = {
+        "0,3,99": "outside [0, 31)",
+        "0,3,-27": "context '0,3,-27' is not a comma-separated index list",
+    }[contexts[0]]
     code = run(["selftest", "--builtin", "ck31", "--contexts", *contexts])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and "outside [0, 31)" in captured.err
+    assert "error:" in captured.err and message in captured.err
 
 
 def test_non_integer_document_entries_exit_two(capsys, tmp_path):

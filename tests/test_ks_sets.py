@@ -350,8 +350,8 @@ def test_load_builtin_names_and_merged_family():
     vset, contexts = load_builtin("peres24")
     assert vset.n == 24 and contexts is None
     assert load_builtin("merged5")[0].n == 39
-    for name in ("merged", "unknown", "merged05", "merged+5", "merged 5", "merged\u0665"):
-        with pytest.raises(KeyError):
+    for name in ("merged", "merged0", "unknown", "merged05", "merged+5", "merged 5", "merged\u0665"):
+        with pytest.raises(ValueError, match="unknown builtin set"):
             load_builtin(name)
 
 

@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from kspt import scan
 
@@ -61,55 +60,34 @@ def random_instance(rng, n, m, d):
             ctx = rng.sample(highs, n_high) + rng.sample(lows, d - n_high)
             rng.shuffle(ctx)
         members.append(tuple(ctx))
-    tables = [[rng.randint(0, d) for _ in range(1 << d)] for _ in range(m)]
-    return members, tables
+    table = [rng.randint(0, d) for _ in range(1 << d)]
+    return members, table
 
 
 def test_lanes_match_brute_force_on_random_instances():
     rng = random.Random(42)
     for n in range(3, 20):
         d = rng.randint(2, min(4, n))
-        members, tables = random_instance(rng, n, m=rng.randint(1, 6), d=d)
-        expected = vectorized_best(members, tables, n)
+        m = rng.randint(1, 6)
+        members, table = random_instance(rng, n, m=m, d=d)
+        expected = vectorized_best(members, [table] * m, n)
         if n <= 10:
-            assert expected == brute_force_best(members, tables, n)
-        assert scan.best_assignment(members, tables, n) == expected
+            assert expected == brute_force_best(members, [table] * m, n)
+        assert scan.best_assignment(members, table, n) == expected
 
 
 def test_ties_resolve_to_the_smallest_assignment():
-    # constant tables make every assignment optimal; the winner must be v=0
-    assert scan.best_assignment([(0, 1)], [[1, 1, 1, 1]], 6) == (1, 0)
+    # a constant table makes every assignment optimal; the winner must be v=0
+    assert scan.best_assignment([(0, 1)], [1, 1, 1, 1], 6) == (1, 0)
 
 
 def test_split_boundary_tie_is_won_in_a_high_block():
-    # the maximum needs v16 != v17, so block h=0 cannot reach it; the
-    # maximizers are v16 xor v17 = 1 and v4 = 1, with v18 free (the
-    # straddling context ties over it), so the smallest is h=1 with low 1<<4
+    # with the xor table the maximum 3 needs v16 != v17, so block h=0 cannot
+    # reach it; it also needs v18 != v4 and v0 != v1, and the smallest such
+    # v is h=1 (v16 = 1, v18 = 0) with low (1 << 4) | 1
     members = [(16, 17), (18, 4), (0, 1)]
-    tables = [[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
-    expected = (3, (1 << 16) | (1 << 4))
-    assert vectorized_best(members, tables, 19) == expected
-    assert scan.best_assignment(members, tables, 19) == expected
+    table = [0, 1, 1, 0]
+    expected = (3, (1 << 16) | (1 << 4) | 1)
+    assert vectorized_best(members, [table] * 3, 19) == expected
+    assert scan.best_assignment(members, table, 19) == expected
 
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        scan.best_assignment([], [], 4)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 1), (0,)], [[0] * 4, [0] * 2], 4)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 1)], [[0] * 3], 4)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 1)], [[0] * 4], -1)
-    # member indices outside [0, n), and a repeated member
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 5)], [[0, 1, 2, 3]], 3)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 3)], [[0, 1, 2, 3]], 3)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, -1)], [[0, 1, 2, 3]], 3)
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 0)], [[0, 1, 2, 3]], 3)
-    # one table per context
-    with pytest.raises(ValueError):
-        scan.best_assignment([(0, 1), (1, 2)], [[0] * 4], 3)

@@ -299,6 +299,18 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if report.unique else 1
 
 
+def integer(text: str) -> int:
+    """argparse type: an optional '-' before parse_decimal's digits, '-0' refused.
+
+    int() would read +4, Arabic-Indic digits, 04, 4_0 and " 4" all as 4; a
+    sign is kept so negative values still reach each command's range check.
+    """
+    value = parse_decimal(text.removeprefix("-"))
+    if value is None or text == "-0":
+        raise ValueError(text)
+    return -value if text.startswith("-") else value
+
+
 def _add_set_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", help="built-in set name (see catalog list)")
@@ -338,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     state_sub = p_state.add_subparsers(dest="state_cmd", required=True)
     p_expand = state_sub.add_parser("expand", help="re-expansion in a context's basis")
     _add_set_source(p_expand)
-    p_expand.add_argument("--context", type=int, required=True, help="context index")
+    p_expand.add_argument("--context", type=integer, required=True, help="context index")
     p_inv = state_sub.add_parser("invariance", help="tensor-power invariance checks")
-    p_inv.add_argument("--d", type=int, required=True)
-    p_inv.add_argument("--samples", type=int, default=20, help="random special unitaries")
-    p_inv.add_argument("--signed", type=int, default=5, help="signed permutation matrices")
-    p_inv.add_argument("--seed", type=int, default=0)
+    p_inv.add_argument("--d", type=integer, required=True)
+    p_inv.add_argument("--samples", type=integer, default=20, help="random special unitaries")
+    p_inv.add_argument("--signed", type=integer, default=5, help="signed permutation matrices")
+    p_inv.add_argument("--seed", type=integer, default=0)
     p_inv.add_argument("--tolerance", type=float, default=1e-10)
 
     p_game = sub.add_parser("game", help="quantum and classical game values")
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="constraint-system uniqueness certification")
     group = p_selftest.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=int, help=f"merged-family dimension (4 to {MAX_D})")
+    group.add_argument("--d", type=integer, help=f"merged-family dimension (4 to {MAX_D})")
     group.add_argument("--builtin", help="built-in set name")
     group.add_argument("--set", help="path to an interchange JSON document")
     p_selftest.add_argument(

@@ -13,8 +13,8 @@ Fractions are formed only for the returned probabilities.  The classical
 side maximizes over all deterministic strategies: for a fixed {0,1} vertex
 assignment the per-context choices decouple, so one lookup per context per
 assignment in the game's one score table suffices, and
-``scan.best_assignment`` runs the 2^n assignment scan by split enumeration,
-returning the smallest maximizing assignment.
+``scan.best_assignment`` finds the optimum over the 2^n assignments by an
+exact branch and bound, returning the smallest maximizing assignment.
 """
 
 from __future__ import annotations
@@ -185,9 +185,10 @@ class ClassicalBoundReport:
 
 
 def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
-    """Scan all 2^n vertex assignments for the exact classical optimum.
+    """The exact classical optimum over all 2^n vertex assignments.
 
-    Guarded by the assignment budget (default n <= 26); the KS_SEARCH_BUDGET
+    The branch and bound of scan.best_assignment decides it; the search is
+    guarded by a cap on n (default n <= 26), and the KS_SEARCH_BUDGET
     environment variable (parse_decimal's spelling) raises or lowers the cap;
     a malformed budget or a set over it raises ValueError.  The witness is
     deterministic: the smallest maximizing assignment v (vertex i is bit i),

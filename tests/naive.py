@@ -3,7 +3,7 @@
 naive_classical_value: the fully naive classical optimum.  Each of the first
 d-1 parties picks an arbitrary function from contexts to vertex indices (no
 restriction to the context's members), the last party an arbitrary binary
-vertex assignment; nothing is shared with the library's decomposed scan
+vertex assignment; nothing is shared with the library's classical search
 except the winning predicate.  Exponential in every direction, so only for
 tiny specs.
 

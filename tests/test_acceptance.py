@@ -129,7 +129,7 @@ def test_criterion_03_classical_bound_18_ray(capsys):
         capsys,
         3,
         ok,
-        f"classical value {report.value} (expected 35/36), split-enumeration scan, "
+        f"classical value {report.value} (expected 35/36), branch-and-bound search, "
         f"{dt:.2f}s of {budget_s:.0f}s budget",
     )
 

@@ -380,6 +380,23 @@ def test_selftest_contexts_have_one_spelling(capsys, chunk):
     assert f"context {chunk!r} is not a comma-separated index list" in captured.err
 
 
+@pytest.mark.parametrize("raw", ["+4", "٤", "04", "4_0", " 4", "-0"])
+def test_integer_flags_have_one_spelling(capsys, raw):
+    # int() would read these as 4, 40 or 0 and run the command
+    for argv in (
+        ["selftest", "--d", raw],
+        ["state", "invariance", "--d", raw, "--samples", "0", "--signed", "0"],
+        ["state", "invariance", "--d", "3", "--samples", raw, "--signed", "0"],
+        ["state", "invariance", "--d", "3", "--samples", "0", "--signed", raw],
+        ["state", "invariance", "--d", "3", "--samples", "0", "--signed", "0", "--seed", raw],
+        ["state", "expand", "--builtin", "ceg18", "--context", raw],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid integer value: {raw!r}" in captured.err
+
+
 def test_selftest_merged_d4(capsys):
     code, report = run_report(capsys, ["selftest", "--d", "4"])
     assert code == 0

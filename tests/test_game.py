@@ -243,6 +243,16 @@ def test_classical_witnesses_are_pinned():
     )
 
 
+def test_ck31_witness_is_pinned_over_a_raised_budget(monkeypatch):
+    # recorded from the exhaustive 2^31 scan, which took about a minute; the
+    # pruned search must reach the same smallest maximizer
+    monkeypatch.setenv("KS_SEARCH_BUDGET", "31")
+    report = classical_value_report(ck_game())
+    assert report.best_total == 51
+    assert report.value == 1
+    assert report.assignment == tuple((9307809 >> i) & 1 for i in range(31))
+
+
 class _ScanCalled(Exception):
     pass
 

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import numpy as np
 
 from kspt import scan
+from kspt.catalog import catalog_ceg18
 
 
 def brute_force_best(members, tables, n):
@@ -36,44 +38,69 @@ def vectorized_best(members, tables, n):
 
 
 def random_instance(rng, n, m, d):
-    """m contexts of size d, drawn entirely low, straddling or entirely high.
+    """m contexts of d distinct members drawn from range(n)."""
+    return [tuple(rng.sample(range(n), d)) for _ in range(m)]
 
-    Low and high are the two sides of the scan's split at min(n, SPLIT_BITS);
-    for n <= SPLIT_BITS every context lies low.
-    """
-    k = min(n, scan.SPLIT_BITS)
-    lows, highs = list(range(k)), list(range(k, n))
-    kinds = ["low"]
-    if highs:
-        kinds.append("straddle")
-    if len(highs) >= d:
-        kinds.append("high")
-    members = []
-    for _ in range(m):
-        kind = rng.choice(kinds)
-        if kind == "low":
-            ctx = rng.sample(lows, d)
-        elif kind == "high":
-            ctx = rng.sample(highs, d)
-        else:
-            n_high = rng.randint(1, min(d - 1, len(highs)))
-            ctx = rng.sample(highs, n_high) + rng.sample(lows, d - n_high)
-            rng.shuffle(ctx)
-        members.append(tuple(ctx))
-    table = [rng.randint(0, d) for _ in range(1 << d)]
-    return members, table
+
+def game_table(d):
+    """The game's score table: a pattern with k ones scores d - |k - 1|."""
+    return [d - abs(bin(p).count("1") - 1) for p in range(1 << d)]
 
 
 def test_lanes_match_brute_force_on_random_instances():
+    # random 0..d, tie-heavy 0..1 and game tables; the brute force only
+    # where its Python loop is cheap
     rng = random.Random(42)
-    for n in range(3, 20):
-        d = rng.randint(2, min(4, n))
-        m = rng.randint(1, 6)
-        members, table = random_instance(rng, n, m=m, d=d)
+    for trial in range(200):
+        n = rng.randint(1, 20)
+        d = rng.randint(1, min(4, n))
+        m = rng.randint(1, 8)
+        members = random_instance(rng, n, m=m, d=d)
+        kind = trial % 3
+        if kind == 0:
+            table = [rng.randint(0, d) for _ in range(1 << d)]
+        elif kind == 1:
+            table = [rng.randint(0, 1) for _ in range(1 << d)]
+        else:
+            table = game_table(d)
         expected = vectorized_best(members, [table] * m, n)
         if n <= 10:
             assert expected == brute_force_best(members, [table] * m, n)
         assert scan.best_assignment(members, table, n) == expected
+
+
+def test_pattern_bounds_are_maxima_over_agreeing_patterns():
+    rng = random.Random(3)
+    for d in range(1, 5):
+        table = [rng.randint(-2, 5) for _ in range(1 << d)]
+        ub = scan._pattern_bounds(table)
+        for mask in range(1 << d):
+            for bits in range(1 << d):
+                if bits & ~mask:
+                    continue
+                agreeing = [table[p] for p in range(1 << d) if p & mask == bits]
+                assert ub[mask][bits] == max(agreeing)
+
+
+def test_relabeled_ceg18_witnesses_are_pinned():
+    # ceg18 under two seeded vertex permutations; the pins were recorded from
+    # the exhaustive scan, so the search must reach the same smallest maximizer
+    _, tetrads = catalog_ceg18()
+    for seed, best_v in ((1, 209), (7, 53)):
+        perm = list(range(18))
+        random.Random(seed).shuffle(perm)
+        members = [tuple(perm[i] for i in ctx) for ctx in tetrads]
+        table = game_table(4)
+        expected = vectorized_best(members, [table] * len(members), 18)
+        assert expected == (35, best_v)
+        assert scan.best_assignment(members, table, 18) == expected
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the search keeps its own stack, so n past Python's recursion limit is
+    # only a matter of nodes; here the first leaf, v = 0, attains the bound
+    n = sys.getrecursionlimit() + 100
+    assert scan.best_assignment([(i,) for i in range(n)], [1, 0], n) == (n, 0)
 
 
 def test_ties_resolve_to_the_smallest_assignment():

@@ -7,12 +7,18 @@ outputs enumerate all of C_x except one member, and the last party's bit says
 whether the left-out member is y.
 
 The quantum side evaluates the reference strategy (shared antisymmetric
-state, basis measurements) in one integer pass per context: every outcome
-tuple with nonzero amplitude gets an integer weight over one denominator, and
-Fractions are formed only for the returned probabilities.  The classical
-side maximizes over all deterministic strategies: for a fixed {0,1} vertex
-assignment the per-context choices decouple, so one lookup per context per
-assignment in the game's one score table suffices, and
+state, basis measurements) by one integer determinant per context: for a
+state c * sign the overlap with outcome t is c * det(V_t), so every input of
+context x wins with p = c^2 det(V)^2 / prod |v_i|^2, the rays read as
+primitive integers, and the pair (det(V)^2, prod |v_i|^2) is the context's
+certificate.  A state that is not antisymmetric is evaluated from the
+context's product expansion instead: every outcome tuple with nonzero
+amplitude gets an integer weight over one denominator, and Fractions are
+formed only for the returned probabilities.
+
+The classical side maximizes over all deterministic strategies: for a fixed
+{0,1} vertex assignment the per-context choices decouple, so one lookup per
+context per assignment in the game's one score table suffices, and
 ``scan.best_assignment`` finds the optimum over the 2^n assignments by an
 exact branch and bound, returning the smallest maximizing assignment.
 """
@@ -26,9 +32,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import scan
-from .exact_linalg import norm_squared, primitive
+from .exact_linalg import determinant, norm_squared, primitive
 from .ks_sets import Context, VectorSet, check_context, parse_decimal
-from .supersinglet import SupersingletState, _overlap, _product_expansion, build_supersinglet
+from .supersinglet import (
+    SupersingletState,
+    _antisymmetric_constant,
+    _overlap,
+    _product_expansion,
+    build_supersinglet,
+)
 
 DEFAULT_SEARCH_BUDGET = 26
 BUDGET_ENV = "KS_SEARCH_BUDGET"
@@ -125,22 +137,53 @@ def quantum_joint_distribution(
 
 @dataclass(frozen=True)
 class PerfectStrategyReport:
+    """Exact success per input (x, y), in context order.
+
+    determinant_pairs holds, per context, (det(V)^2, prod |v_i|^2) of its
+    primitive integer rays when the state is antisymmetric, and is None when
+    the success was summed over the product expansion.
+    """
+
     per_input: tuple[tuple[int, int, Fraction], ...]
     min_success: Fraction
+    determinant_pairs: tuple[tuple[int, int], ...] | None
 
     @property
     def perfect(self) -> bool:
         return self.min_success == 1
 
 
+def _determinant_pair(spec: GameSpec, x: int) -> tuple[int, int]:
+    """(det(V)^2, prod |v_i|^2) for the rows V of context x as primitive integers."""
+    vectors = [primitive(spec.vset.vectors[i]) for i in spec.contexts[x]]
+    return determinant(vectors).numerator ** 2, math.prod(norm_squared(v) for v in vectors)
+
+
 def verify_perfect_strategy(
     spec: GameSpec, state: SupersingletState | None = None
 ) -> PerfectStrategyReport:
-    """Exact success probability of the reference strategy for every (x, y)."""
+    """Exact success probability of the reference strategy for every (x, y).
+
+    The default state is build_supersinglet(d).  A state with terms[pi] =
+    c * sign(pi) overlaps outcome t with c * det(V_t): zero when t repeats a
+    member, and every ordering of C_x wins against every y.  So each input
+    of context x has p = c^2 det(V)^2 / prod |v_i|^2 from one determinant,
+    the sum the expansion forms, and the report keeps the pairs; they are
+    equal by Hadamard's equality for orthogonal rows, so p = c^2.  Any other
+    state, one of another d included, is summed over _outcome_weights.
+    """
+    canonical = build_supersinglet(spec.d)
     if state is None:
-        state = build_supersinglet(spec.d)
+        state = canonical
+    c = _antisymmetric_constant(state, canonical.terms)
     per_input: list[tuple[int, int, Fraction]] = []
+    pairs: list[tuple[int, int]] = []
     for x, ctx in enumerate(spec.contexts):
+        if c is not None:
+            det_squared, norms = _determinant_pair(spec, x)
+            pairs.append((det_squared, norms))
+            per_input.extend((x, y, Fraction(c * c * det_squared, norms)) for y in ctx)
+            continue
         weights, denominator = _outcome_weights(spec, x, state)
         for y in ctx:
             won = sum(
@@ -148,7 +191,11 @@ def verify_perfect_strategy(
             )
             per_input.append((x, y, Fraction(won, denominator)))
     min_success = min(p for _, _, p in per_input)
-    return PerfectStrategyReport(per_input=tuple(per_input), min_success=min_success)
+    return PerfectStrategyReport(
+        per_input=tuple(per_input),
+        min_success=min_success,
+        determinant_pairs=None if c is None else tuple(pairs),
+    )
 
 
 def _best_choice(
@@ -201,8 +248,8 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
         raise ValueError(f"{BUDGET_ENV} must be an integer in plain ASCII digits, got {raw!r}")
     if n > budget:
         raise ValueError(
-            f"scan over 2^{n} assignments exceeds the budget of 2^{budget}; "
-            f"set {BUDGET_ENV}={n} or higher to run anyway"
+            f"the set has n = {n} vertices (2^{n} assignments), over the exact classical "
+            f"search's cap of n <= {budget}; set {BUDGET_ENV}={n} or higher to run anyway"
         )
     # Score table indexed by the 2^d pattern of member v-bits (bit j = v-bit
     # of member j).  The predicate sees a context's members only through which

@@ -1,16 +1,18 @@
 """The totally antisymmetric state of d parties with d levels.
 
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
-normalization kept implicit.  Amplitudes, the game's outcome weights and
-self-test rows read one product expansion E[a][pi] = prod_i v_{a_i}[pi(i)];
-an amplitude is row E[a] dotted with the sign map over a symbolic square
-root, so probabilities are exact rationals.  A re-expansion in a basis B
-reads one determinant instead: the overlap of c * sign with a product of
-basis vectors is c * det of those rows.  A signed permutation matrix acts
-on the state by relabeling and signing its terms, so the exact invariance
-check reads no expansion.  Every reader of the sign vector takes it from
-build_supersinglet.  Floats enter only in the dense tensor-power invariance
-check.
+normalization kept implicit.  Amplitudes, self-test rows and the game's
+outcome weights for a state that is not antisymmetric read one product
+expansion E[a][pi] = prod_i v_{a_i}[pi(i)]; an amplitude is row E[a] dotted
+with the sign map over a symbolic square root, so probabilities are exact
+rationals.  A re-expansion in a basis B, and the game on an antisymmetric
+state, read one determinant instead: the overlap of c * sign with a product
+of basis vectors is c * det of those rows.  Both decide that a state is
+c * sign, and find c, with one helper, _antisymmetric_constant.  A signed
+permutation matrix acts on the state by relabeling and signing its terms, so
+the exact invariance check reads no expansion.  Every reader of the sign
+vector takes it from build_supersinglet.  Floats enter only in the dense
+tensor-power invariance check.
 """
 
 from __future__ import annotations
@@ -157,6 +159,19 @@ class ProductBasisExpansion:
         return sum((a.probability for a in self.coefficients.values()), Fraction(0))
 
 
+def _antisymmetric_constant(state: SupersingletState, signs: dict[Permutation, int]) -> Scalar | None:
+    """c when terms[pi] * sign(pi) is one nonzero constant c over all d! permutations, else None.
+
+    signs is the sign vector of build_supersinglet(d), d the dimension the
+    caller needs: a state of another d has no term on those keys and is None.
+    """
+    signed = {state.terms.get(pi, 0) * sign for pi, sign in signs.items()}
+    if len(signed) != 1 or 0 in signed:
+        return None
+    (c,) = signed
+    return c
+
+
 def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductBasisExpansion:
     """Rewrite the state in an orthogonal (not necessarily normalized) basis.
 
@@ -170,8 +185,8 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
     signs = build_supersinglet(d).terms
-    signed = {state.terms.get(pi, 0) * sign for pi, sign in signs.items()}
-    if len(signed) != 1 or 0 in signed:
+    c = _antisymmetric_constant(state, signs)
+    if c is None:
         raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
                          "must be one nonzero constant over all permutations")
     norms = [norm_squared(v) for v in basis]
@@ -183,7 +198,6 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
         for j in range(i + 1, d):
             if inner_product(basis[i], basis[j]) != 0:
                 raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
-    (c,) = signed
     base = c * determinant(basis)
     scale = Fraction(math.factorial(d) * math.prod(norms))
     coefficients = {t: Amplitude(coeff=sign * base, scale=scale) for t, sign in signs.items()}

@@ -102,9 +102,12 @@ def test_criterion_02_perfect_quantum_strategies(capsys):
                 contexts=tuple(enumerate_contexts(catalog_conway_kochen31())),
             ),
         ),
-        (
-            "d=5 merged",
-            GameSpec(d=5, vset=merged_peres(5), contexts=tuple(merged_window_bases(5))),
+        *(
+            (
+                f"d={d} merged",
+                GameSpec(d=d, vset=merged_peres(d), contexts=tuple(merged_window_bases(d))),
+            )
+            for d in (5, 6, 7)
         ),
     ]
     ok = True

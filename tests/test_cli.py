@@ -338,6 +338,19 @@ def test_game_quantum_verify_perfect(capsys):
     assert all(entry["p"] == "1/1" for entry in results["per_input"])
 
 
+@pytest.mark.parametrize("name, inputs", [("merged6", 756), ("merged7", 2009)])
+def test_game_quantum_verify_is_perfect_at_d6_and_d7(capsys, name, inputs):
+    # the paper's claim, every input won with probability exactly 1, for d = 6
+    # and 7 on every enumerated context
+    code, report = run_report(capsys, ["game", "quantum-verify", "--builtin", name])
+    assert code == 0
+    results = report["results"]
+    assert results["perfect"] is True
+    assert results["min"] == "1/1"
+    assert len(results["per_input"]) == inputs
+    assert all(entry["p"] == "1/1" for entry in results["per_input"])
+
+
 def test_game_classical_bound(capsys, monkeypatch):
     monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
     code, report = run_report(capsys, ["game", "classical-bound", "--builtin", "ceg18"])
@@ -357,6 +370,17 @@ def test_game_classical_bound_respects_budget(capsys, monkeypatch):
     code = run(["game", "classical-bound", "--builtin", "ck31"])
     assert code == 2
     assert "KS_SEARCH_BUDGET" in capsys.readouterr().err
+
+
+def test_game_classical_bound_refusal_names_n_and_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
+    assert run(["game", "classical-bound", "--builtin", "merged5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 39 vertices" in captured.err
+    assert "cap of n <= 26" in captured.err
+    assert "KS_SEARCH_BUDGET=39 or higher" in captured.err
+    assert "scan" not in captured.err
 
 
 def test_game_classical_bound_names_a_malformed_budget(capsys, monkeypatch):

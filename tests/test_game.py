@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from kspt import scan
+from kspt import game, scan
 from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24, merged_peres
 from kspt.game import (
     GameSpec,
     _best_choice,
+    _outcome_weights,
     classical_value,
     classical_value_report,
     quantum_joint_distribution,
@@ -167,6 +168,105 @@ def _sign_flipped(state, rng):
     for pi in rng.sample(sorted(terms), k=3):
         terms[pi] = -terms[pi]
     return SupersingletState(d=state.d, terms=terms)
+
+
+def merged_game(d: int) -> GameSpec:
+    vset = merged_peres(d)
+    return GameSpec(d=d, vset=vset, contexts=tuple(enumerate_contexts(vset)))
+
+
+def _expansion_per_input(spec, state):
+    # every input's success summed over the context's outcome weights
+    per_input = []
+    for x, ctx in enumerate(spec.contexts):
+        weights, denominator = _outcome_weights(spec, x, state)
+        for y in ctx:
+            won = sum(
+                w for t, w in weights.items() if winning_predicate(spec, x, y, t[:-1], t[-1] == y)
+            )
+            per_input.append((x, y, Fraction(won, denominator)))
+    return tuple(per_input)
+
+
+def test_determinant_path_matches_the_expansion_on_every_context():
+    # c = 1, -1 and 2: p = c^2 on every input, from the determinant path and
+    # from the expansion alike
+    for spec in (ck_game(), ceg_game(), peres_game(), merged_game(5)):
+        canonical = build_supersinglet(spec.d)
+        for c in (1, -1, 2):
+            state = SupersingletState(d=spec.d, terms={p: c * s for p, s in canonical.terms.items()})
+            report = verify_perfect_strategy(spec, state=state)
+            assert report.determinant_pairs is not None
+            assert len(report.determinant_pairs) == spec.m
+            assert report.per_input == _expansion_per_input(spec, state)
+            assert {p for _, _, p in report.per_input} == {Fraction(c * c)}
+            assert report.perfect == (c * c == 1)
+
+
+def test_determinant_pairs_read_rescaled_rays_as_primitive_integers():
+    # the same rays as toy_game, given as non-primitive and rational vectors
+    spec = toy_game()
+    rescaled = GameSpec(
+        d=3,
+        vset=VectorSet(
+            dim=3,
+            vectors=(
+                (Fraction(1, 2), 0, 0), (0, -3, 0), (0, 0, 1),
+                (0, Fraction(2, 3), Fraction(-2, 3)), (0, 5, 5),
+            ),
+        ),
+        contexts=spec.contexts,
+    )
+    report = verify_perfect_strategy(rescaled)
+    assert report == verify_perfect_strategy(spec)
+    assert report.determinant_pairs == ((1, 1), (4, 4))
+    assert report.per_input == _expansion_per_input(rescaled, build_supersinglet(3))
+
+
+def test_an_antisymmetric_state_reads_no_expansion(monkeypatch):
+    built = []
+
+    def refuse(*args):
+        raise AssertionError("an antisymmetric state needs no product expansion")
+
+    def counting_build(d):
+        built.append(d)
+        return build_supersinglet(d)
+
+    monkeypatch.setattr(game, "_outcome_weights", refuse)
+    monkeypatch.setattr(game, "build_supersinglet", counting_build)
+    assert verify_perfect_strategy(ceg_game()).perfect
+    assert built == [4]
+
+
+def test_a_state_that_is_not_antisymmetric_is_summed_over_the_expansion(monkeypatch):
+    spec = ck_game()
+    canonical = build_supersinglet(3)
+    calls = []
+
+    def counting_weights(spec, x, state):
+        calls.append(x)
+        return _outcome_weights(spec, x, state)
+
+    monkeypatch.setattr(game, "_outcome_weights", counting_weights)
+    for state in (
+        _sign_flipped(canonical, random.Random(3)),
+        SupersingletState(d=3, terms={p: s for p, s in canonical.terms.items() if p != (2, 1, 0)}),
+    ):
+        calls.clear()
+        report = verify_perfect_strategy(spec, state=state)
+        assert report.determinant_pairs is None
+        assert calls == list(range(spec.m))
+        assert not report.perfect
+
+
+def test_determinant_pairs_meet_hadamards_equality():
+    # d pairwise orthogonal rows: det(V)^2 = prod |v_i|^2 on every context
+    for d, m in ((5, 50), (6, 126), (7, 287)):
+        report = verify_perfect_strategy(merged_game(d))
+        assert len(report.determinant_pairs) == m
+        assert all(det_squared == norms for det_squared, norms in report.determinant_pairs)
+        assert report.perfect and len(report.per_input) == m * d
 
 
 def test_quantum_joint_distribution_matches_the_all_tuples_oracle():

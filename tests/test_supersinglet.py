@@ -11,6 +11,7 @@ from kspt.exact_linalg import determinant, gram_schmidt
 from kspt.supersinglet import (
     DENSE_CHECK_MAX_D,
     SupersingletState,
+    _antisymmetric_constant,
     _product_expansion,
     _signed_permutation_image,
     amplitude,
@@ -192,6 +193,21 @@ def test_reexpand_rejects_a_state_that_is_not_antisymmetric():
     # one nonzero constant times the sign map is read exactly
     negated = SupersingletState(d=3, terms={p: -s for p, s in state.terms.items()})
     assert reexpand_in_basis(negated, basis).total_probability() == 1
+
+
+def test_antisymmetric_constant_reads_c_or_none():
+    signs = build_supersinglet(3).terms
+    for c in (1, -1, 2, Fraction(1, 2)):
+        scaled = SupersingletState(d=3, terms={p: c * s for p, s in signs.items()})
+        assert _antisymmetric_constant(scaled, signs) == c
+    # a flipped sign, a dropped term, the zero state and a state of another d
+    for terms, d in (
+        ({**signs, (0, 1, 2): -1}, 3),
+        ({p: s for p, s in signs.items() if p != (2, 1, 0)}, 3),
+        (dict.fromkeys(signs, 0), 3),
+        (build_supersinglet(4).terms, 4),
+    ):
+        assert _antisymmetric_constant(SupersingletState(d=d, terms=terms), signs) is None
 
 
 def test_reexpand_coefficients_match_the_naive_overlap():

@@ -1,8 +1,11 @@
 """Command-line front end emitting JSON reports.
 
 Every subcommand prints a report object {command, inputs_digest, results,
-timings_ms}; catalog export instead prints the raw interchange document so
-the output round-trips through the importer bit-identically.  Exit codes:
+timings_ms}.  A handler only computes and returns (command, inputs, results,
+exit code); run is the one place that parses, times and prints a report.  The
+parser is built once per process, on first use.  catalog export, the one
+special case in run, prints the raw interchange document instead, so the
+output round-trips through the importer bit-identically.  Exit codes:
 0 success, 1 verification failure (a colorable set, an imperfect strategy, a
 non-unique null space), 2 any refusal (usage, ValueError or OSError: bad input
 or an exceeded budget).  Any other exception is a fault and propagates.  Exact
@@ -12,9 +15,11 @@ rationals are serialized as "num/den" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -42,6 +47,9 @@ from .supersinglet import (
     random_special_unitary,
     reexpand_in_basis,
 )
+
+# what a handler returns: (command, inputs, results, exit code)
+_Report = tuple[str, dict, dict, int]
 
 # state invariance builds the d!-term state for the exact signed check; its
 # time and memory grow ninefold from d = 8 to d = 9
@@ -86,18 +94,16 @@ def _contexts_or_enumerated(vset: VectorSet, contexts: list[Context] | None) -> 
     return enumerate_contexts(vset) if contexts is None else contexts
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
-    if args.catalog_cmd == "list":
-        results = {
-            "builtins": catalog_mod.builtin_names(),
-            "families": ["merged<d> for integer d >= 4"],
-        }
-        _emit("catalog list", {"names": results["builtins"]}, results, t0)
-        return 0
-    vset, contexts, _ = _load_set(args)
-    doc = to_json_dict(vset, contexts)
-    text = json.dumps(doc, indent=1)
+def _cmd_catalog(args: argparse.Namespace) -> _Report:
+    names = catalog_mod.builtin_names()
+    results = {"builtins": names, "families": ["merged<d> for integer d >= 4"]}
+    return "catalog list", {"names": names}, results, 0
+
+
+def _export(args: argparse.Namespace) -> int:
+    """catalog export: the interchange document itself, not a report."""
+    _, _, inputs = _load_set(args)
+    text = json.dumps(inputs["doc"], indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -106,8 +112,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ks(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_ks(args: argparse.Namespace) -> _Report:
     vset, contexts, inputs = _load_set(args)
     if args.ks_cmd == "complete":
         completed = complete_set(vset)
@@ -120,13 +125,11 @@ def _cmd_ks(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(to_json_dict(completed), fh, indent=1)
                 fh.write("\n")
-        _emit("ks complete", inputs, results, t0)
-        return 0
+        return "ks complete", inputs, results, 0
     contexts = _contexts_or_enumerated(vset, contexts)
     if args.ks_cmd == "contexts":
         results = {"count": len(contexts), "contexts": [list(c) for c in contexts]}
-        _emit("ks contexts", inputs, results, t0)
-        return 0
+        return "ks contexts", inputs, results, 0
     inputs = {**inputs, "edges_from_contexts_only": args.edges_from_contexts_only}
     decision = check_ks_property(
         vset, contexts, edges_from_contexts_only=args.edges_from_contexts_only
@@ -138,12 +141,10 @@ def _cmd_ks(args: argparse.Namespace) -> int:
     }
     if decision.witness is not None:
         results["witness"] = list(decision.witness)
-    _emit("ks verify", inputs, results, t0)
-    return 0 if decision.uncolorable else 1
+    return "ks verify", inputs, results, 0 if decision.uncolorable else 1
 
 
-def _cmd_state(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_state(args: argparse.Namespace) -> _Report:
     if args.state_cmd == "expand":
         vset, contexts, inputs = _load_set(args)
         contexts = _contexts_or_enumerated(vset, contexts)
@@ -169,8 +170,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
             "terms": terms,
             "total_probability": _fr(expansion.total_probability()),
         }
-        _emit("state expand", {**inputs, "context": args.context}, results, t0)
-        return 0
+        return "state expand", {**inputs, "context": args.context}, results, 0
     d = args.d
     if args.samples < 0 or args.signed < 0:
         raise ValueError("--samples and --signed must be non-negative")
@@ -180,13 +180,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
     if d > _STATE_MAX_D:
         raise ValueError(f"--d must be at most {_STATE_MAX_D}: the d!-term state is built")
-    inputs = {
-        "d": d,
-        "samples": args.samples,
-        "signed": args.signed,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-    }
+    inputs = {k: getattr(args, k) for k in ("d", "samples", "signed", "seed", "tolerance")}
     state = build_supersinglet(d)
     max_dev_id = 0.0
     max_dev_det = 0.0
@@ -212,13 +206,11 @@ def _cmd_state(args: argparse.Namespace) -> int:
         "signed_exact_det_covariance": signed_ok,
         "signed_determinants": dets,
     }
-    _emit("state invariance", inputs, results, t0)
     ok = signed_ok and max_dev_id <= args.tolerance
-    return 0 if ok else 1
+    return "state invariance", inputs, results, 0 if ok else 1
 
 
-def _cmd_game(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_game(args: argparse.Namespace) -> _Report:
     vset, contexts, inputs = _load_set(args)
     contexts = _contexts_or_enumerated(vset, contexts)
     spec = GameSpec(d=vset.dim, vset=vset, contexts=tuple(contexts))
@@ -231,8 +223,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
             "min": _fr(report.min_success),
             "perfect": report.perfect,
         }
-        _emit("game quantum-verify", inputs, results, t0)
-        return 0 if report.perfect else 1
+        return "game quantum-verify", inputs, results, 0 if report.perfect else 1
     report = classical_value_report(spec)
     results = {
         "value": _fr(report.value),
@@ -246,8 +237,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
             "context_choices": [list(c) for c in report.context_choices],
         },
     }
-    _emit("game classical-bound", inputs, results, t0)
-    return 0
+    return "game classical-bound", inputs, results, 0
 
 
 def _parse_context_args(raw: list[str]) -> list[Context]:
@@ -260,16 +250,7 @@ def _parse_context_args(raw: list[str]) -> list[Context]:
     return contexts
 
 
-def _witness_json(witness) -> dict[str, str] | None:
-    if witness is None:
-        return None
-    return {
-        ",".join(map(str, p)): _fr(v) for p, v in sorted(witness.terms.items())
-    }
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def _cmd_selftest(args: argparse.Namespace) -> _Report:
     if args.d is not None:
         if args.contexts:
             raise ValueError("--contexts needs --builtin or --set, not --d")
@@ -293,10 +274,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         rank=report.rank,
         nullity=report.nullity,
         unique=report.unique,
-        witness=_witness_json(report.witness),
+        witness=None if report.witness is None else {
+            ",".join(map(str, p)): _fr(v) for p, v in sorted(report.witness.terms.items())
+        },
     )
-    _emit("selftest", inputs, results, t0)
-    return 0 if report.unique else 1
+    return "selftest", inputs, results, 0 if report.unique else 1
 
 
 def integer(text: str) -> int:
@@ -311,12 +293,24 @@ def integer(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
+def real(text: str) -> float:
+    """argparse type: ASCII float notation, nan, inf or -inf.
+
+    float() would also read Arabic-Indic digits, 1_0 and " 0.5"; nan, inf and
+    negative values still reach the command's range check.
+    """
+    if not re.fullmatch(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-?inf|nan", text, re.ASCII):
+        raise ValueError(text)
+    return float(text)
+
+
 def _add_set_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", help="built-in set name (see catalog list)")
     group.add_argument("--set", help="path to an interchange JSON document")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kspt",
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--samples", type=integer, default=20, help="random special unitaries")
     p_inv.add_argument("--signed", type=integer, default=5, help="signed permutation matrices")
     p_inv.add_argument("--seed", type=integer, default=0)
-    p_inv.add_argument("--tolerance", type=float, default=1e-10)
+    p_inv.add_argument("--tolerance", type=real, default=1e-10)
 
     p_game = sub.add_parser("game", help="quantum and classical game values")
     game_sub = p_game.add_subparsers(dest="game_cmd", required=True)
@@ -393,13 +387,17 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.monotonic()
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "catalog" and args.catalog_cmd == "export":
+            return _export(args)
+        command, inputs, results, code = _HANDLERS[args.command](args)
+        _emit(command, inputs, results, t0)
+        return code
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",

@@ -34,11 +34,24 @@ DENSE_CHECK_MAX_D = 6
 
 
 def levi_civita(p: Permutation) -> int:
-    """Sign of a permutation of range(d): +1 even, -1 odd."""
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"not a permutation of range({len(p)}): {p!r}")
-    inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation of range(d): +1 even, -1 odd.
+
+    A permutation with c cycles is a product of d - c transpositions, so one
+    walk over the cycles, O(d), gives the sign.
+    """
+    d = len(p)
+    if sorted(p) != list(range(d)):
+        raise ValueError(f"not a permutation of range({d}): {p!r}")
+    seen = [False] * d
+    cycles = 0
+    for start in range(d):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = p[i]
+    return -1 if (d - cycles) % 2 else 1
 
 
 @dataclass(frozen=True)

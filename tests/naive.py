@@ -12,6 +12,9 @@ every context on every propagation pass.  It branches exactly as
 check_ks_property does (contexts in sorted order, members in context order),
 so the two must agree on the verdict, the node count and the witness.
 
+naive_levi_civita: the sign of a permutation from its inversions, counted
+pair by pair, the O(d^2) count the cycle walk of levi_civita replaced.
+
 naive_amplitude_coeff and naive_row / naive_constraint_rows: the product
 expansion computed the long way.  The amplitude loops over every term of the
 state; the rows walk all d^d outcome tuples of a context and expand each one
@@ -140,6 +143,12 @@ def naive_ks_search(vset, contexts, edges_from_contexts_only=False):
 
     witness = dfs(0, set(), set())
     return ("uncolorable" if witness is None else "colorable"), nodes, witness
+
+
+def naive_levi_civita(p):
+    """(-1) ** (number of pairs i < j with p[i] > p[j])."""
+    inversions = sum(p[i] > p[j] for i, j in combinations(range(len(p)), 2))
+    return -1 if inversions % 2 else 1
 
 
 def naive_amplitude_coeff(state, party_vectors):

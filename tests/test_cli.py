@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -31,6 +32,46 @@ def test_report_shape_and_digest(capsys):
     assert report["command"] == "ks contexts"
     assert re.fullmatch(r"[0-9a-f]{64}", report["inputs_digest"])
     assert "total" in report["timings_ms"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("catalog list", []),
+        ("ks verify", ["--builtin", "ceg18"]),
+        ("ks contexts", ["--builtin", "ceg18"]),
+        ("ks complete", ["--builtin", "ceg18"]),
+        ("state expand", ["--builtin", "ceg18", "--context", "0"]),
+        ("state invariance", ["--d", "3", "--samples", "1", "--signed", "1"]),
+        ("game quantum-verify", ["--builtin", "ceg18"]),
+        ("game classical-bound", ["--builtin", "ceg18"]),
+        ("selftest", ["--d", "4"]),
+    ],
+)
+def test_every_report_command_has_the_report_shape(capsys, monkeypatch, command, flags):
+    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
+    code, report = run_report(capsys, [*command.split(), *flags])
+    assert code == 0
+    assert set(report) == {"command", "inputs_digest", "results", "timings_ms"}
+    assert report["command"] == command
+    assert "total" in report["timings_ms"]
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(["catalog", "list"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["catalog", "list"]) == 0
+    assert run(["ks", "contexts", "--builtin", "ceg18"]) == 0
+    assert run(["state", "invariance", "--d", "x"]) == 2
+    capsys.readouterr()
+    assert built == []
 
 
 def test_inputs_digest_is_deterministic_and_input_sensitive(capsys):
@@ -309,6 +350,16 @@ def test_state_invariance_refuses_bad_requests_before_building_the_state(
     monkeypatch.setattr("kspt.cli.build_supersinglet", refuse)
     assert run(["state", "invariance", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["\u0661", "1_0", " 0.5"])
+def test_tolerance_has_one_spelling(capsys, raw):
+    # float() would read these as 1.0, 10.0 and 0.5 and run the command
+    argv = ["state", "invariance", "--d", "3", "--samples", "1", "--signed", "0"]
+    assert run([*argv, "--tolerance", raw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid real value: {raw!r}" in captured.err
 
 
 @pytest.mark.parametrize(

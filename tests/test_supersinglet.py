@@ -23,7 +23,7 @@ from kspt.supersinglet import (
     random_special_unitary,
     reexpand_in_basis,
 )
-from naive import naive_amplitude_coeff, naive_row
+from naive import naive_amplitude_coeff, naive_levi_civita, naive_row
 
 
 def test_levi_civita_examples():
@@ -34,6 +34,12 @@ def test_levi_civita_examples():
     assert levi_civita((1, 0, 2)) == -1
     assert levi_civita((2, 3, 0, 1)) == 1
     assert levi_civita((0, 1, 3, 2)) == -1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_levi_civita_matches_the_inversion_count(d):
+    for p in permutations(range(d)):
+        assert levi_civita(p) == naive_levi_civita(p), p
 
 
 def test_levi_civita_rejects_non_permutations():

@@ -2,10 +2,10 @@
 
 Every subcommand prints a report object {command, inputs_digest, results,
 timings_ms}.  A handler only computes and returns (command, inputs, results,
-exit code); run is the one place that parses, times and prints a report.  The
-parser is built once per process, on first use.  catalog export, the one
-special case in run, prints the raw interchange document instead, so the
-output round-trips through the importer bit-identically.  Exit codes:
+exit code); run is the one place that parses, times and prints a report.
+catalog export, the one special case in run, prints the raw interchange
+document instead, so the output round-trips through the importer
+bit-identically.  Exit codes:
 0 success, 1 verification failure (a colorable set, an imperfect strategy, a
 non-unique null space), 2 any refusal (usage, ValueError or OSError: bad input
 or an exceeded budget).  Any other exception is a fault and propagates.  Exact
@@ -15,11 +15,9 @@ rationals are serialized as "num/den" strings, never floats.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from fractions import Fraction
@@ -180,7 +178,13 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
     if d > _STATE_MAX_D:
         raise ValueError(f"--d must be at most {_STATE_MAX_D}: the d!-term state is built")
-    inputs = {k: getattr(args, k) for k in ("d", "samples", "signed", "seed", "tolerance")}
+    inputs = {
+        "d": d,
+        "samples": args.samples,
+        "signed": args.signed,
+        "seed": args.seed,
+        "tolerance": args.tolerance,
+    }
     state = build_supersinglet(d)
     max_dev_id = 0.0
     max_dev_det = 0.0
@@ -250,6 +254,14 @@ def _parse_context_args(raw: list[str]) -> list[Context]:
     return contexts
 
 
+def _witness_json(witness) -> dict[str, str] | None:
+    if witness is None:
+        return None
+    return {
+        ",".join(map(str, p)): _fr(v) for p, v in sorted(witness.terms.items())
+    }
+
+
 def _cmd_selftest(args: argparse.Namespace) -> _Report:
     if args.d is not None:
         if args.contexts:
@@ -274,9 +286,7 @@ def _cmd_selftest(args: argparse.Namespace) -> _Report:
         rank=report.rank,
         nullity=report.nullity,
         unique=report.unique,
-        witness=None if report.witness is None else {
-            ",".join(map(str, p)): _fr(v) for p, v in sorted(report.witness.terms.items())
-        },
+        witness=_witness_json(report.witness),
     )
     return "selftest", inputs, results, 0 if report.unique else 1
 
@@ -294,12 +304,12 @@ def integer(text: str) -> int:
 
 
 def real(text: str) -> float:
-    """argparse type: ASCII float notation, nan, inf or -inf.
+    """argparse type: float() of ASCII text with no '_' and no surrounding space.
 
-    float() would also read Arabic-Indic digits, 1_0 and " 0.5"; nan, inf and
-    negative values still reach the command's range check.
+    float() alone would also read Arabic-Indic digits, 1_0 and " 0.5"; nan, inf
+    and negative values still reach the command's range check.
     """
-    if not re.fullmatch(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-?inf|nan", text, re.ASCII):
+    if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(text)
     return float(text)
 
@@ -310,7 +320,6 @@ def _add_set_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--set", help="path to an interchange JSON document")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kspt",

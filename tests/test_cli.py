@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib
 import json
@@ -55,23 +54,6 @@ def test_every_report_command_has_the_report_shape(capsys, monkeypatch, command,
     assert set(report) == {"command", "inputs_digest", "results", "timings_ms"}
     assert report["command"] == command
     assert "total" in report["timings_ms"]
-
-
-def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
-    run(["catalog", "list"])
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run(["catalog", "list"]) == 0
-    assert run(["ks", "contexts", "--builtin", "ceg18"]) == 0
-    assert run(["state", "invariance", "--d", "x"]) == 2
-    capsys.readouterr()
-    assert built == []
 
 
 def test_inputs_digest_is_deterministic_and_input_sensitive(capsys):
@@ -360,6 +342,22 @@ def test_tolerance_has_one_spelling(capsys, raw):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"invalid real value: {raw!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "raw, code, message",
+    [
+        ("+0.5", 0, ""),
+        ("+1e-10", 0, ""),
+        ("NaN", 2, "--tolerance must be finite and non-negative"),
+        ("Infinity", 2, "--tolerance must be finite and non-negative"),
+        ("-nan", 2, "--tolerance must be finite and non-negative"),
+    ],
+)
+def test_tolerance_keeps_the_other_float_spellings(capsys, raw, code, message):
+    argv = ["state", "invariance", "--d", "3", "--samples", "1", "--signed", "0"]
+    assert run([*argv, f"--tolerance={raw}"]) == code
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -7,19 +7,25 @@ property when no 0/1 assignment to the rays gives every context exactly one
 1 while never putting two 1s on an orthogonal pair.
 
 Each set builds its orthogonality graph once, on first use, and every
-consumer reads that graph.  Adjacency is held as one integer bitmask per
-vertex, and a context as the bitmask of its members; check_context is the
-one test that a context is an orthogonal basis of its set.  Contexts are
+consumer reads that graph; complete_set grows each round's graph from the
+last.  Adjacency is held as one integer bitmask per vertex, and a context as
+the bitmask of its members; check_context is the one test that a context is
+an orthogonal basis of its set, and it returns that bitmask.  Contexts are
 found by pivoted Bron-Kerbosch on the adjacency masks, which is exact here
-because every d-clique is a maximal clique.  The colorability search is a
-depth-first search over contexts: branch on which member of an unsatisfied
-context receives the 1, propagate forced 0s along edges, and propagate
-forced 1s for contexts left with a single viable member.  Propagation is
-incremental: the 1s and 0s are two bitmasks handed down the search, so
-backtracking restores nothing, and a vertex fixed to 0 revisits only the
-contexts that hold it, each with two ANDs.  Condition (i) can be read with
-all graph edges (default) or only with pairs that co-occur in a supplied
-context; the two readings coincide on complete sets.
+because every d-clique is a maximal clique; once a clique is two members
+short of d, each edge among its candidates completes one context.  The
+colorability search is a depth-first search over contexts: branch on which
+member of an unsatisfied context receives the 1, propagate forced 0s along
+edges, and propagate forced 1s for contexts left with a single viable
+member.  Its state is a few integer bitmasks handed down the search, so
+backtracking restores nothing: the vertices fixed to 1 and to 0, the
+contexts holding a 1, and each context's count of members not fixed to 0,
+bit-sliced into one mask over the contexts per bit of the count.  A vertex
+fixed to 0 subtracts the mask of its contexts from every count with a ripple
+borrow, and one pass over the masks finds the contexts with no 1 left with
+one viable member (a forced 1) or none (a conflict).  Condition (i) can be
+read with all graph edges (default) or only with pairs that co-occur in a
+supplied context; the two readings coincide on complete sets.
 """
 
 from __future__ import annotations
@@ -120,10 +126,19 @@ class KSDecision:
 
 def build_orthogonality_graph(vset: VectorSet) -> OrthogonalityGraph:
     """Edge (i,j) iff the exact inner product of rays i and j is zero."""
-    edges = set()
-    for i in range(vset.n):
-        for j in range(i + 1, vset.n):
-            if inner_product(vset.vectors[i], vset.vectors[j]) == 0:
+    return _grown_graph(OrthogonalityGraph(n=0, edges=frozenset()), vset)
+
+
+def _grown_graph(graph: OrthogonalityGraph, vset: VectorSet) -> OrthogonalityGraph:
+    """The orthogonality graph of vset, given graph, that of its first graph.n rays.
+
+    Only the pairs with a ray past graph.n cost an inner product.
+    """
+    vectors = vset.vectors
+    edges = set(graph.edges)
+    for j in range(graph.n, vset.n):
+        for i in range(j):
+            if inner_product(vectors[i], vectors[j]) == 0:
                 edges.add((i, j))
     return OrthogonalityGraph(n=vset.n, edges=frozenset(edges))
 
@@ -138,7 +153,9 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     (adjacent to the whole clique, not yet tried) and the tried vertices X
     are bitmasks; the pivot is the vertex of P | X with the most neighbours
     in P (Tomita), and a branch stops once the clique plus P is smaller
-    than d.
+    than d.  At clique size d - 2 every edge inside P completes its own
+    context (a tried vertex adjacent to both ends would make a (d+1)-clique),
+    so that level lists the edges of P instead of recursing.
     """
     adj = vset.graph._masks
     d = vset.dim
@@ -147,12 +164,17 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     def expand(clique: list[int], p: int, x: int) -> None:
         if len(clique) + p.bit_count() < d:
             return
-        if len(clique) == d - 1:
-            # no two candidates are adjacent (that would be a (d+1)-clique),
-            # so each one completes its own context
-            out.extend(tuple(sorted(clique + [v])) for v in _bits(p))
+        if len(clique) == d - 2:
+            for v in _bits(p):
+                p ^= 1 << v  # p now holds the candidates above v
+                for w in _bits(p & adj[v]):
+                    out.append(tuple(sorted(clique + [v, w])))
             return
-        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        most = -1
+        for u in _bits(p | x):
+            k = (p & adj[u]).bit_count()
+            if k > most:
+                most, pivot = k, u
         for v in _bits(p & ~adj[pivot]):
             expand(clique + [v], p & adj[v], x & adj[v])
             p &= ~(1 << v)
@@ -163,38 +185,43 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     return out
 
 
-def check_context(vset: VectorSet, ctx: Context) -> None:
+def check_context(vset: VectorSet, ctx: Context) -> int:
     """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
 
-    The checks run in order: d distinct members, every member in [0, n)
-    (before any mask lookup, so a negative index cannot alias a vertex),
-    then pairwise orthogonality from the graph's masks.
+    Returns the bitmask of its members.  The checks run in order: d distinct
+    members, every member in [0, n) (before any mask lookup, so a negative
+    index cannot alias a vertex), then pairwise orthogonality from the
+    graph's masks.
     """
     d, n = vset.dim, vset.n
     if len(ctx) != d or len(set(ctx)) != d:
         raise ValueError(f"context {ctx} must have {d} distinct members")
-    if any(not 0 <= v < n for v in ctx):
-        raise ValueError(f"context {ctx} has a member outside [0, {n})")
+    for v in ctx:
+        if not 0 <= v < n:
+            raise ValueError(f"context {ctx} has a member outside [0, {n})")
+    mask = 0
+    for v in ctx:
+        mask |= 1 << v
     adj = vset.graph._masks
-    mask = sum(1 << v for v in ctx)
-    if any(mask & ~adj[v] != 1 << v for v in ctx):
-        raise ValueError(f"context {ctx} is not an orthogonal basis")
+    for v in ctx:
+        if mask & ~adj[v] != 1 << v:
+            raise ValueError(f"context {ctx} is not an orthogonal basis")
+    return mask
 
 
 def _condition_masks(
-    vset: VectorSet, contexts: list[Context], edges_from_contexts_only: bool
+    vset: VectorSet, members: list[int], edges_from_contexts_only: bool
 ) -> tuple[int, ...]:
     """Per vertex, the mask of the vertices condition (i) forbids beside a 1.
 
     All graph neighbours by default; with edges_from_contexts_only, only the
-    vertices that share a context with it.
+    vertices that share a context with it (members: the contexts' masks).
     """
     if not edges_from_contexts_only:
         return vset.graph._masks
     nbr = [0] * vset.n
-    for ctx in contexts:
-        mask = sum(1 << v for v in ctx)
-        for v in ctx:
+    for mask in members:
+        for v in _bits(mask):
             nbr[v] |= mask
     return tuple(m & ~(1 << v) for v, m in enumerate(nbr))
 
@@ -208,13 +235,12 @@ def validate_assignment(
     """Check conditions (i) and (ii) for a 0/1 assignment directly."""
     if len(assignment) != vset.n or any(b not in (0, 1) for b in assignment):
         return False
-    for ctx in contexts:
-        check_context(vset, ctx)
-    nbr = _condition_masks(vset, contexts, edges_from_contexts_only)
+    members = [check_context(vset, ctx) for ctx in contexts]
+    nbr = _condition_masks(vset, members, edges_from_contexts_only)
     ones = sum(1 << v for v, b in enumerate(assignment) if b)
     if any(nbr[v] & ones for v in _bits(ones)):
         return False
-    return all(sum(assignment[v] for v in ctx) == 1 for ctx in contexts)
+    return all((m & ones).bit_count() == 1 for m in members)
 
 
 def check_ks_property(
@@ -230,61 +256,85 @@ def check_ks_property(
     """
     if not contexts:
         raise ValueError("KS property is undefined without contexts")
-    n = vset.n
-    for ctx in contexts:
-        check_context(vset, ctx)
-
-    order = sorted(contexts)
-    members = [sum(1 << v for v in ctx) for ctx in order]
-    # holding[u]: the member masks of the contexts that hold u
-    holding: list[list[int]] = [[] for _ in range(n)]
-    for ctx, m in zip(order, members):
+    n, d = vset.n, vset.dim
+    masks = [check_context(vset, ctx) for ctx in contexts]
+    # the contexts in sorted order and their masks, sorted through an index
+    # list so that no (context, mask) pair is made per context
+    index = sorted(range(len(contexts)), key=contexts.__getitem__)
+    order = [contexts[i] for i in index]
+    members = [masks[i] for i in index]
+    # held[u]: bit i set when the i-th sorted context holds u
+    rows = [bytearray((len(order) + 7) // 8) for _ in range(n)]
+    for i, ctx in enumerate(order):
+        byte, bit = i >> 3, 1 << (i & 7)
         for v in ctx:
-            holding[v].append(m)
-    nbr = _condition_masks(vset, contexts, edges_from_contexts_only)
+            rows[v][byte] |= bit
+    held = [int.from_bytes(row, "little") for row in rows]
+    nbr = _condition_masks(vset, masks, edges_from_contexts_only)
+    every = (1 << len(order)) - 1
+    # free[j]: the contexts whose count of members not fixed to 0 has bit j
+    # set, one mask per bit; every count starts at d
+    start = tuple(every if d >> j & 1 else 0 for j in range(d.bit_length()))
     nodes = 0
 
-    def propagate(v: int, ones: int, zeros: int) -> tuple[int, int] | None:
+    def propagate(
+        v: int, ones: int, zeros: int, sat: int, free: tuple[int, ...]
+    ) -> tuple[int, int, int, tuple[int, ...]] | None:
         # set v to 1 and close under the forced moves: the neighbours of a 1
         # are 0, and a context with no 1 and one member not 0 forces it to 1.
-        # A forced vertex joins ones at once, so no later visit forces it again.
+        # sat is the mask of the contexts holding a 1.
+        free = list(free)
         ones |= 1 << v
+        sat |= held[v]
         queue = [v]
         while queue:
-            v = queue.pop()
-            if nbr[v] & ones:
-                return None
-            new = nbr[v] & ~zeros
-            zeros |= new
-            for u in _bits(new):
-                for m in holding[u]:
-                    if not m & ones:
-                        left = m & ~zeros
-                        if not left & (left - 1):
-                            if not left:
-                                return None
-                            ones |= left
-                            queue.append(left.bit_length() - 1)
-        return ones, zeros
+            for v in queue:
+                if nbr[v] & ones:
+                    return None
+                new = nbr[v] & ~zeros
+                zeros |= new
+                for u in _bits(new):
+                    # subtract held[u] from every count, borrowing plane to plane
+                    borrow = held[u]
+                    for j, plane in enumerate(free):
+                        free[j] = plane ^ borrow
+                        borrow &= ~plane
+                        if not borrow:
+                            break
+            queue = []
+            high = 0
+            for plane in free[1:]:
+                high |= plane
+            unsat = every & ~sat
+            if unsat & ~(free[0] | high):
+                return None  # a context with no 1 and every member 0
+            units = unsat & free[0] & ~high
+            while units:
+                # the first unit's one free member, which may settle others
+                u = (members[(units & -units).bit_length() - 1] & ~zeros).bit_length() - 1
+                ones |= 1 << u
+                sat |= held[u]
+                units &= ~sat
+                queue.append(u)
+        return ones, zeros, sat, tuple(free)
 
-    def dfs(idx: int, ones: int, zeros: int) -> tuple[int, ...] | None:
+    def dfs(ones: int, zeros: int, sat: int, free: tuple[int, ...]) -> tuple[int, ...] | None:
         nonlocal nodes
-        while idx < len(order) and members[idx] & ones:
-            idx += 1
-        if idx == len(order):
+        unsat = every & ~sat
+        if not unsat:
             return tuple(ones >> i & 1 for i in range(n))
-        for v in order[idx]:
+        for v in order[(unsat & -unsat).bit_length() - 1]:
             if zeros >> v & 1:
                 continue
             nodes += 1
-            closed = propagate(v, ones, zeros)
+            closed = propagate(v, ones, zeros, sat, free)
             if closed is not None:
-                witness = dfs(idx + 1, *closed)
+                witness = dfs(*closed)
                 if witness is not None:
                     return witness
         return None
 
-    witness = dfs(0, 0, 0)
+    witness = dfs(0, 0, 0, start)
     if witness is None:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
     if not validate_assignment(vset, contexts, witness, edges_from_contexts_only):
@@ -322,15 +372,21 @@ def complete_set(vset: VectorSet) -> VectorSet:
 
     Round by round, every currently uncovered edge (in lexicographic order)
     gets the orthocomplement basis of its two rays appended (canonical
-    primitive representatives, deduplicated against the set so far).  Raises
-    ValueError if the closure does not stabilize within MAX_ROUNDS.
+    primitive representatives, deduplicated against the set so far).  Each
+    round's orthogonality graph is the last one's plus the pairs with an added
+    ray.  Raises ValueError if the closure does not stabilize within
+    MAX_ROUNDS.
     """
     vectors = list(vset.vectors)
     labels = list(vset.labels) if vset.labels is not None else None
     rays = {primitive(v) for v in vectors}
     added = 0
+    graph = OrthogonalityGraph(n=0, edges=frozenset())
     for _ in range(MAX_ROUNDS):
         current = VectorSet(dim=vset.dim, vectors=tuple(vectors), labels=tuple(labels) if labels else None)
+        # the last round's graph grown by the rays added since, stored where
+        # the cached VectorSet.graph would put it
+        graph = vars(current)["graph"] = _grown_graph(graph, current)
         complete, uncovered = check_completeness(current)
         if complete:
             return current

@@ -42,6 +42,12 @@ def levi_civita(p: Permutation) -> int:
     d = len(p)
     if sorted(p) != list(range(d)):
         raise ValueError(f"not a permutation of range({d}): {p!r}")
+    return _cycle_sign(p)
+
+
+def _cycle_sign(p: Permutation) -> int:
+    """levi_civita(p) for a p already known to be a permutation of range(len(p))."""
+    d = len(p)
     seen = [False] * d
     cycles = 0
     for start in range(d):
@@ -71,8 +77,12 @@ class SupersingletState:
 def build_supersinglet(d: int) -> SupersingletState:
     if d < 2:
         raise ValueError("antisymmetric state needs d >= 2")
-    terms = {p: levi_civita(p) for p in permutations(range(d))}
-    return SupersingletState(d=d, terms=terms)
+    # itertools.permutations yields only permutations of range(d), so neither
+    # levi_civita's check nor the state's check on its keys runs on them
+    state = object.__new__(SupersingletState)
+    object.__setattr__(state, "d", d)
+    object.__setattr__(state, "terms", {p: _cycle_sign(p) for p in permutations(range(d))})
+    return state
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from kspt.ks_sets import (
     VectorSet,
     build_orthogonality_graph,
     check_completeness,
+    check_context,
     check_ks_property,
     complete_set,
     enumerate_contexts,
@@ -117,6 +118,25 @@ def test_contexts_agree_with_networkx_cliques():
         assert enumerate_contexts(vset) == sorted(cliques)
 
 
+def _networkx_contexts(vset):
+    g = nx.Graph()
+    g.add_nodes_from(range(vset.n))
+    g.add_edges_from(build_orthogonality_graph(vset).edges)
+    return sorted(tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == vset.dim)
+
+
+# e0, e1 and two more orthogonal pairs in the plane, and (3, 1) orthogonal to none
+DIM2 = VectorSet(dim=2, vectors=((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1), (3, 1)))
+
+
+def test_contexts_agree_with_networkx_cliques_on_larger_and_planar_sets():
+    # merged7 and merged8 list edges at clique size 5 and 6; in dimension 2
+    # that level is the root, where every edge is a context
+    for vset in (merged_peres(7), merged_peres(8), DIM2):
+        assert enumerate_contexts(vset) == _networkx_contexts(vset)
+    assert enumerate_contexts(DIM2) == [(0, 1), (2, 3), (4, 5)]
+
+
 def test_maximal_cliques_smaller_than_d_are_not_contexts():
     # {0, 1, 2} is the one triad; {0, 3} is a maximal clique of size 2, and
     # (0, 1, 1) spans no edge with (0, 1, 0) or (0, 0, 1)
@@ -145,6 +165,51 @@ def test_search_matches_the_rescan_oracle_on_random_context_subsets():
                 assert (decision.verdict, decision.nodes, decision.witness) == expected
                 verdicts.add(decision.verdict)
     assert verdicts == {"colorable", "uncolorable"}
+
+
+def _oracle_checked_verdicts(vset, contexts):
+    """The verdicts under both readings of condition (i), each search checked
+    against the rescan oracle: verdict, node count and witness."""
+    verdicts = []
+    for only in (False, True):
+        decision = check_ks_property(vset, contexts, edges_from_contexts_only=only)
+        expected = naive_ks_search(vset, contexts, only)
+        assert (decision.verdict, decision.nodes, decision.witness) == expected
+        verdicts.append(decision.verdict)
+    return tuple(verdicts)
+
+
+UNCOLORABLE = ("uncolorable", "uncolorable")
+COLORABLE = ("colorable", "colorable")
+
+
+def test_search_matches_the_rescan_oracle_on_full_merged_sets():
+    # hundreds to thousands of contexts: the per-context masks span many
+    # machine words, and at d = 8 = 0b1000 a first 0 borrows through every
+    # bit of each count
+    for d in (7, 8, 10):
+        vset = merged_peres(d)
+        assert _oracle_checked_verdicts(vset, enumerate_contexts(vset)) == UNCOLORABLE
+    merged10 = merged_peres(10)
+    contexts = enumerate_contexts(merged10)
+    assert _oracle_checked_verdicts(merged10, contexts[:3088]) == COLORABLE
+    assert _oracle_checked_verdicts(merged10, contexts[-1000:]) == COLORABLE
+
+
+def test_search_matches_the_rescan_oracle_on_edge_cases():
+    # dimension 2, where every context is one edge
+    assert _oracle_checked_verdicts(DIM2, enumerate_contexts(DIM2)) == COLORABLE
+    # a context listed twice, in a refuted and in a colorable family
+    ceg, tetrads = catalog_ceg18()
+    assert _oracle_checked_verdicts(ceg, tetrads + tetrads[:1]) == UNCOLORABLE
+    peres = catalog_peres24()
+    contexts = enumerate_contexts(peres)
+    assert _oracle_checked_verdicts(peres, contexts[:11] + contexts[3:5]) == COLORABLE
+    # vertices in no context: (3, 1) in the plane, and ck31's rays outside
+    # its first five triads
+    assert _oracle_checked_verdicts(DIM2, [(4, 5), (0, 1)]) == COLORABLE
+    ck = catalog_conway_kochen31()
+    assert _oracle_checked_verdicts(ck, enumerate_contexts(ck)[:5]) == COLORABLE
 
 
 def test_check_ks_property_requires_contexts():
@@ -222,6 +287,14 @@ def test_canonical_basis_is_colorable_with_valid_witness():
     assert validate_assignment(vset, contexts, decision.witness)
 
 
+def test_check_context_returns_the_member_mask():
+    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))
+    assert check_context(vset, (2, 0, 1)) == 0b111
+    peres = catalog_peres24()
+    for ctx in enumerate_contexts(peres):
+        assert check_context(peres, ctx) == sum(1 << v for v in ctx)
+
+
 def test_validate_assignment_rejects_bad_inputs():
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     contexts = [(0, 1, 2)]
@@ -265,6 +338,13 @@ def test_completeness_goldens():
     ck_complete, ck_uncovered = check_completeness(catalog_conway_kochen31())
     assert not ck_complete
     assert len(ck_uncovered) == 20
+
+
+def test_complete_set_grows_the_graph_of_a_fresh_build():
+    for vset in (catalog_ceg18()[0], catalog_conway_kochen31()):
+        completed = complete_set(vset)
+        assert completed.graph == build_orthogonality_graph(completed)
+        assert enumerate_contexts(completed) == _networkx_contexts(completed)
 
 
 def test_complete_set_is_identity_on_complete_sets():

@@ -66,6 +66,14 @@ def test_build_supersinglet_d3_signs():
     }
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_build_supersinglet_signs_match_the_inversion_count(d):
+    # the terms skip levi_civita's check on the permutations they are built from
+    terms = build_supersinglet(d).terms
+    assert list(terms) == list(permutations(range(d)))
+    assert all(sign == naive_levi_civita(p) for p, sign in terms.items())
+
+
 def test_build_supersinglet_rejects_d1():
     with pytest.raises(ValueError):
         build_supersinglet(1)

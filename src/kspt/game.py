@@ -17,10 +17,10 @@ amplitude gets an integer weight over one denominator, and Fractions are
 formed only for the returned probabilities.
 
 The classical side maximizes over all deterministic strategies: for a fixed
-{0,1} vertex assignment the per-context choices decouple, so one lookup per
-context per assignment in the game's one score table suffices, and
-``scan.best_assignment`` finds the optimum over the 2^n assignments by an
-exact branch and bound, returning the smallest maximizing assignment.
+{0,1} vertex assignment the per-context choices decouple, and a context with
+k ones scores d - |k - 1| in the game's one score table.
+``scan.best_assignment`` finds the least total loss sum |k - 1| by an exact
+branch and bound and returns the smallest maximizing assignment.
 """
 
 from __future__ import annotations
@@ -232,9 +232,10 @@ class ClassicalBoundReport:
 
 
 def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
-    """The exact classical optimum over all 2^n vertex assignments.
+    """The exact classical optimum over the deterministic strategies.
 
-    The branch and bound of scan.best_assignment decides it; the search is
+    The branch and bound of scan.best_assignment decides it over the vertex
+    assignments, on the score table derived from winning_predicate; it is
     guarded by a cap on n (default n <= 26), and the KS_SEARCH_BUDGET
     environment variable (parse_decimal's spelling) raises or lowers the cap;
     a malformed budget or a set over it raises ValueError.  The witness is

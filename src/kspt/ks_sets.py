@@ -180,7 +180,10 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand([], (1 << vset.n) - 1, 0)
+    try:
+        expand([], (1 << vset.n) - 1, 0)
+    finally:
+        del expand  # expand holds itself through its closure
     out.sort()
     return out
 
@@ -243,6 +246,16 @@ def validate_assignment(
     return all((m & ones).bit_count() == 1 for m in members)
 
 
+def _holding_masks(contexts: list[Context], n: int) -> list[int]:
+    """Per vertex u in [0, n), the mask of the contexts holding u: bit i for contexts[i]."""
+    rows = [bytearray((len(contexts) + 7) // 8) for _ in range(n)]
+    for i, ctx in enumerate(contexts):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in ctx:
+            rows[v][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 def check_ks_property(
     vset: VectorSet,
     contexts: list[Context],
@@ -263,13 +276,7 @@ def check_ks_property(
     index = sorted(range(len(contexts)), key=contexts.__getitem__)
     order = [contexts[i] for i in index]
     members = [masks[i] for i in index]
-    # held[u]: bit i set when the i-th sorted context holds u
-    rows = [bytearray((len(order) + 7) // 8) for _ in range(n)]
-    for i, ctx in enumerate(order):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for v in ctx:
-            rows[v][byte] |= bit
-    held = [int.from_bytes(row, "little") for row in rows]
+    held = _holding_masks(order, n)  # bit i of held[u]: the i-th sorted context holds u
     nbr = _condition_masks(vset, masks, edges_from_contexts_only)
     every = (1 << len(order)) - 1
     # free[j]: the contexts whose count of members not fixed to 0 has bit j
@@ -334,7 +341,10 @@ def check_ks_property(
                     return witness
         return None
 
-    witness = dfs(0, 0, 0, start)
+    try:
+        witness = dfs(0, 0, 0, start)
+    finally:
+        del dfs  # dfs holds itself through its closure: free the search state now
     if witness is None:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
     if not validate_assignment(vset, contexts, witness, edges_from_contexts_only):

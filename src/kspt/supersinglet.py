@@ -133,7 +133,10 @@ def _product_expansion(choices: list[list[Vector]]) -> Expansion:
                 a[i] = p
                 rec(i + 1, used | 1 << level, prod * x)
 
-    rec(0, 0, 1)
+    try:
+        rec(0, 0, 1)
+    finally:
+        del rec  # rec holds itself through its closure
     return expansion
 
 

@@ -353,6 +353,16 @@ def test_ck31_witness_is_pinned_over_a_raised_budget(monkeypatch):
     assert report.assignment == tuple((9307809 >> i) & 1 for i in range(31))
 
 
+def test_merged5_witness_is_pinned_over_a_raised_budget(monkeypatch):
+    # n = 39, past the default cap; recorded from the pattern-table search
+    # that the loss bound replaced, with the same node count
+    monkeypatch.setenv("KS_SEARCH_BUDGET", "39")
+    report = classical_value_report(merged_game(5))
+    assert report.value == Fraction(124, 125)
+    assert report.best_total == 248
+    assert report.assignment == tuple(int(i in (0, 4, 8, 12, 16, 20)) for i in range(39))
+
+
 class _ScanCalled(Exception):
     pass
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -27,6 +28,8 @@ from kspt.ks_sets import (
     to_json_dict,
     validate_assignment,
 )
+from kspt.selftest import general_d_selftest
+from kspt.supersinglet import _product_expansion
 
 from naive import naive_ks_search
 
@@ -471,3 +474,26 @@ def test_every_context_is_mutually_orthogonal():
         for ctx in contexts:
             for i, j in itertools.combinations(sorted(ctx), 2):
                 assert (i, j) in graph.edges
+
+
+def _cycles_left_by(call) -> int:
+    """Objects only the cyclic collector frees after call(), gc disabled around it."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    # each search is a nested function that calls itself; once the call
+    # returns, its state must go with plain reference counting
+    vset = merged_peres(8)
+    contexts = enumerate_contexts(vset)
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _cycles_left_by(lambda: check_ks_property(vset, contexts)) == 0
+    assert _cycles_left_by(lambda: enumerate_contexts(vset)) == 0
+    assert _cycles_left_by(lambda: _product_expansion([basis] * 3)) == 0
+    assert _cycles_left_by(lambda: general_d_selftest(4)) == 0

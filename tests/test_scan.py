@@ -2,6 +2,7 @@ import random
 import sys
 
 import numpy as np
+import pytest
 
 from kspt import scan
 from kspt.catalog import catalog_ceg18
@@ -48,38 +49,19 @@ def game_table(d):
 
 
 def test_lanes_match_brute_force_on_random_instances():
-    # random 0..d, tie-heavy 0..1 and game tables; the brute force only
-    # where its Python loop is cheap
+    # the game table on random contexts; the brute force only where its
+    # Python loop is cheap
     rng = random.Random(42)
-    for trial in range(200):
-        n = rng.randint(1, 20)
-        d = rng.randint(1, min(4, n))
-        m = rng.randint(1, 8)
+    for _ in range(1000):
+        n = rng.randint(1, 16)
+        d = rng.randint(1, min(5, n))
+        m = rng.randint(1, 10)
         members = random_instance(rng, n, m=m, d=d)
-        kind = trial % 3
-        if kind == 0:
-            table = [rng.randint(0, d) for _ in range(1 << d)]
-        elif kind == 1:
-            table = [rng.randint(0, 1) for _ in range(1 << d)]
-        else:
-            table = game_table(d)
+        table = game_table(d)
         expected = vectorized_best(members, [table] * m, n)
         if n <= 10:
             assert expected == brute_force_best(members, [table] * m, n)
         assert scan.best_assignment(members, table, n) == expected
-
-
-def test_pattern_bounds_are_maxima_over_agreeing_patterns():
-    rng = random.Random(3)
-    for d in range(1, 5):
-        table = [rng.randint(-2, 5) for _ in range(1 << d)]
-        ub = scan._pattern_bounds(table)
-        for mask in range(1 << d):
-            for bits in range(1 << d):
-                if bits & ~mask:
-                    continue
-                agreeing = [table[p] for p in range(1 << d) if p & mask == bits]
-                assert ub[mask][bits] == max(agreeing)
 
 
 def test_relabeled_ceg18_witnesses_are_pinned():
@@ -98,23 +80,59 @@ def test_relabeled_ceg18_witnesses_are_pinned():
 
 def test_search_deeper_than_the_recursion_limit():
     # the search keeps its own stack, so n past Python's recursion limit is
-    # only a matter of nodes; here the first leaf, v = 0, attains the bound
+    # only a matter of nodes.  Every context (0, j) holds vertex 0, which is
+    # fixed last: no context closes before the last level, whose 1 gives
+    # loss 0 at v = 1, and every later 1 then costs a loss, so about 2n
+    # nodes are entered
     n = sys.getrecursionlimit() + 100
-    assert scan.best_assignment([(i,) for i in range(n)], [1, 0], n) == (n, 0)
+    members = [(0, j) for j in range(1, n)]
+    assert scan.best_assignment(members, game_table(2), n) == (2 * (n - 1), 1)
 
 
 def test_ties_resolve_to_the_smallest_assignment():
-    # a constant table makes every assignment optimal; the winner must be v=0
-    assert scan.best_assignment([(0, 1)], [1, 1, 1, 1], 6) == (1, 0)
+    # vertices 1..5 lie in no context and (0, 1) scores 2 with exactly one
+    # 1, so v = 1, 2, 3 | 4, ... all tie; the winner must be v = 1
+    table = game_table(2)
+    assert vectorized_best([(0, 1)], [table], 6) == (2, 1)
+    assert scan.best_assignment([(0, 1)], table, 6) == (2, 1)
 
 
 def test_split_boundary_tie_is_won_in_a_high_block():
-    # with the xor table the maximum 3 needs v16 != v17, so block h=0 cannot
-    # reach it; it also needs v18 != v4 and v0 != v1, and the smallest such
-    # v is h=1 (v16 = 1, v18 = 0) with low (1 << 4) | 1
+    # for d = 2 the game table is the xor table plus one, so the maximum 6
+    # needs v16 != v17, v18 != v4 and v0 != v1, and the smallest such v is
+    # (1 << 16) | (1 << 4) | 1
     members = [(16, 17), (18, 4), (0, 1)]
-    table = [0, 1, 1, 0]
-    expected = (3, (1 << 16) | (1 << 4) | 1)
+    table = game_table(2)
+    assert table == [1, 2, 2, 1]
+    expected = (6, (1 << 16) | (1 << 4) | 1)
     assert vectorized_best(members, [table] * 3, 19) == expected
     assert scan.best_assignment(members, table, 19) == expected
 
+
+@pytest.mark.parametrize(
+    "table",
+    [[1, 1, 1, 1], [0, 1, 1, 0], [1, 2, 2], [1, 2, 2, 1, 0], [2, 3, 3, 2, 3, 2, 2, 1]],
+)
+def test_only_the_game_table_is_searched(table):
+    # d = 2 contexts: the game table is [1, 2, 2, 1]; anything else, the d = 3
+    # game table included, is refused
+    with pytest.raises(ValueError, match="score table"):
+        scan.best_assignment([(0, 1), (1, 2)], table, 3)
+
+
+@pytest.mark.parametrize(
+    "members, n",
+    [
+        ([(0, 1, 2)] * 4, 5),  # one context repeated
+        ([(0, 1, 2), (2, 1, 0), (1, 0, 2)], 3),  # one context in three orders
+        ([(0, 1), (2, 3), (4, 5), (6, 7)], 8),  # disjoint contexts
+        ([(3, 7), (5, 9)], 12),  # vertices in no context, below and above
+        ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] * 2, 6),  # every 3-subset of 4, twice
+        ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 2, 6)], 9),  # three shared members
+    ],
+)
+def test_search_matches_the_scan_when_contexts_share_members(members, n):
+    table = game_table(len(members[0]))
+    expected = vectorized_best(members, [table] * len(members), n)
+    assert expected == brute_force_best(members, [table] * len(members), n)
+    assert scan.best_assignment(members, table, n) == expected

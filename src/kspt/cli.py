@@ -5,7 +5,8 @@ timings_ms}.  A handler only computes and returns (command, inputs, results,
 exit code); run is the one place that parses, times and prints a report.
 catalog export, the one special case in run, prints the raw interchange
 document instead, so the output round-trips through the importer
-bit-identically.  Exit codes:
+bit-identically.  Loading a set checks its listed contexts once, into the one
+ContextSystem its command reads (enumerated when none are listed).  Exit codes:
 0 success, 1 verification failure (a colorable set, an imperfect strategy, a
 non-unique null space), 2 any refusal (usage, ValueError or OSError: bad input
 or an exceeded budget).  Any other exception is a fault and propagates.  Exact
@@ -27,12 +28,12 @@ from . import scan
 from .game import GameSpec, classical_value_report, verify_perfect_strategy
 from .ks_sets import (
     Context,
+    ContextSystem,
     VectorSet,
     check_ks_property,
     complete_set,
-    enumerate_contexts,
-    from_json_dict,
     parse_decimal,
+    system_from_json_dict,
     to_json_dict,
 )
 from .selftest import MAX_D, certify, general_d_selftest
@@ -75,21 +76,24 @@ def _emit(command: str, inputs: dict, results: dict, t0: float) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _load_set(args: argparse.Namespace) -> tuple[VectorSet, list[Context] | None, dict]:
-    """Resolve --builtin/--set to a vector set, optional contexts, and a digest payload."""
+def _load_set(args: argparse.Namespace) -> tuple[VectorSet, ContextSystem | None, dict]:
+    """Resolve --builtin/--set to a vector set, its listed contexts checked, a digest payload."""
     if getattr(args, "builtin", None):
         vset, contexts = catalog_mod.load_builtin(args.builtin)
-        payload = to_json_dict(vset, contexts)
-        return vset, contexts, {"builtin": args.builtin, "doc": payload}
-    with open(args.set, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    vset, contexts = from_json_dict(doc)
-    return vset, contexts, {"doc": to_json_dict(vset, contexts)}
+        listed = None if contexts is None else ContextSystem.of(vset, contexts)
+        inputs = {"builtin": args.builtin}
+    else:
+        with open(args.set, "r", encoding="utf-8") as fh:
+            vset, listed = system_from_json_dict(json.load(fh))
+        inputs = {}
+    inputs["doc"] = to_json_dict(vset, None if listed is None else listed.contexts)
+    return vset, listed, inputs
 
 
-def _contexts_or_enumerated(vset: VectorSet, contexts: list[Context] | None) -> list[Context]:
-    """The document's contexts, an empty list included, else the enumerated ones."""
-    return enumerate_contexts(vset) if contexts is None else contexts
+def _load_system(args: argparse.Namespace) -> tuple[ContextSystem, dict]:
+    """_load_set's listed contexts, an empty list included, else the enumerated ones."""
+    vset, listed, inputs = _load_set(args)
+    return ContextSystem.of(vset) if listed is None else listed, inputs
 
 
 def _cmd_catalog(args: argparse.Namespace) -> _Report:
@@ -111,8 +115,8 @@ def _export(args: argparse.Namespace) -> int:
 
 
 def _cmd_ks(args: argparse.Namespace) -> _Report:
-    vset, contexts, inputs = _load_set(args)
     if args.ks_cmd == "complete":
+        vset, _, inputs = _load_set(args)
         completed = complete_set(vset)
         results = {
             "original_size": vset.n,
@@ -124,17 +128,15 @@ def _cmd_ks(args: argparse.Namespace) -> _Report:
                 json.dump(to_json_dict(completed), fh, indent=1)
                 fh.write("\n")
         return "ks complete", inputs, results, 0
-    contexts = _contexts_or_enumerated(vset, contexts)
+    system, inputs = _load_system(args)
     if args.ks_cmd == "contexts":
-        results = {"count": len(contexts), "contexts": [list(c) for c in contexts]}
+        results = {"count": len(system.contexts), "contexts": [list(c) for c in system.contexts]}
         return "ks contexts", inputs, results, 0
     inputs = {**inputs, "edges_from_contexts_only": args.edges_from_contexts_only}
-    decision = check_ks_property(
-        vset, contexts, edges_from_contexts_only=args.edges_from_contexts_only
-    )
+    decision = check_ks_property(system, edges_from_contexts_only=args.edges_from_contexts_only)
     results = {
         "verdict": decision.verdict,
-        "contexts": len(contexts),
+        "contexts": len(system.contexts),
         "nodes": decision.nodes,
     }
     if decision.witness is not None:
@@ -144,15 +146,14 @@ def _cmd_ks(args: argparse.Namespace) -> _Report:
 
 def _cmd_state(args: argparse.Namespace) -> _Report:
     if args.state_cmd == "expand":
-        vset, contexts, inputs = _load_set(args)
-        contexts = _contexts_or_enumerated(vset, contexts)
+        system, inputs = _load_system(args)
+        vset, contexts = system.vset, system.contexts
         if not 0 <= args.context < len(contexts):
             raise ValueError(
                 f"context index {args.context} out of range (set has {len(contexts)})"
             )
         ctx = contexts[args.context]
-        d = vset.dim
-        state = build_supersinglet(d)
+        state = build_supersinglet(vset.dim)
         expansion = reexpand_in_basis(state, [vset.vectors[i] for i in ctx])
         terms = [
             {
@@ -215,9 +216,8 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_game(args: argparse.Namespace) -> _Report:
-    vset, contexts, inputs = _load_set(args)
-    contexts = _contexts_or_enumerated(vset, contexts)
-    spec = GameSpec(d=vset.dim, vset=vset, contexts=tuple(contexts))
+    system, inputs = _load_system(args)
+    spec = GameSpec.of(system)
     if args.game_cmd == "quantum-verify":
         report = verify_perfect_strategy(spec)
         results = {
@@ -271,11 +271,12 @@ def _cmd_selftest(args: argparse.Namespace) -> _Report:
     else:
         if args.all_contexts:
             raise ValueError("--all-contexts needs --d")
-        vset, contexts, inputs = _load_set(args)
+        vset, listed, inputs = _load_set(args)
         if not args.contexts:
             raise ValueError("selftest needs --d or --contexts")
         chosen = _parse_context_args(args.contexts)
-        report = certify(vset, _contexts_or_enumerated(vset, contexts), chosen)
+        # enumerated only now, after the refusals that need no contexts
+        report = certify(ContextSystem.of(vset) if listed is None else listed, chosen)
         inputs = {**inputs, "contexts": [list(c) for c in chosen]}
     results = {"d": report.d, "variables": report.variables}
     if args.d is None:

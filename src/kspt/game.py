@@ -1,10 +1,10 @@
 """The d-party vector-set game: exact quantum evaluation and classical optimum.
 
-A game instance is a vector set with a list of contexts (orthogonal bases).
-The first d-1 parties all receive a context index x, the last party receives
-a member y of that context, both uniformly.  They win when the first parties'
-outputs enumerate all of C_x except one member, and the last party's bit says
-whether the left-out member is y.
+A game instance is a vector set with a list of contexts (orthogonal bases,
+checked by ks_sets.ContextSystem.of).  The first d-1 parties all receive a
+context index x, the last party a member y of that context, both uniformly.
+They win when the first parties' outputs enumerate all of C_x except one
+member, and the last party's bit says whether the left-out member is y.
 
 The quantum side evaluates the reference strategy (shared antisymmetric
 state, basis measurements) by one integer determinant per context: for a
@@ -33,7 +33,7 @@ from itertools import combinations
 
 from . import scan
 from .exact_linalg import determinant, norm_squared, primitive
-from .ks_sets import Context, VectorSet, check_context, parse_decimal
+from .ks_sets import Context, ContextSystem, VectorSet, parse_decimal
 from .supersinglet import (
     SupersingletState,
     _antisymmetric_constant,
@@ -52,10 +52,10 @@ OutputTuple = tuple[tuple[int, ...], int]
 class GameSpec:
     """A playable instance: d parties, the vector set, the context alphabet.
 
-    Inputs are drawn uniformly: x over the contexts, then y over C_x.  Every
-    context must pass check_context.  For d distinct nonzero rays, being
-    pairwise orthogonal is the whole projector algebra of a measurement: the
-    rank-one projectors then annihilate each other pairwise and sum to I.
+    Inputs are drawn uniformly: x over the contexts, then y over C_x.  The
+    constructor checks the contexts by ContextSystem.of.  For d distinct
+    nonzero rays, being pairwise orthogonal is the whole projector algebra of
+    a measurement: the rank-one projectors annihilate each other and sum to I.
     """
 
     d: int
@@ -67,8 +67,16 @@ class GameSpec:
             raise ValueError("party count must equal the vector dimension")
         if not self.contexts:
             raise ValueError("need at least one context")
-        for ctx in self.contexts:
-            check_context(self.vset, ctx)
+        ContextSystem.of(self.vset, self.contexts)
+
+    @classmethod
+    def of(cls, system: ContextSystem) -> GameSpec:
+        """The game on a checked system; its contexts are not checked again."""
+        if not system.contexts:
+            raise ValueError("need at least one context")
+        spec = object.__new__(cls)
+        vars(spec).update(d=system.vset.dim, vset=system.vset, contexts=system.contexts)
+        return spec
 
     @property
     def m(self) -> int:
@@ -260,8 +268,7 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
         _best_choice(spec, 0, {y: (pattern >> j) & 1 for j, y in enumerate(ctx)})[0]
         for pattern in range(1 << spec.d)
     ]
-    members = [tuple(c) for c in spec.contexts]
-    best_total, best_v = scan.best_assignment(members, table, n)
+    best_total, best_v = scan.best_assignment(list(spec.contexts), table, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))
     choices = tuple(_best_choice(spec, x, assignment)[1] for x in range(spec.m))
     return ClassicalBoundReport(

@@ -9,9 +9,10 @@ property when no 0/1 assignment to the rays gives every context exactly one
 Each set builds its orthogonality graph once, on first use, and every
 consumer reads that graph; complete_set grows each round's graph from the
 last.  Adjacency is held as one integer bitmask per vertex, and a context as
-the bitmask of its members; check_context is the one test that a context is
-an orthogonal basis of its set, and it returns that bitmask.  Contexts are
-found by pivoted Bron-Kerbosch on the adjacency masks, which is exact here
+the bitmask of its members.  ContextSystem.of runs check_context, the one
+test that a context is an orthogonal basis of its set, once on each listed
+context and on no enumerated one; its consumers trust the system.  Contexts
+are found by pivoted Bron-Kerbosch on the adjacency masks, exact here
 because every d-clique is a maximal clique; once a clique is two members
 short of d, each edge among its candidates completes one context.  The
 colorability search is a depth-first search over contexts: branch on which
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,9 +92,6 @@ class VectorSet:
 class OrthogonalityGraph:
     n: int
     edges: frozenset[Edge]
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(_bits(self._masks[i]))
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
@@ -192,9 +190,9 @@ def check_context(vset: VectorSet, ctx: Context) -> int:
     """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
 
     Returns the bitmask of its members.  The checks run in order: d distinct
-    members, every member in [0, n) (before any mask lookup, so a negative
-    index cannot alias a vertex), then pairwise orthogonality from the
-    graph's masks.
+    members, every member in [0, n) (before any vector is read, so a negative
+    index cannot alias a vertex), then the exact inner product of each of the
+    d(d-1)/2 member pairs; the set's graph is never built.
     """
     d, n = vset.dim, vset.n
     if len(ctx) != d or len(set(ctx)) != d:
@@ -202,48 +200,62 @@ def check_context(vset: VectorSet, ctx: Context) -> int:
     for v in ctx:
         if not 0 <= v < n:
             raise ValueError(f"context {ctx} has a member outside [0, {n})")
-    mask = 0
-    for v in ctx:
-        mask |= 1 << v
-    adj = vset.graph._masks
-    for v in ctx:
-        if mask & ~adj[v] != 1 << v:
+    vectors = vset.vectors
+    for u, v in itertools.combinations(ctx, 2):
+        if inner_product(vectors[u], vectors[v]):
             raise ValueError(f"context {ctx} is not an orthogonal basis")
-    return mask
+    return sum(1 << v for v in ctx)
 
 
-def _condition_masks(
-    vset: VectorSet, members: list[int], edges_from_contexts_only: bool
-) -> tuple[int, ...]:
+@dataclass(frozen=True)
+class ContextSystem:
+    """A set's contexts and their member masks; ContextSystem.of checks, the constructor trusts."""
+
+    vset: VectorSet
+    contexts: tuple[Context, ...]
+    masks: tuple[int, ...]
+
+    @classmethod
+    def of(cls, vset: VectorSet, contexts: Sequence[Context] | None = None) -> ContextSystem:
+        """Each listed context through check_context once, else the enumerated ones unchecked."""
+        if contexts is None:
+            found = tuple(enumerate_contexts(vset))
+            return cls(vset, found, tuple(sum(1 << v for v in ctx) for ctx in found))
+        return cls(vset, tuple(contexts), tuple(check_context(vset, ctx) for ctx in contexts))
+
+    def mask_of(self, ctx: Context) -> int | None:
+        """The mask of ctx if its members, in any order, are one of the contexts, else None."""
+        if len(ctx) != self.vset.dim or len(set(ctx)) != len(ctx) or min(ctx) < 0:
+            return None  # a repeat or a negative member would alias another mask
+        return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
+
+
+def _condition_masks(system: ContextSystem, edges_from_contexts_only: bool) -> tuple[int, ...]:
     """Per vertex, the mask of the vertices condition (i) forbids beside a 1.
 
     All graph neighbours by default; with edges_from_contexts_only, only the
-    vertices that share a context with it (members: the contexts' masks).
+    vertices that share a context of the system with it.
     """
     if not edges_from_contexts_only:
-        return vset.graph._masks
-    nbr = [0] * vset.n
-    for mask in members:
+        return system.vset.graph._masks
+    nbr = [0] * system.vset.n
+    for mask in system.masks:
         for v in _bits(mask):
             nbr[v] |= mask
     return tuple(m & ~(1 << v) for v, m in enumerate(nbr))
 
 
 def validate_assignment(
-    vset: VectorSet,
-    contexts: list[Context],
-    assignment: tuple[int, ...],
-    edges_from_contexts_only: bool = False,
+    system: ContextSystem, assignment: tuple[int, ...], edges_from_contexts_only: bool = False
 ) -> bool:
     """Check conditions (i) and (ii) for a 0/1 assignment directly."""
-    if len(assignment) != vset.n or any(b not in (0, 1) for b in assignment):
+    if len(assignment) != system.vset.n or any(b not in (0, 1) for b in assignment):
         return False
-    members = [check_context(vset, ctx) for ctx in contexts]
-    nbr = _condition_masks(vset, members, edges_from_contexts_only)
+    nbr = _condition_masks(system, edges_from_contexts_only)
     ones = sum(1 << v for v, b in enumerate(assignment) if b)
     if any(nbr[v] & ones for v in _bits(ones)):
         return False
-    return all((m & ones).bit_count() == 1 for m in members)
+    return all((m & ones).bit_count() == 1 for m in system.masks)
 
 
 def _holding_masks(contexts: list[Context], n: int) -> list[int]:
@@ -257,27 +269,25 @@ def _holding_masks(contexts: list[Context], n: int) -> list[int]:
 
 
 def check_ks_property(
-    vset: VectorSet,
-    contexts: list[Context],
-    edges_from_contexts_only: bool = False,
+    system: ContextSystem, edges_from_contexts_only: bool = False
 ) -> KSDecision:
-    """Decide colorability by DFS over contexts with unit propagation.
+    """Decide colorability by DFS over the system's contexts with unit propagation.
 
     Unit propagation is monotone, so the closure it reaches, or the conflict,
     does not depend on the order in which forced moves are made; the search
     branches on contexts in sorted order and on members in context order.
     """
+    vset, contexts, masks = system.vset, system.contexts, system.masks
     if not contexts:
         raise ValueError("KS property is undefined without contexts")
     n, d = vset.n, vset.dim
-    masks = [check_context(vset, ctx) for ctx in contexts]
     # the contexts in sorted order and their masks, sorted through an index
     # list so that no (context, mask) pair is made per context
     index = sorted(range(len(contexts)), key=contexts.__getitem__)
     order = [contexts[i] for i in index]
     members = [masks[i] for i in index]
     held = _holding_masks(order, n)  # bit i of held[u]: the i-th sorted context holds u
-    nbr = _condition_masks(vset, masks, edges_from_contexts_only)
+    nbr = _condition_masks(system, edges_from_contexts_only)
     every = (1 << len(order)) - 1
     # free[j]: the contexts whose count of members not fixed to 0 has bit j
     # set, one mask per bit; every count starts at d
@@ -347,7 +357,7 @@ def check_ks_property(
         del dfs  # dfs holds itself through its closure: free the search state now
     if witness is None:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
-    if not validate_assignment(vset, contexts, witness, edges_from_contexts_only):
+    if not validate_assignment(system, witness, edges_from_contexts_only):
         raise RuntimeError(f"colorable witness {witness} fails conditions (i) and (ii)")
     return KSDecision(verdict="colorable", witness=witness, nodes=nodes)
 
@@ -369,10 +379,8 @@ def parity_certificate(vset: VectorSet, contexts: list[Context]) -> bool:
 
 def check_completeness(vset: VectorSet) -> tuple[bool, list[Edge]]:
     """Does every orthogonal pair extend to a full d-clique within the set?"""
-    covered: set[Edge] = set()
-    for ctx in enumerate_contexts(vset):
-        for pair in itertools.combinations(sorted(ctx), 2):
-            covered.add(pair)
+    # enumerated contexts list their members ascending, so pairs come as edges
+    covered = {pair for ctx in enumerate_contexts(vset) for pair in itertools.combinations(ctx, 2)}
     uncovered = sorted(e for e in vset.graph.edges if e not in covered)
     return (not uncovered, uncovered)
 
@@ -411,7 +419,7 @@ def complete_set(vset: VectorSet) -> VectorSet:
     raise ValueError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")
 
 
-def to_json_dict(vset: VectorSet, contexts: list[Context] | None = None) -> dict:
+def to_json_dict(vset: VectorSet, contexts: Iterable[Context] | None = None) -> dict:
     """Interchange form: integer vectors, optional labels and contexts."""
     doc: dict = {"dim": vset.dim, "vectors": [list(v) for v in vset.vectors]}
     if vset.labels is not None:
@@ -441,10 +449,10 @@ def parse_decimal(text: str) -> int | None:
     return int(text) if re.fullmatch(r"0|[1-9][0-9]*", text) else None
 
 
-def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
+def system_from_json_dict(doc: dict) -> tuple[VectorSet, ContextSystem | None]:
     """Read the interchange form: integer dim, entries and indices, string labels.
 
-    Every listed context must pass check_context: an orthogonal basis of the set.
+    The listed contexts, if any, must pass check_context: ContextSystem.of.
     """
     try:
         dim = _json_int(doc["dim"])
@@ -456,6 +464,10 @@ def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector-set document: {exc}") from exc
     vset = VectorSet(dim=dim, vectors=vectors, labels=labels)
-    for ctx in contexts or ():
-        check_context(vset, ctx)
-    return vset, contexts
+    return vset, None if contexts is None else ContextSystem.of(vset, contexts)
+
+
+def from_json_dict(doc: dict) -> tuple[VectorSet, list[Context] | None]:
+    """system_from_json_dict, the checked contexts returned as a list."""
+    vset, system = system_from_json_dict(doc)
+    return vset, None if system is None else list(system.contexts)

@@ -42,13 +42,13 @@ def best_assignment(
 
     Bit j of context x's pattern is the v-bit of members[x][j].  The caller
     guarantees what GameSpec decides: n >= 0, at least one context, each of d
-    distinct members in [0, n) for one d >= 1.  table must be the game's score
-    table [d - |popcount(p) - 1| for p in range(2^d)], else ValueError.
-    Returns (best_score, best_v), best_v the smallest maximizer.
+    distinct members in [0, n) for one d >= 1.  table is the game's own score
+    table [d - |popcount(p) - 1| for p in range(2^d)]; any other is a fault
+    (RuntimeError).  Returns (best_score, best_v), best_v the smallest maximizer.
     """
     m, d = len(members), len(members[0])
     if table != [d - abs(p.bit_count() - 1) for p in range(1 << d)]:
-        raise ValueError(f"the search takes only the game's score table for d = {d}")
+        raise RuntimeError(f"the search takes only the game's score table for d = {d}")
     held = _holding_masks(members, n)
     counts = [mask.bit_count() for mask in held]
     # closed[i]: the contexts whose members are all fixed once i vertices are

@@ -11,7 +11,9 @@ permutations of it.  Such a tuple repeats a member, so the row's product with
 the permutation-sign vector is a determinant with two equal rows: every row
 annihilates the sign vector.  The certificate is that integer check plus the
 exact rank: nullity = d! - rank, and nullity 1 means the null space is the
-sign vector's line, so the state is unique.
+sign vector's line, so the state is unique.  Contexts arrive as a checked
+ks_sets.ContextSystem, and the canonical basis and row contexts are found
+among the game's by mask, never checked again.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from itertools import permutations
 
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import primitive, rank
-from .ks_sets import Context, VectorSet, check_context, enumerate_contexts
+from .ks_sets import Context, ContextSystem, check_context
 from .supersinglet import SupersingletState, _product_expansion, build_supersinglet
 
 MAX_D = 6
 
 
-def support_restriction_constraints(vset: VectorSet, contexts: list[Context]) -> Context:
-    """Check the canonical basis is one of the set's contexts and return it sorted.
+def support_restriction_constraints(system: ContextSystem) -> Context:
+    """Check the canonical basis is one of the system's contexts and return it sorted.
 
     Measuring the canonical-basis context perfectly means the d parties'
     levels are always a permutation of range(d), so coefficients on all other
@@ -38,8 +40,7 @@ def support_restriction_constraints(vset: VectorSet, contexts: list[Context]) ->
     restriction is structural (it shrinks the variable space), so no rows are
     emitted; the returned context is what justifies it.
     """
-    d = vset.dim
-    index = vset._ray_index
+    d, index = system.vset.dim, system.vset._ray_index
     canonical = []
     for t in range(d):
         ray = tuple(1 if j == t else 0 for j in range(d))
@@ -47,7 +48,7 @@ def support_restriction_constraints(vset: VectorSet, contexts: list[Context]) ->
             raise ValueError(f"canonical basis vector e_{t} is absent from the set")
         canonical.append(index[ray])
     ctx = tuple(sorted(canonical))
-    if ctx not in {tuple(sorted(c)) for c in contexts}:
+    if system.mask_of(ctx) is None:
         raise ValueError("canonical basis is not a context of the supplied set")
     return ctx
 
@@ -74,18 +75,15 @@ def _merge(keyed) -> tuple[ConstraintRow, ...]:
     return tuple(ConstraintRow(entries=key, provenance=tuple(p)) for key, p in merged.items())
 
 
-def pqs_constraint_rows(
-    vset: VectorSet, context: Context, context_id: int = 0
-) -> list[ConstraintRow]:
-    """Rows from one context: every outcome tuple that is not a permutation of it.
+def pqs_constraint_rows(system: ContextSystem, x: int) -> list[ConstraintRow]:
+    """Rows from context x of the system: every outcome tuple not a permutation of it.
 
     Tuples come in the order of product(context, repeat=d); identically zero
     rows are absent from the expansion.  A row is keyed by its (column, value)
     pairs, the values made primitive; proportional rows are merged with their
-    provenance concatenated in generation order.
+    provenance, (x, outcome tuple), concatenated in generation order.
     """
-    d = vset.dim
-    check_context(vset, context)
+    vset, context, d = system.vset, system.contexts[x], system.vset.dim
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
     expansion = _product_expansion([[vset.vectors[i] for i in context]] * d)
 
@@ -95,7 +93,7 @@ def pqs_constraint_rows(
                 continue
             perms, values = zip(*sorted(expansion[pos].items()))
             key = tuple(zip(map(perm_index.__getitem__, perms), primitive(values)))
-            yield key, [(context_id, tuple(context[p] for p in pos))]
+            yield key, [(x, tuple(context[p] for p in pos))]
 
     return list(_merge(keyed()))
 
@@ -112,18 +110,18 @@ class SelftestSolution:
         return self.variables - self.rank
 
 
-def assemble_and_solve(vset: VectorSet, contexts: list[Context]) -> SelftestSolution:
-    """Stack the rows of the chosen contexts, check them on the sign vector, rank them.
+def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
+    """Stack the rows of every context of the system, check them on the sign vector, rank them.
 
     Every merged row must annihilate the permutation-sign vector, in integers;
     a row that does not is a generator fault and raises RuntimeError.  The
     rank is one elimination of the sparse rows.
     """
-    d = vset.dim
+    d = system.vset.dim
     rows = _merge(
         (row.entries, row.provenance)
-        for ci, ctx in enumerate(contexts)
-        for row in pqs_constraint_rows(vset, ctx, context_id=ci)
+        for x in range(len(system.contexts))
+        for row in pqs_constraint_rows(system, x)
     )
     signs = list(build_supersinglet(d).terms.values())  # in lexicographic order, as the columns
     for row in rows:
@@ -159,28 +157,28 @@ class SelftestReport:
     witness: SupersingletState | None
 
 
-def certify(
-    vset: VectorSet, contexts: list[Context], row_contexts: list[Context]
-) -> SelftestReport:
-    """Certify the state from row_contexts, with the support taken from contexts.
+def certify(system: ContextSystem, row_contexts: list[Context]) -> SelftestReport:
+    """Certify the state from row_contexts, with the support taken from the game's system.
 
-    contexts are the game's contexts: the canonical basis must be one of them
-    for the permutation-only variable space to hold.  Perfect play forces only
-    the rows of measured contexts, so each row context must be one of them
-    too (members in any order), or ValueError.  Unique iff the rank is d! - 1.
+    The canonical basis must be one of the game's contexts for the
+    permutation-only variable space to hold.  Perfect play forces only the
+    rows of measured contexts, so each row context must be one of them too
+    (members in any order, found by mask); any other gets check_context's
+    message if malformed, else ValueError.  Unique iff the rank is d! - 1.
     """
-    canonical_context = support_restriction_constraints(vset, contexts)
-    measured = {tuple(sorted(c)) for c in contexts}
-    for ctx in row_contexts:
-        check_context(vset, ctx)
-        if tuple(sorted(ctx)) not in measured:
+    canonical_context = support_restriction_constraints(system)
+    masks = tuple(map(system.mask_of, row_contexts))
+    for ctx, mask in zip(row_contexts, masks):
+        if mask is None:
+            check_context(system.vset, ctx)
             raise ValueError(f"context {ctx} is not a context of the game")
-    solution = assemble_and_solve(vset, row_contexts)
+    rows = ContextSystem(system.vset, tuple(row_contexts), masks)
+    solution = assemble_and_solve(rows)
     unique, witness = verify_unique_supersinglet(solution)
     return SelftestReport(
-        d=vset.dim,
+        d=system.vset.dim,
         variables=solution.variables,
-        contexts=tuple(row_contexts),
+        contexts=rows.contexts,
         canonical_context=canonical_context,
         row_count=len(solution.rows),
         rank=solution.rank,
@@ -203,6 +201,5 @@ def general_d_selftest(d: int, all_contexts: bool = False) -> SelftestReport:
         raise ValueError(
             f"d={d} exceeds the budget of {MAX_D} ({math.factorial(d)} variables)"
         )
-    vset = merged_peres(d)
-    contexts = enumerate_contexts(vset)
-    return certify(vset, contexts, contexts if all_contexts else _window_bases(vset))
+    system = ContextSystem.of(merged_peres(d))
+    return certify(system, system.contexts if all_contexts else _window_bases(system.vset))

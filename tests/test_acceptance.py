@@ -22,7 +22,7 @@ from kspt.game import (
     classical_value_report,
     verify_perfect_strategy,
 )
-from kspt.ks_sets import VectorSet, check_ks_property, enumerate_contexts
+from kspt.ks_sets import ContextSystem, VectorSet, check_ks_property, enumerate_contexts
 from kspt.selftest import (
     assemble_and_solve,
     general_d_selftest,
@@ -80,10 +80,9 @@ def test_criterion_01_ks_verification(capsys):
     ]
     ok = True
     for name, vset, contexts in cases:
-        if contexts is None:
-            contexts = enumerate_contexts(vset)
+        system = ContextSystem.of(vset, contexts)
         t0 = time.monotonic()
-        decision = check_ks_property(vset, contexts)
+        decision = check_ks_property(system)
         dt = time.monotonic() - t0
         ok = ok and decision.uncolorable and dt < budget_s
         results.append(f"{name} {decision.verdict} in {dt:.3f}s")
@@ -184,7 +183,9 @@ def test_criterion_05_tetrad_expansion(capsys):
 
 
 def test_criterion_06_selftest_d4(capsys):
-    solution = assemble_and_solve(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
+    solution = assemble_and_solve(
+        ContextSystem.of(catalog_peres24(), [(4, 5, 6, 7), (8, 9, 10, 11)])
+    )
     unique, witness = verify_unique_supersinglet(solution)
     witness_ok = unique and all(
         witness.terms[p] == levi_civita(p) for p in permutations(range(4))
@@ -202,7 +203,7 @@ def test_criterion_06_selftest_d4(capsys):
 def test_criterion_07_selftest_d3_and_d5(capsys):
     budget_s = 120.0
     ck = catalog_conway_kochen31()
-    solution3 = assemble_and_solve(ck, [(0, 3, 4), (1, 5, 6)])
+    solution3 = assemble_and_solve(ContextSystem.of(ck, [(0, 3, 4), (1, 5, 6)]))
     unique3, witness3 = verify_unique_supersinglet(solution3)
     d3_ok = (
         solution3.rank == 5

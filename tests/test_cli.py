@@ -12,9 +12,16 @@ from pathlib import Path
 import pytest
 
 import kspt
-from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24
+from kspt import ks_sets
+from kspt.catalog import (
+    catalog_ceg18,
+    catalog_conway_kochen31,
+    catalog_peres24,
+    merged_peres,
+    merged_window_bases,
+)
 from kspt.cli import _HANDLERS, run
-from kspt.ks_sets import enumerate_contexts, from_json_dict, to_json_dict
+from kspt.ks_sets import complete_set, enumerate_contexts, from_json_dict, to_json_dict
 from kspt.supersinglet import levi_civita
 
 
@@ -204,14 +211,86 @@ def test_ks_contexts_counts(capsys):
     assert len(report["results"]["contexts"]) == 17
 
 
-def test_ks_contexts_rejects_a_document_context_that_is_not_a_basis(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "context, message",
+    [
+        ([0, 1, 3], "context (0, 1, 3) is not an orthogonal basis"),
+        ([0, 1, 1], "context (0, 1, 1) must have 3 distinct members"),
+        ([0, 1, 4], "context (0, 1, 4) has a member outside [0, 4)"),
+    ],
+    ids=["not a basis", "repeated member", "out of range"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "export"],
+        ["ks", "verify"],
+        ["ks", "contexts"],
+        ["ks", "complete"],
+        ["state", "expand", "--context", "0"],
+        ["game", "quantum-verify"],
+        ["game", "classical-bound"],
+        ["selftest", "--contexts", "0,1,2"],
+    ],
+    ids=" ".join,
+)
+def test_ks_contexts_rejects_a_document_context_that_is_not_a_basis(
+    capsys, tmp_path, argv, context, message
+):
+    # every command that reads a document refuses a bad listed context with
+    # the one message of check_context
     path = tmp_path / "not_a_basis.json"
-    doc = {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "contexts": [[0, 1, 3]]}
+    doc = {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], "contexts": [context]}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert run(["ks", "contexts", "--set", str(path)]) == 2
+    assert run([*argv, "--set", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and "not an orthogonal basis" in captured.err
+    assert captured.err == f"error: {message}\n"
+
+
+def _completed_ck31_doc():
+    completed = complete_set(catalog_conway_kochen31())
+    return to_json_dict(completed, enumerate_contexts(completed))
+
+
+@pytest.mark.parametrize(
+    "argv, document, checks, graphs",
+    [
+        (["ks", "verify", "--builtin", "merged6"], None, 0, 1),
+        (["game", "classical-bound", "--builtin", "ceg18"], None, 9, 0),
+        (["game", "quantum-verify"],
+         lambda: to_json_dict(merged_peres(5), merged_window_bases(5)[:1]), 1, 0),
+        (["selftest", "--builtin", "ck31", "--contexts", "0,3,4", "1,5,6"], None, 0, 1),
+        (["ks", "verify", "--edges-from-contexts-only"], _completed_ck31_doc, 41, 0),
+        (["ks", "complete"], lambda: to_json_dict(*catalog_ceg18()), 9, 0),
+    ],
+    ids=["ks verify merged6", "classical ceg18", "quantum merged5 window",
+         "selftest ck31", "ks verify completed ck31", "ks complete ceg18"],
+)
+def test_each_listed_context_is_checked_once_and_no_enumerated_one(
+    capsys, tmp_path, monkeypatch, argv, document, checks, graphs
+):
+    # a listed context is checked once, by ContextSystem.of, without the
+    # set's graph; an enumerated one, a d-clique of that graph, not at all
+    if document is not None:
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(document()), encoding="utf-8")
+        argv = [*argv, "--set", str(path)]
+    calls = {"check_context": 0, "build_orthogonality_graph": 0}
+    for name in calls:
+        original = getattr(ks_sets, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        # wherever a kspt module binds the function, as the bench tracer does
+        for module in [m for key, m in sys.modules.items() if key.startswith("kspt.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert (calls["check_context"], calls["build_orthogonality_graph"]) == (checks, graphs)
 
 
 def test_ks_complete_writes_the_closure(capsys, tmp_path):
@@ -230,7 +309,7 @@ def test_ks_complete_does_not_enumerate_the_input_contexts(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ks complete reads no contexts")
 
-    monkeypatch.setattr("kspt.cli.enumerate_contexts", refuse)
+    monkeypatch.setattr("kspt.ks_sets.ContextSystem.of", refuse)
     code, report = run_report(capsys, ["ks", "complete", "--builtin", "ck31"])
     assert code == 0
     assert report["results"]["completed_size"] == 55

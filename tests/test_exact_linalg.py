@@ -18,6 +18,7 @@ from kspt.exact_linalg import (
     rank,
     row_echelon,
 )
+from kspt.ks_sets import ContextSystem
 from kspt.selftest import assemble_and_solve
 from naive import densify, naive_gram_schmidt, naive_row_echelon
 
@@ -193,7 +194,7 @@ def _oracle_matrices():
     yield sparse(8, 40)
     yield sparse(60, 8)
     for d in (4, 5):
-        solution = assemble_and_solve(merged_peres(d), merged_window_bases(d))
+        solution = assemble_and_solve(ContextSystem.of(merged_peres(d), merged_window_bases(d)))
         yield [list(densify(r.entries, solution.variables)) for r in solution.rows]
 
 

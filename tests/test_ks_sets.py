@@ -16,6 +16,7 @@ from kspt.catalog import (
     merged_window_bases,
 )
 from kspt.ks_sets import (
+    ContextSystem,
     VectorSet,
     build_orthogonality_graph,
     check_completeness,
@@ -72,7 +73,7 @@ def test_canonical_basis_graph_is_complete():
     vset = VectorSet(dim=4, vectors=tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4)))
     graph = build_orthogonality_graph(vset)
     assert graph.edges == frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
-    assert graph.neighbors(0) == frozenset({1, 2, 3})
+    assert graph._masks[0] == 0b1110
 
 
 def test_vector_set_builds_its_graph_once():
@@ -162,8 +163,9 @@ def test_search_matches_the_rescan_oracle_on_random_context_subsets():
             # a shuffled subset, each context's members shuffled too: the
             # search must branch on sorted contexts and on members as given
             subset = [tuple(rng.sample(ctx, len(ctx))) for ctx in rng.sample(contexts, k)]
+            system = ContextSystem.of(vset, subset)
             for only in (False, True):
-                decision = check_ks_property(vset, subset, edges_from_contexts_only=only)
+                decision = check_ks_property(system, edges_from_contexts_only=only)
                 expected = naive_ks_search(vset, subset, only)
                 assert (decision.verdict, decision.nodes, decision.witness) == expected
                 verdicts.add(decision.verdict)
@@ -174,8 +176,9 @@ def _oracle_checked_verdicts(vset, contexts):
     """The verdicts under both readings of condition (i), each search checked
     against the rescan oracle: verdict, node count and witness."""
     verdicts = []
+    system = ContextSystem.of(vset, contexts)
     for only in (False, True):
-        decision = check_ks_property(vset, contexts, edges_from_contexts_only=only)
+        decision = check_ks_property(system, edges_from_contexts_only=only)
         expected = naive_ks_search(vset, contexts, only)
         assert (decision.verdict, decision.nodes, decision.witness) == expected
         verdicts.append(decision.verdict)
@@ -218,13 +221,13 @@ def test_search_matches_the_rescan_oracle_on_edge_cases():
 def test_check_ks_property_requires_contexts():
     vset = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
     with pytest.raises(ValueError):
-        check_ks_property(vset, [])
+        check_ks_property(ContextSystem.of(vset, []))
 
 
 def test_check_ks_property_rejects_nonorthogonal_context():
     vset = VectorSet(dim=2, vectors=((1, 0), (1, 1)))
     with pytest.raises(ValueError, match="not an orthogonal basis"):
-        check_ks_property(vset, [(0, 1)])
+        check_ks_property(ContextSystem.of(vset, [(0, 1)]))
     # wrong size, a repeated member, and members outside the set: -2 would
     # alias vertex 0
     canonical = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
@@ -238,25 +241,24 @@ def test_check_ks_property_rejects_nonorthogonal_context():
         ((1, -2), r"outside \[0, 2\)"),
     ):
         with pytest.raises(ValueError, match=reason):
-            check_ks_property(canonical, [(0, 1), ctx])
+            check_ks_property(ContextSystem.of(canonical, [(0, 1), ctx]))
 
 
 def test_colorable_witness_is_checked_without_assert(monkeypatch):
     # the certificate check must survive python -O, which strips asserts
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert check_ks_property(vset, [(0, 1, 2)]).verdict == "colorable"
+    system = ContextSystem.of(vset, [(0, 1, 2)])
+    assert check_ks_property(system).verdict == "colorable"
     monkeypatch.setattr("kspt.ks_sets.validate_assignment", lambda *args, **kw: False)
     with pytest.raises(RuntimeError, match="fails conditions"):
-        check_ks_property(vset, [(0, 1, 2)])
+        check_ks_property(system)
 
 
 def test_catalogs_are_uncolorable():
     ceg, tetrads = catalog_ceg18()
-    assert check_ks_property(ceg, tetrads).uncolorable
-    peres = catalog_peres24()
-    assert check_ks_property(peres, enumerate_contexts(peres)).uncolorable
-    ck = catalog_conway_kochen31()
-    assert check_ks_property(ck, enumerate_contexts(ck)).uncolorable
+    assert check_ks_property(ContextSystem.of(ceg, tetrads)).uncolorable
+    assert check_ks_property(ContextSystem.of(catalog_peres24())).uncolorable
+    assert check_ks_property(ContextSystem.of(catalog_conway_kochen31())).uncolorable
 
 
 def test_context_edges_only_reading_of_condition_i():
@@ -264,30 +266,27 @@ def test_context_edges_only_reading_of_condition_i():
     # so the relaxed reading stays uncolorable; the 24-ray set is complete, so
     # both readings see the same edges.
     ceg, tetrads = catalog_ceg18()
-    assert check_ks_property(ceg, tetrads, edges_from_contexts_only=True).uncolorable
-    peres = catalog_peres24()
-    assert check_ks_property(
-        peres, enumerate_contexts(peres), edges_from_contexts_only=True
-    ).uncolorable
+    assert check_ks_property(ContextSystem.of(ceg, tetrads), edges_from_contexts_only=True).uncolorable
+    peres = ContextSystem.of(catalog_peres24())
+    assert check_ks_property(peres, edges_from_contexts_only=True).uncolorable
     # The 31-ray set is incomplete: orthogonal pairs outside every triad carry
     # its uncolorability, so dropping them admits a coloring.  The witness must
     # then violate the full-graph reading on exactly such a pair.
-    ck = catalog_conway_kochen31()
-    ck_contexts = enumerate_contexts(ck)
-    decision = check_ks_property(ck, ck_contexts, edges_from_contexts_only=True)
+    ck = ContextSystem.of(catalog_conway_kochen31())
+    decision = check_ks_property(ck, edges_from_contexts_only=True)
     assert decision.verdict == "colorable"
-    assert validate_assignment(ck, ck_contexts, decision.witness, edges_from_contexts_only=True)
-    assert not validate_assignment(ck, ck_contexts, decision.witness, edges_from_contexts_only=False)
+    assert validate_assignment(ck, decision.witness, edges_from_contexts_only=True)
+    assert not validate_assignment(ck, decision.witness, edges_from_contexts_only=False)
 
 
 def test_canonical_basis_is_colorable_with_valid_witness():
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    contexts = enumerate_contexts(vset)
-    decision = check_ks_property(vset, contexts)
+    system = ContextSystem.of(vset)
+    decision = check_ks_property(system)
     assert decision.verdict == "colorable"
     assert decision.witness is not None
     assert sum(decision.witness) == 1
-    assert validate_assignment(vset, contexts, decision.witness)
+    assert validate_assignment(system, decision.witness)
 
 
 def test_check_context_returns_the_member_mask():
@@ -300,18 +299,18 @@ def test_check_context_returns_the_member_mask():
 
 def test_validate_assignment_rejects_bad_inputs():
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    contexts = [(0, 1, 2)]
-    assert validate_assignment(vset, contexts, (1, 0, 0))
+    system = ContextSystem.of(vset, [(0, 1, 2)])
+    assert validate_assignment(system, (1, 0, 0))
     # two orthogonal 1s
-    assert not validate_assignment(vset, contexts, (1, 1, 0))
+    assert not validate_assignment(system, (1, 1, 0))
     # context sums to zero
-    assert not validate_assignment(vset, contexts, (0, 0, 0))
+    assert not validate_assignment(system, (0, 0, 0))
     # wrong length and non-binary entries
-    assert not validate_assignment(vset, contexts, (1, 0))
-    assert not validate_assignment(vset, contexts, (2, 0, 0))
+    assert not validate_assignment(system, (1, 0))
+    assert not validate_assignment(system, (2, 0, 0))
     # a context that is not a basis of the set: -3 would alias vertex 0
     with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-        validate_assignment(vset, [(-3, 1, 2)], (1, 0, 0))
+        validate_assignment(ContextSystem.of(vset, [(-3, 1, 2)]), (1, 0, 0))
 
 
 def test_edges_from_contexts_only_relaxes_condition_i():
@@ -319,10 +318,10 @@ def test_edges_from_contexts_only_relaxes_condition_i():
     # (0, 3) sits in no 3-clique, so the contexts-only reading permits
     # assignments the full-graph reading forbids.
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)))
-    contexts = [(0, 1, 2)]
+    system = ContextSystem.of(vset, [(0, 1, 2)])
     assignment = (1, 0, 0, 1)
-    assert validate_assignment(vset, contexts, assignment, edges_from_contexts_only=True)
-    assert not validate_assignment(vset, contexts, assignment, edges_from_contexts_only=False)
+    assert validate_assignment(system, assignment, edges_from_contexts_only=True)
+    assert not validate_assignment(system, assignment, edges_from_contexts_only=False)
 
 
 def test_parity_certificate_applies_to_even_membership_sets():
@@ -491,9 +490,9 @@ def test_recursive_searches_leave_no_reference_cycles():
     # each search is a nested function that calls itself; once the call
     # returns, its state must go with plain reference counting
     vset = merged_peres(8)
-    contexts = enumerate_contexts(vset)
+    system = ContextSystem.of(vset)
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert _cycles_left_by(lambda: check_ks_property(vset, contexts)) == 0
+    assert _cycles_left_by(lambda: check_ks_property(system)) == 0
     assert _cycles_left_by(lambda: enumerate_contexts(vset)) == 0
     assert _cycles_left_by(lambda: _product_expansion([basis] * 3)) == 0
     assert _cycles_left_by(lambda: general_d_selftest(4)) == 0

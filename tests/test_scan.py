@@ -115,8 +115,8 @@ def test_split_boundary_tie_is_won_in_a_high_block():
 )
 def test_only_the_game_table_is_searched(table):
     # d = 2 contexts: the game table is [1, 2, 2, 1]; anything else, the d = 3
-    # game table included, is refused
-    with pytest.raises(ValueError, match="score table"):
+    # game table included, is a program fault: the table never comes from input
+    with pytest.raises(RuntimeError, match="score table"):
         scan.best_assignment([(0, 1), (1, 2)], table, 3)
 
 

@@ -14,7 +14,7 @@ from kspt.catalog import (
     merged_window_bases,
 )
 from kspt.exact_linalg import null_space_basis, primitive, rank
-from kspt.ks_sets import enumerate_contexts
+from kspt.ks_sets import ContextSystem, enumerate_contexts
 from kspt.selftest import (
     ConstraintRow,
     assemble_and_solve,
@@ -61,20 +61,18 @@ PERES_WINDOW_TETRADS = [(4, 5, 6, 7), (8, 9, 10, 11)]
 
 
 def test_support_restriction_on_the_31_ray_set():
-    vset = catalog_conway_kochen31()
-    contexts = enumerate_contexts(vset)
-    assert support_restriction_constraints(vset, contexts) == (0, 1, 2)
-    report = certify(vset, contexts, CK_SELFTEST_CONTEXTS)
+    system = ContextSystem.of(catalog_conway_kochen31())
+    assert support_restriction_constraints(system) == (0, 1, 2)
+    report = certify(system, CK_SELFTEST_CONTEXTS)
     assert report.d == 3
     assert report.variables == 6
     assert report.canonical_context == (0, 1, 2)
 
 
 def test_support_restriction_on_the_24_ray_set():
-    vset = catalog_peres24()
-    contexts = enumerate_contexts(vset)
-    assert support_restriction_constraints(vset, contexts) == (0, 1, 2, 3)
-    report = certify(vset, contexts, PERES_WINDOW_TETRADS)
+    system = ContextSystem.of(catalog_peres24())
+    assert support_restriction_constraints(system) == (0, 1, 2, 3)
+    report = certify(system, PERES_WINDOW_TETRADS)
     assert report.variables == 24
     assert report.canonical_context == (0, 1, 2, 3)
 
@@ -82,27 +80,27 @@ def test_support_restriction_on_the_24_ray_set():
 def test_support_restriction_accepts_a_context_listed_in_any_order():
     vset = catalog_conway_kochen31()
     contexts = [(2, 1, 0) if c == (0, 1, 2) else c for c in enumerate_contexts(vset)]
-    assert support_restriction_constraints(vset, contexts) == (0, 1, 2)
+    assert support_restriction_constraints(ContextSystem.of(vset, contexts)) == (0, 1, 2)
 
 
 def test_support_restriction_needs_the_canonical_rays():
     # the 18-ray set lacks (0, 0, 1, 0)
     ceg, tetrads = catalog_ceg18()
     with pytest.raises(ValueError) as err:
-        support_restriction_constraints(ceg, tetrads)
+        support_restriction_constraints(ContextSystem.of(ceg, tetrads))
     assert "absent" in str(err.value)
 
 
 def test_support_restriction_needs_the_canonical_context():
     vset = catalog_conway_kochen31()
     with pytest.raises(ValueError) as err:
-        support_restriction_constraints(vset, [(0, 3, 4)])
+        support_restriction_constraints(ContextSystem.of(vset, [(0, 3, 4)]))
     assert "not a context" in str(err.value)
 
 
 def test_constraint_row_for_a_repeated_outcome():
     vset = catalog_conway_kochen31()
-    rows = pqs_constraint_rows(vset, (0, 3, 4))
+    rows = pqs_constraint_rows(ContextSystem.of(vset, [(0, 3, 4)]), 0)
     by_outcome = {}
     for row in rows:
         for _, a in row.provenance:
@@ -125,12 +123,12 @@ def test_constraint_rows_reject_bad_contexts():
         ((0, 3, 13), "not an orthogonal basis"),
     ):
         with pytest.raises(ValueError, match=reason):
-            pqs_constraint_rows(vset, ctx)
+            ContextSystem.of(vset, [ctx])
 
 
 def test_constraint_rows_are_primitive_and_distinct():
     vset = catalog_peres24()
-    rows = pqs_constraint_rows(vset, (4, 5, 6, 7))
+    rows = pqs_constraint_rows(ContextSystem.of(vset, [(4, 5, 6, 7)]), 0)
     seen = set()
     for row in rows:
         columns = [c for c, _ in row.entries]
@@ -152,15 +150,16 @@ def test_constraint_rows_annihilate_the_sign_vector():
         (peres, PERES_WINDOW_TETRADS, 4),
     ):
         eps = [levi_civita(p) for p in permutations(range(d))]
-        for ctx in contexts:
-            for row in pqs_constraint_rows(vset, ctx):
+        system = ContextSystem.of(vset, contexts)
+        for x in range(len(contexts)):
+            for row in pqs_constraint_rows(system, x):
                 assert sum(e * s for e, s in zip(densify(row.entries, len(eps)), eps)) == 0
 
 
 def test_provenance_replays_to_the_stored_row():
     vset = catalog_peres24()
     perms = list(permutations(range(4)))
-    for row in pqs_constraint_rows(vset, (8, 9, 10, 11)):
+    for row in pqs_constraint_rows(ContextSystem.of(vset, [(8, 9, 10, 11)]), 0):
         for _, a in row.provenance:
             vectors = [vset.vectors[i] for i in a]
             raw = [
@@ -184,17 +183,18 @@ def test_constraint_rows_match_the_all_tuples_oracle():
         (merged_peres(5), merged_window_bases(5)),
     ]
     for vset, contexts in cases:
+        system = ContextSystem.of(vset, contexts)
         for ci, ctx in enumerate(contexts):
-            assert pqs_constraint_rows(vset, ctx, ci) == naive_constraint_rows(vset, ctx, ci)
+            assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
 
 
 def test_d6_window_basis_rows_are_pinned():
     # count and sha256 of (entries, provenance) of the merged rows, recorded
     # from the d^d-tuple generator
-    vset = merged_peres(6)
+    system = ContextSystem.of(merged_peres(6), merged_window_bases(6))
     merged = {}
-    for ci, ctx in enumerate(merged_window_bases(6)):
-        for row in pqs_constraint_rows(vset, ctx, ci):
+    for ci in range(len(system.contexts)):
+        for row in pqs_constraint_rows(system, ci):
             merged.setdefault(row.entries, []).extend(row.provenance)
     rows = [(densify(entries, 720), tuple(provenance)) for entries, provenance in merged.items()]
     assert len(rows) == 3240
@@ -205,7 +205,7 @@ def test_d6_window_basis_rows_are_pinned():
 
 def test_d3_system_certifies_the_state():
     vset = catalog_conway_kochen31()
-    solution = assemble_and_solve(vset, CK_SELFTEST_CONTEXTS)
+    solution = assemble_and_solve(ContextSystem.of(vset, CK_SELFTEST_CONTEXTS))
     assert solution.variables == 6
     assert len(solution.rows) == 6
     assert solution.rank == 5
@@ -219,7 +219,7 @@ def test_d3_system_certifies_the_state():
 
 def test_d4_system_certifies_the_state():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
+    solution = assemble_and_solve(ContextSystem.of(vset, PERES_WINDOW_TETRADS))
     assert solution.variables == 24
     assert len(solution.rows) == 36
     assert solution.rank == 23
@@ -233,14 +233,14 @@ def test_d4_system_certifies_the_state():
 
 def test_d4_rank_matches_sympy():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
+    solution = assemble_and_solve(ContextSystem.of(vset, PERES_WINDOW_TETRADS))
     matrix = sympy.Matrix([densify(r.entries, 24) for r in solution.rows])
     assert matrix.rank() == 23
 
 
 def test_reference_rows_are_reproduced_by_the_generator():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
+    solution = assemble_and_solve(ContextSystem.of(vset, PERES_WINDOW_TETRADS))
     generated = {densify(row.entries, 24) for row in solution.rows}
     for ref in REFERENCE_ROWS_D4:
         assert primitive(ref) in generated
@@ -251,7 +251,7 @@ def test_reference_rows_are_reproduced_by_the_generator():
 
 def test_single_tetrad_leaves_a_six_dimensional_null_space():
     vset = catalog_peres24()
-    solution = assemble_and_solve(vset, [(4, 5, 6, 7)])
+    solution = assemble_and_solve(ContextSystem.of(vset, [(4, 5, 6, 7)]))
     assert solution.rank == 18
     assert solution.nullity == 6
     unique, witness = verify_unique_supersinglet(solution)
@@ -261,8 +261,8 @@ def test_single_tetrad_leaves_a_six_dimensional_null_space():
 
 def test_adding_contexts_never_lowers_the_rank():
     vset = catalog_peres24()
-    single = assemble_and_solve(vset, [(4, 5, 6, 7)])
-    both = assemble_and_solve(vset, PERES_WINDOW_TETRADS)
+    single = assemble_and_solve(ContextSystem.of(vset, [(4, 5, 6, 7)]))
+    both = assemble_and_solve(ContextSystem.of(vset, PERES_WINDOW_TETRADS))
     assert single.rank <= both.rank
     assert both.rank == 23
 
@@ -272,7 +272,7 @@ def test_a_row_off_the_sign_vector_is_refused(monkeypatch):
     bad = ConstraintRow(entries=((0, 1),), provenance=((0, (0, 0, 0)),))
     monkeypatch.setattr(selftest, "pqs_constraint_rows", lambda *args, **kwargs: [bad])
     with pytest.raises(RuntimeError, match="sign vector"):
-        assemble_and_solve(catalog_conway_kochen31(), CK_SELFTEST_CONTEXTS)
+        assemble_and_solve(ContextSystem.of(catalog_conway_kochen31(), CK_SELFTEST_CONTEXTS))
 
 
 @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ def test_a_row_off_the_sign_vector_is_refused(monkeypatch):
 )
 def test_back_substituted_kernel_is_the_sign_vector(vset, contexts):
     # the rank-only certificate against the reference back-substitution
-    solution = assemble_and_solve(vset, contexts)
+    solution = assemble_and_solve(ContextSystem.of(vset, contexts))
     signs = tuple(levi_civita(p) for p in permutations(range(vset.dim)))
     rows = [dict(r.entries) for r in solution.rows]
     assert null_space_basis(rows, ncols=solution.variables) == [signs]
@@ -295,11 +295,10 @@ def test_back_substituted_kernel_is_the_sign_vector(vset, contexts):
 
 def test_row_contexts_must_be_game_contexts():
     # (0, 3, 4) is an orthogonal basis of ck31 but not a context of this game
-    vset = catalog_conway_kochen31()
-    game = [(0, 1, 2), (6, 5, 1)]
+    game = ContextSystem.of(catalog_conway_kochen31(), [(0, 1, 2), (6, 5, 1)])
     with pytest.raises(ValueError, match="not a context of the game"):
-        certify(vset, game, CK_SELFTEST_CONTEXTS)
-    report = certify(vset, game, [(1, 5, 6)])
+        certify(game, CK_SELFTEST_CONTEXTS)
+    report = certify(game, [(1, 5, 6)])
     assert (report.rank, report.nullity, report.unique) == (3, 3, False)
 
 

@@ -271,12 +271,11 @@ def _cmd_selftest(args: argparse.Namespace) -> _Report:
     else:
         if args.all_contexts:
             raise ValueError("--all-contexts needs --d")
-        vset, listed, inputs = _load_set(args)
+        system, inputs = _load_system(args)
         if not args.contexts:
             raise ValueError("selftest needs --d or --contexts")
         chosen = _parse_context_args(args.contexts)
-        # enumerated only now, after the refusals that need no contexts
-        report = certify(ContextSystem.of(vset) if listed is None else listed, chosen)
+        report = certify(system, chosen)
         inputs = {**inputs, "contexts": [list(c) for c in chosen]}
     results = {"d": report.d, "variables": report.variables}
     if args.d is None:

@@ -186,13 +186,14 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     return out
 
 
-def check_context(vset: VectorSet, ctx: Context) -> int:
+def check_context(vset: VectorSet, ctx: Context, adj: Sequence[int] | None = None) -> int:
     """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
 
     Returns the bitmask of its members.  The checks run in order: d distinct
-    members, every member in [0, n) (before any vector is read, so a negative
-    index cannot alias a vertex), then the exact inner product of each of the
-    d(d-1)/2 member pairs; the set's graph is never built.
+    members, every member in [0, n) (before any vector or mask is read, so a
+    negative index cannot alias a vertex), then orthogonality: each member's
+    row of adj, the set's adjacency masks, if given, else the exact inner
+    product of each of the d(d-1)/2 member pairs.
     """
     d, n = vset.dim, vset.n
     if len(ctx) != d or len(set(ctx)) != d:
@@ -200,28 +201,46 @@ def check_context(vset: VectorSet, ctx: Context) -> int:
     for v in ctx:
         if not 0 <= v < n:
             raise ValueError(f"context {ctx} has a member outside [0, {n})")
-    vectors = vset.vectors
-    for u, v in itertools.combinations(ctx, 2):
-        if inner_product(vectors[u], vectors[v]):
-            raise ValueError(f"context {ctx} is not an orthogonal basis")
-    return sum(1 << v for v in ctx)
+    mask = sum(1 << v for v in ctx)
+    if any(mask & ~adj[v] != 1 << v for v in ctx) if adj is not None else any(
+        inner_product(vset.vectors[u], vset.vectors[v]) for u, v in itertools.combinations(ctx, 2)
+    ):
+        raise ValueError(f"context {ctx} is not an orthogonal basis")
+    return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContextSystem:
-    """A set's contexts and their member masks; ContextSystem.of checks, the constructor trusts."""
+    """A set's contexts, each an orthogonal basis of it, made by ContextSystem.of."""
 
     vset: VectorSet
     contexts: tuple[Context, ...]
-    masks: tuple[int, ...]
 
     @classmethod
     def of(cls, vset: VectorSet, contexts: Sequence[Context] | None = None) -> ContextSystem:
-        """Each listed context through check_context once, else the enumerated ones unchecked."""
+        """Each listed context through check_context once, else the enumerated ones unchecked.
+
+        Listed contexts are read off the set's graph if it is built or costs
+        fewer inner products than all their member pairs, else pair by pair.
+        """
         if contexts is None:
-            found = tuple(enumerate_contexts(vset))
-            return cls(vset, found, tuple(sum(1 << v for v in ctx) for ctx in found))
-        return cls(vset, tuple(contexts), tuple(check_context(vset, ctx) for ctx in contexts))
+            return cls._trusted(vset, enumerate_contexts(vset))
+        d, n = vset.dim, vset.n
+        many = "graph" in vars(vset) or len(contexts) * d * (d - 1) > n * (n - 1)
+        for ctx in contexts:
+            check_context(vset, ctx, vset.graph._masks if many else None)
+        return cls._trusted(vset, contexts)
+
+    @classmethod
+    def _trusted(cls, vset: VectorSet, contexts: Iterable[Context]) -> ContextSystem:
+        """The system of contexts already known to be orthogonal bases of vset."""
+        system = object.__new__(cls)
+        vars(system).update(vset=vset, contexts=tuple(contexts))
+        return system
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << v for v in ctx) for ctx in self.contexts)
 
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""

@@ -167,12 +167,11 @@ def certify(system: ContextSystem, row_contexts: list[Context]) -> SelftestRepor
     message if malformed, else ValueError.  Unique iff the rank is d! - 1.
     """
     canonical_context = support_restriction_constraints(system)
-    masks = tuple(map(system.mask_of, row_contexts))
-    for ctx, mask in zip(row_contexts, masks):
-        if mask is None:
+    for ctx in row_contexts:
+        if system.mask_of(ctx) is None:
             check_context(system.vset, ctx)
             raise ValueError(f"context {ctx} is not a context of the game")
-    rows = ContextSystem(system.vset, tuple(row_contexts), masks)
+    rows = ContextSystem._trusted(system.vset, row_contexts)
     solution = assemble_and_solve(rows)
     unique, witness = verify_unique_supersinglet(solution)
     return SelftestReport(

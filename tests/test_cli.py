@@ -263,15 +263,21 @@ def _completed_ck31_doc():
         (["selftest", "--builtin", "ck31", "--contexts", "0,3,4", "1,5,6"], None, 0, 1),
         (["ks", "verify", "--edges-from-contexts-only"], _completed_ck31_doc, 41, 0),
         (["ks", "complete"], lambda: to_json_dict(*catalog_ceg18()), 9, 0),
+        # 126 contexts of 15 pairs each cost more inner products than the
+        # graph's 1431, so they are read off the graph
+        (["ks", "verify", "--edges-from-contexts-only"],
+         lambda: to_json_dict(merged_peres(6), enumerate_contexts(merged_peres(6))), 126, 1),
     ],
     ids=["ks verify merged6", "classical ceg18", "quantum merged5 window",
-         "selftest ck31", "ks verify completed ck31", "ks complete ceg18"],
+         "selftest ck31", "ks verify completed ck31", "ks complete ceg18",
+         "ks verify merged6 listed"],
 )
 def test_each_listed_context_is_checked_once_and_no_enumerated_one(
     capsys, tmp_path, monkeypatch, argv, document, checks, graphs
 ):
     # a listed context is checked once, by ContextSystem.of, without the
-    # set's graph; an enumerated one, a d-clique of that graph, not at all
+    # set's graph unless many are listed; an enumerated one, a d-clique of
+    # that graph, not at all
     if document is not None:
         path = tmp_path / "set.json"
         path.write_text(json.dumps(document()), encoding="utf-8")

@@ -297,6 +297,36 @@ def test_check_context_returns_the_member_mask():
         assert check_context(peres, ctx) == sum(1 << v for v in ctx)
 
 
+def test_check_context_reads_the_graph_and_the_pairs_alike():
+    # ContextSystem.of hands check_context the adjacency masks when many
+    # contexts are listed; verdict, message and mask must not depend on it
+    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1)))
+    candidates = [*itertools.permutations(range(5), 3), (0, 1), (0, 0, 1), (0, 1, 5), (-1, 3, 4)]
+    outcomes = []
+    for ctx in candidates:
+        verdicts = []
+        for adj in (None, vset.graph._masks):
+            try:
+                verdicts.append(check_context(vset, ctx, adj))
+            except ValueError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        outcomes.append(verdicts[0])
+    # the two bases in every order are accepted, and each refusal is met
+    assert outcomes.count(0b111) == outcomes.count(0b11001) == 6
+    for reason in ("not an orthogonal basis", "distinct members", "outside [0, 5)"):
+        assert any(reason in str(v) for v in outcomes)
+
+
+def test_context_system_is_made_by_of_and_derives_its_masks():
+    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1)))
+    with pytest.raises(TypeError):
+        ContextSystem(vset, ((0, 1, 2),))
+    for system in (ContextSystem.of(vset), ContextSystem.of(vset, [(2, 1, 0), (0, 4, 3)])):
+        assert system.masks == tuple(sum(1 << v for v in ctx) for ctx in system.contexts)
+    assert ContextSystem.of(vset).contexts == ((0, 1, 2), (0, 3, 4))
+
+
 def test_validate_assignment_rejects_bad_inputs():
     vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     system = ContextSystem.of(vset, [(0, 1, 2)])

@@ -62,7 +62,11 @@ def _reduce_row(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[list[dict[int, int]], int | None]:
+class _ReadRows(list):
+    """Rows _read_rows made primitive {column: nonzero} dicts; row_echelon takes them as is."""
+
+
+def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[_ReadRows, int | None]:
     """Rows as primitive integer {column: nonzero} dicts, and the column count.
 
     Dense rows all have ncols entries (by default their common length);
@@ -74,7 +78,7 @@ def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[list[dict[int, int
         ncols = lengths.pop()
     if lengths - {ncols}:
         raise ValueError(f"dense rows of lengths {sorted(lengths)}, ncols = {ncols}")
-    work = []
+    work = _ReadRows()
     for r in rows:
         row = {c: x for c, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x != 0}
         if row and not 0 <= min(row) <= max(row) < (inf if ncols is None else ncols):
@@ -90,7 +94,7 @@ def row_echelon(rows: Rows) -> tuple[list[dict[int, int]], list[int]]:
     nonzero there, the first on a tie, and every other such row is cleared by
     an integer step and made primitive.
     """
-    work, _ = _read_rows(rows)
+    work = rows if isinstance(rows, _ReadRows) else _read_rows(rows)[0]
     remaining = [i for i, row in enumerate(work) if row]
     echelon, pivots = [], []
     for c in sorted(set().union(*work)):

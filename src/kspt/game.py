@@ -11,10 +11,10 @@ state, basis measurements) by one integer determinant per context: for a
 state c * sign the overlap with outcome t is c * det(V_t), so every input of
 context x wins with p = c^2 det(V)^2 / prod |v_i|^2, the rays read as
 primitive integers, and the pair (det(V)^2, prod |v_i|^2) is the context's
-certificate.  A state that is not antisymmetric is evaluated from the
-context's product expansion instead: every outcome tuple with nonzero
-amplitude gets an integer weight over one denominator, and Fractions are
-formed only for the returned probabilities.
+certificate; the default state has c = 1 and is not built.  A state that is
+not antisymmetric is evaluated from the context's product expansion instead:
+every outcome tuple with nonzero amplitude gets an integer weight over one
+denominator, and Fractions are formed only for the returned probabilities.
 
 The classical side maximizes over all deterministic strategies: for a fixed
 {0,1} vertex assignment the per-context choices decouple, and a context with
@@ -172,18 +172,15 @@ def verify_perfect_strategy(
 ) -> PerfectStrategyReport:
     """Exact success probability of the reference strategy for every (x, y).
 
-    The default state is build_supersinglet(d).  A state with terms[pi] =
-    c * sign(pi) overlaps outcome t with c * det(V_t): zero when t repeats a
-    member, and every ordering of C_x wins against every y.  So each input
-    of context x has p = c^2 det(V)^2 / prod |v_i|^2 from one determinant,
-    the sum the expansion forms, and the report keeps the pairs; they are
-    equal by Hadamard's equality for orthogonal rows, so p = c^2.  Any other
-    state, one of another d included, is summed over _outcome_weights.
+    The default state is build_supersinglet(d), c = 1, and is not built.  A
+    state with terms[pi] = c * sign(pi) overlaps outcome t with c * det(V_t):
+    zero when t repeats a member, and every ordering of C_x wins against every
+    y.  So each input of context x has p = c^2 det(V)^2 / prod |v_i|^2 from one
+    determinant, the sum the expansion forms, and the report keeps the pairs;
+    they are equal by Hadamard's equality for orthogonal rows, so p = c^2.  Any
+    other state, one of another d included, is summed over _outcome_weights.
     """
-    canonical = build_supersinglet(spec.d)
-    if state is None:
-        state = canonical
-    c = _antisymmetric_constant(state, canonical.terms)
+    c = 1 if state is None else _antisymmetric_constant(state, build_supersinglet(spec.d).terms)
     per_input: list[tuple[int, int, Fraction]] = []
     pairs: list[tuple[int, int]] = []
     for x, ctx in enumerate(spec.contexts):

@@ -14,18 +14,20 @@ test that a context is an orthogonal basis of its set, once on each listed
 context and on no enumerated one; its consumers trust the system.  Contexts
 are found by pivoted Bron-Kerbosch on the adjacency masks, exact here
 because every d-clique is a maximal clique; once a clique is two members
-short of d, each edge among its candidates completes one context.  The
-colorability search is a depth-first search over contexts: branch on which
-member of an unsatisfied context receives the 1, propagate forced 0s along
-edges, and propagate forced 1s for contexts left with a single viable
-member.  Its state is a few integer bitmasks handed down the search, so
-backtracking restores nothing: the vertices fixed to 1 and to 0, the
-contexts holding a 1, and each context's count of members not fixed to 0,
-bit-sliced into one mask over the contexts per bit of the count.  A vertex
-fixed to 0 subtracts the mask of its contexts from every count with a ripple
-borrow, and one pass over the masks finds the contexts with no 1 left with
-one viable member (a forced 1) or none (a conflict).  Condition (i) can be
-read with all graph edges (default) or only with pairs that co-occur in a
+short of d, each edge among its candidates completes one context.  Walks
+recurse only where d bounds the depth, as here.  The colorability search is
+a depth-first search over contexts: branch on which member of an unsatisfied
+context receives the 1, propagate forced 0s along edges, and propagate
+forced 1s for contexts left with a single viable member.  It goes one level
+deep per context, so it keeps a stack of frames, each a state and the
+untried members of its branching context.  A state is a few integer
+bitmasks, so backtracking restores nothing: the vertices fixed to 1 and to
+0, the contexts holding a 1, and each context's count of members not fixed
+to 0, bit-sliced into one mask over the contexts per bit of the count.  A
+vertex fixed to 0 subtracts the mask of its contexts from every count with a
+ripple borrow, and one pass over the masks finds the contexts with no 1 left
+with one viable member (a forced 1) or none (a conflict).  Condition (i) can
+be read with all graph edges (default) or only with pairs that co-occur in a
 supplied context; the two readings coincide on complete sets.
 """
 
@@ -155,35 +157,32 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     context (a tried vertex adjacent to both ends would make a (d+1)-clique),
     so that level lists the edges of P instead of recursing.
     """
-    adj = vset.graph._masks
-    d = vset.dim
     out: list[Context] = []
-
-    def expand(clique: list[int], p: int, x: int) -> None:
-        if len(clique) + p.bit_count() < d:
-            return
-        if len(clique) == d - 2:
-            for v in _bits(p):
-                p ^= 1 << v  # p now holds the candidates above v
-                for w in _bits(p & adj[v]):
-                    out.append(tuple(sorted(clique + [v, w])))
-            return
-        most = -1
-        for u in _bits(p | x):
-            k = (p & adj[u]).bit_count()
-            if k > most:
-                most, pivot = k, u
-        for v in _bits(p & ~adj[pivot]):
-            expand(clique + [v], p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    try:
-        expand([], (1 << vset.n) - 1, 0)
-    finally:
-        del expand  # expand holds itself through its closure
+    _bron_kerbosch(vset.graph._masks, vset.dim, [], (1 << vset.n) - 1, 0, out)
     out.sort()
     return out
+
+
+def _bron_kerbosch(adj: Sequence[int], d: int, clique: list[int], p: int, x: int,
+                   out: list[Context]) -> None:
+    """Add to out the d-cliques of clique and candidates p, x those tried; depth <= d - 2."""
+    if len(clique) + p.bit_count() < d:
+        return
+    if len(clique) == d - 2:
+        for v in _bits(p):
+            p ^= 1 << v  # p now holds the candidates above v
+            for w in _bits(p & adj[v]):
+                out.append(tuple(sorted(clique + [v, w])))
+        return
+    most = -1
+    for u in _bits(p | x):
+        k = (p & adj[u]).bit_count()
+        if k > most:
+            most, pivot = k, u
+    for v in _bits(p & ~adj[pivot]):
+        _bron_kerbosch(adj, d, clique + [v], p & adj[v], x & adj[v], out)
+        p &= ~(1 << v)
+        x |= 1 << v
 
 
 def check_context(vset: VectorSet, ctx: Context, adj: Sequence[int] | None = None) -> int:
@@ -311,7 +310,6 @@ def check_ks_property(
     # free[j]: the contexts whose count of members not fixed to 0 has bit j
     # set, one mask per bit; every count starts at d
     start = tuple(every if d >> j & 1 else 0 for j in range(d.bit_length()))
-    nodes = 0
 
     def propagate(
         v: int, ones: int, zeros: int, sat: int, free: tuple[int, ...]
@@ -354,28 +352,28 @@ def check_ks_property(
                 queue.append(u)
         return ones, zeros, sat, tuple(free)
 
-    def dfs(ones: int, zeros: int, sat: int, free: tuple[int, ...]) -> tuple[int, ...] | None:
-        nonlocal nodes
+    # per branching level, a closed state and its branching members left to try
+    stack = [((0, 0, 0, start), iter(order[0]))]
+    nodes = 0
+    while stack:
+        state, untried = stack[-1]
+        for v in untried:
+            nodes += 1
+            closed = propagate(v, *state)
+            if closed is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        ones, zeros, sat, _ = closed
         unsat = every & ~sat
         if not unsat:
-            return tuple(ones >> i & 1 for i in range(n))
-        for v in order[(unsat & -unsat).bit_length() - 1]:
-            if zeros >> v & 1:
-                continue
-            nodes += 1
-            closed = propagate(v, ones, zeros, sat, free)
-            if closed is not None:
-                witness = dfs(*closed)
-                if witness is not None:
-                    return witness
-        return None
-
-    try:
-        witness = dfs(0, 0, 0, start)
-    finally:
-        del dfs  # dfs holds itself through its closure: free the search state now
-    if witness is None:
+            break
+        ctx = order[(unsat & -unsat).bit_length() - 1]
+        stack.append((closed, iter([v for v in ctx if not zeros >> v & 1])))
+    else:
         return KSDecision(verdict="uncolorable", witness=None, nodes=nodes)
+    witness = tuple(ones >> i & 1 for i in range(n))
     if not validate_assignment(system, witness, edges_from_contexts_only):
         raise RuntimeError(f"colorable witness {witness} fails conditions (i) and (ii)")
     return KSDecision(verdict="colorable", witness=witness, nodes=nodes)

@@ -3,16 +3,16 @@
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
 normalization kept implicit.  Amplitudes, self-test rows and the game's
 outcome weights for a state that is not antisymmetric read one product
-expansion E[a][pi] = prod_i v_{a_i}[pi(i)]; an amplitude is row E[a] dotted
-with the sign map over a symbolic square root, so probabilities are exact
-rationals.  A re-expansion in a basis B, and the game on an antisymmetric
-state, read one determinant instead: the overlap of c * sign with a product
-of basis vectors is c * det of those rows.  Both decide that a state is
-c * sign, and find c, with one helper, _antisymmetric_constant.  A signed
-permutation matrix acts on the state by relabeling and signing its terms, so
-the exact invariance check reads no expansion.  Every reader of the sign
-vector takes it from build_supersinglet.  Floats enter only in the dense
-tensor-power invariance check.
+expansion E[a][pi] = prod_i v_{a_i}[pi(i)], by a recursion d deep; an
+amplitude is row E[a] dotted with the sign map over a symbolic square root,
+so probabilities are exact rationals.  A re-expansion in a basis B, and the
+game on an antisymmetric state, read one determinant instead: the overlap of
+c * sign with a product of basis vectors is c * det of those rows.  Both
+decide that a state is c * sign, and find c, with one helper,
+_antisymmetric_constant.  A signed permutation matrix acts on the state by
+relabeling and signing its terms, so the exact invariance check reads no
+expansion.  Every reader of the sign vector takes it from build_supersinglet.
+Floats enter only in the dense tensor-power invariance check.
 """
 
 from __future__ import annotations
@@ -109,35 +109,33 @@ def _product_expansion(choices: list[list[Vector]]) -> Expansion:
 
     Party i picks the vector at position a_i of choices[i] and a level pi(i),
     the levels distinct.  One recursion over (party, unused level, member
-    nonzero at that level) visits each nonzero (a, pi) once and never a tuple
-    whose products all vanish, so a missing a is a zero row.  Products stay
-    int for integer vectors.
+    nonzero at that level), _expand_products, visits each nonzero (a, pi)
+    once and never a tuple whose products all vanish, so a missing a is a
+    zero row.  Products stay int for integer vectors.
     """
     d = len(choices)
     # nonzero[i][j]: (position, entry) of the members of choices[i] nonzero at level j
     nonzero = [[[(p, v[j]) for p, v in enumerate(vs) if v[j] != 0] for j in range(d)]
                for vs in choices]
     expansion: Expansion = {}
-    a, pi = [0] * d, [0] * d
-
-    def rec(i: int, used: int, prod: Scalar) -> None:
-        # used: the levels taken, one bit each
-        if i == d:
-            expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
-            return
-        for level in range(d):
-            if used >> level & 1:
-                continue
-            pi[i] = level
-            for p, x in nonzero[i][level]:
-                a[i] = p
-                rec(i + 1, used | 1 << level, prod * x)
-
-    try:
-        rec(0, 0, 1)
-    finally:
-        del rec  # rec holds itself through its closure
+    _expand_products(nonzero, 0, 0, 1, [0] * d, [0] * d, expansion)
     return expansion
+
+
+def _expand_products(nonzero: list[list[list[tuple[int, Scalar]]]], i: int, used: int,
+                     prod: Scalar, a: list[int], pi: list[int], expansion: Expansion) -> None:
+    """Add to expansion each nonzero product extending parties 0..i-1's picks; depth d."""
+    # a[:i], pi[:i]: their positions and levels; used: those levels, one bit each
+    if i == len(nonzero):
+        expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
+        return
+    for level, members in enumerate(nonzero[i]):
+        if used >> level & 1:
+            continue
+        pi[i] = level
+        for p, x in members:
+            a[i] = p
+            _expand_products(nonzero, i + 1, used | 1 << level, prod * x, a, pi, expansion)
 
 
 def _overlap(state: SupersingletState, row: dict[Permutation, Scalar]) -> Scalar:
@@ -215,10 +213,11 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     if c is None:
         raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
                          "must be one nonzero constant over all permutations")
+    for i, v in enumerate(basis):
+        if len(v) != d:
+            raise ValueError(f"basis vector {i} has dimension {len(v)}, expected {d}")
     norms = [norm_squared(v) for v in basis]
     for i in range(d):
-        if len(basis[i]) != d:
-            raise ValueError(f"basis vector {i} has dimension {len(basis[i])}, expected {d}")
         if norms[i] == 0:
             raise ValueError(f"basis vector {i} is zero")
         for j in range(i + 1, d):

@@ -248,6 +248,22 @@ def test_ks_contexts_rejects_a_document_context_that_is_not_a_basis(
     assert captured.err == f"error: {message}\n"
 
 
+def test_ks_verify_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # a colourable set that branches on more contexts than Python's recursion
+    # limit gets its report and exit 1, not a traceback; disjoint d = 2
+    # contexts (1, k), (k, -1), read by their own edges so no graph is built
+    m = sys.getrecursionlimit() + 100
+    vectors = [ray for k in range(1, m + 1) for ray in ([1, k], [k, -1])]
+    doc = {"dim": 2, "vectors": vectors, "contexts": [[2 * i, 2 * i + 1] for i in range(m)]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run(["ks", "verify", "--edges-from-contexts-only", "--set", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    results = json.loads(captured.out)["results"]
+    assert (results["verdict"], results["nodes"]) == ("colorable", m)
+
+
 def _completed_ck31_doc():
     completed = complete_set(catalog_conway_kochen31())
     return to_json_dict(completed, enumerate_contexts(completed))
@@ -679,13 +695,15 @@ def test_selftest_rejects_row_contexts_the_game_does_not_measure(capsys, tmp_pat
     assert report["results"]["nullity"] == 3
 
 
-@pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"]])
+@pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"], ["0,0,4", "1,5,6"]])
 def test_selftest_rejects_context_members_outside_the_set(capsys, contexts):
     # 99 is past the 31 rays; -27 must not be read as vertex 4, and since an
-    # index has no sign it is refused as it is read
+    # index has no sign it is refused as it is read; a repeated member is no
+    # context of the game and gets check_context's message
     message = {
         "0,3,99": "outside [0, 31)",
         "0,3,-27": "context '0,3,-27' is not a comma-separated index list",
+        "0,0,4": "context (0, 0, 4) must have 3 distinct members",
     }[contexts[0]]
     code = run(["selftest", "--builtin", "ck31", "--contexts", *contexts])
     assert code == 2

@@ -235,7 +235,11 @@ def test_an_antisymmetric_state_reads_no_expansion(monkeypatch):
 
     monkeypatch.setattr(game, "_outcome_weights", refuse)
     monkeypatch.setattr(game, "build_supersinglet", counting_build)
+    # the default state has c = 1 and is not built; a passed state is
+    # compared with one built sign vector
     assert verify_perfect_strategy(ceg_game()).perfect
+    assert built == []
+    assert verify_perfect_strategy(ceg_game(), build_supersinglet(4)).perfect
     assert built == [4]
 
 

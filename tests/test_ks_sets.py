@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -517,8 +518,8 @@ def _cycles_left_by(call) -> int:
 
 
 def test_recursive_searches_leave_no_reference_cycles():
-    # each search is a nested function that calls itself; once the call
-    # returns, its state must go with plain reference counting
+    # no search holds itself through a closure: once the call returns, its
+    # state must go with plain reference counting
     vset = merged_peres(8)
     system = ContextSystem.of(vset)
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -526,3 +527,19 @@ def test_recursive_searches_leave_no_reference_cycles():
     assert _cycles_left_by(lambda: enumerate_contexts(vset)) == 0
     assert _cycles_left_by(lambda: _product_expansion([basis] * 3)) == 0
     assert _cycles_left_by(lambda: general_d_selftest(4)) == 0
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the search keeps its own stack, so branching on more contexts than
+    # Python's recursion limit is only a matter of nodes.  The contexts are
+    # disjoint d = 2 pairs (1, k), (k, -1): the first member of each takes
+    # the 1 and closes it, one node per context
+    m = sys.getrecursionlimit() + 100
+    vset = VectorSet(dim=2, vectors=tuple(r for k in range(1, m + 1) for r in ((1, k), (k, -1))))
+    contexts = [(2 * i, 2 * i + 1) for i in range(m)]
+    system = ContextSystem.of(vset, contexts)
+    for only in (False, True):
+        decision = check_ks_property(system, edges_from_contexts_only=only)
+        assert decision.verdict == "colorable"
+        assert decision.nodes == len(contexts)
+        assert validate_assignment(system, decision.witness, edges_from_contexts_only=only)

@@ -112,8 +112,10 @@ def test_constraint_row_for_a_repeated_outcome():
 
 def test_constraint_rows_reject_bad_contexts():
     vset = catalog_conway_kochen31()
+    game = ContextSystem.of(vset)
     # wrong size, a repeated member, members outside [0, 31) (-27 would wrap
-    # to v4, 31 and 99 are past the end), and v3, v13, not orthogonal
+    # to v4, 31 and 99 are past the end), and v3, v13, not orthogonal: each
+    # refused as a listed context and as a row context of certify
     for ctx, reason in (
         ((0, 3), "distinct members"),
         ((0, 3, 3), "distinct members"),
@@ -124,6 +126,8 @@ def test_constraint_rows_reject_bad_contexts():
     ):
         with pytest.raises(ValueError, match=reason):
             ContextSystem.of(vset, [ctx])
+        with pytest.raises(ValueError, match=reason):
+            certify(game, [ctx])
 
 
 def test_constraint_rows_are_primitive_and_distinct():

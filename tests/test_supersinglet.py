@@ -261,6 +261,19 @@ def test_reexpand_rejects_bad_bases():
         reexpand_in_basis(state, [(1, 0)])
 
 
+def test_reexpand_checks_every_dimension_before_any_inner_product():
+    # a vector too short or too long at any position gets the dimension
+    # message, not inner_product's "dimension mismatch"
+    state = build_supersinglet(3)
+    for i in range(3):
+        for bad in ((1, 0), (1, 0, 0, 0)):
+            basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+            basis[i] = bad
+            message = rf"^basis vector {i} has dimension {len(bad)}, expected 3$"
+            with pytest.raises(ValueError, match=message):
+                reexpand_in_basis(state, basis)
+
+
 def test_invariance_under_identity():
     rep = check_unitary_invariance(3, np.eye(3))
     assert rep.determinant == pytest.approx(1)

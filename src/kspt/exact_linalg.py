@@ -5,10 +5,10 @@ such rows or of {column: value} mappings.  Everything here is exact: no
 floats, no tolerances.  Every kernel computes in integers, clearing a row's
 denominators once on entry; the only Fraction built is the value that
 determinant returns.  Elimination is fraction-free on sparse integer rows
-{column: nonzero}; each column's pivot is its shortest remaining row.  The
-pivot columns do not depend on that choice, nor does the primitive null vector
-of a free column, so ranks, null spaces and canonical ray representatives are
-reproducible bit for bit.
+{column: nonzero}, one row inserted at a time into a basis keyed by leading
+column.  The pivot columns do not depend on the row order, nor does the
+primitive null vector of a free column, so ranks, null spaces and canonical
+ray representatives are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def primitive(v: Sequence[Scalar]) -> tuple[int, ...]:
 
     Clears denominators, divides by the content gcd, and fixes the overall
     sign so that the first nonzero entry is positive.  The zero vector maps
-    to itself.
+    to itself.  A row of ints has no denominators to clear.
     """
-    ints = _reduce_row(_integer_row(v))
+    ints = _reduce_row(list(v) if all(type(x) is int for x in v) else _integer_row(v))
     if next(filter(None, ints), 0) < 0:
         return tuple([-x for x in ints])
     return tuple(ints)
@@ -63,7 +63,7 @@ def _reduce_row(row: list[int]) -> list[int]:
 
 
 class _ReadRows(list):
-    """Rows _read_rows made primitive {column: nonzero} dicts; row_echelon takes them as is."""
+    """Rows already primitive integer {column: nonzero} dicts; row_echelon takes them as is."""
 
 
 def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[_ReadRows, int | None]:
@@ -87,39 +87,38 @@ def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[_ReadRows, int | N
     return work, ncols
 
 
-def row_echelon(rows: Rows) -> tuple[list[dict[int, int]], list[int]]:
+def row_echelon(rows: Rows, at_most: int | None = None) -> tuple[list[dict[int, int]], list[int]]:
     """Integer-preserving row echelon form: ({column: nonzero} rows, pivot columns).
 
-    Columns go left to right; the pivot row is the shortest remaining row
-    nonzero there, the first on a tie, and every other such row is cleared by
-    an integer step and made primitive.
+    Rows are read in order, each reduced by the basis row of its leading
+    column, an integer step and a primitive rescale at a time, until it is
+    zero or leads at a new column, where it joins the basis.  Reading stops
+    once the basis holds at_most rows.  Rows come back by ascending pivot.
     """
     work = rows if isinstance(rows, _ReadRows) else _read_rows(rows)[0]
-    remaining = [i for i, row in enumerate(work) if row]
-    echelon, pivots = [], []
-    for c in sorted(set().union(*work)):
-        hits = [i for i in remaining if c in work[i]]
-        if not hits:
-            continue
-        k = min(hits, key=lambda i: len(work[i]))
-        prow = work[k]
-        for i in hits:
-            if i != k:
-                row = work[i]
-                g = gcd(prow[c], row[c])
-                a, b = prow[c] // g, row[c] // g
-                new = {j: v for j in row.keys() | prow.keys()
-                       if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
-                work[i] = dict(zip(new, _reduce_row(list(new.values()))))
-        remaining = [i for i in remaining if i != k and work[i]]
-        echelon.append(prow)
-        pivots.append(c)
-    return echelon, pivots
+    basis: dict[int, dict[int, int]] = {}
+    for row in work:
+        if len(basis) == at_most:
+            break
+        while row:
+            c = min(row)
+            if (prow := basis.get(c)) is None:
+                basis[c] = row
+                break
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            new = {j: v for j in row.keys() | prow.keys()
+                   if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
+            row = dict(zip(new, _reduce_row(list(new.values()))))
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-def rank(rows: Rows) -> int:
-    """Exact matrix rank."""
-    return len(row_echelon(rows)[0])
+def rank(rows: Rows, at_most: int | None = None) -> int:
+    """Exact matrix rank, or at_most when the rank reaches it."""
+    if at_most is None:
+        return len(row_echelon(rows)[0])
+    return len(row_echelon(rows, at_most)[0])
 
 
 def determinant(rows: Sequence[Sequence[Scalar]]) -> Fraction:

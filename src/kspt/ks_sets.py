@@ -243,8 +243,10 @@ class ContextSystem:
 
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""
-        if len(ctx) != self.vset.dim or len(set(ctx)) != len(ctx) or min(ctx) < 0:
-            return None  # a repeat or a negative member would alias another mask
+        # a negative member has no bit; a repeat needs no test: d powers of two
+        # with a repeat carry into fewer than d set bits, so match no context
+        if len(ctx) != self.vset.dim or min(ctx) < 0:
+            return None
         return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
 
 

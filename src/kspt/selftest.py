@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .catalog import _window_bases, merged_peres
-from .exact_linalg import primitive, rank
+from .exact_linalg import _ReadRows, primitive, rank
 from .ks_sets import Context, ContextSystem, check_context
 from .supersinglet import SupersingletState, _product_expansion, build_supersinglet
 
@@ -80,8 +80,10 @@ def pqs_constraint_rows(system: ContextSystem, x: int) -> list[ConstraintRow]:
 
     Tuples come in the order of product(context, repeat=d); identically zero
     rows are absent from the expansion.  A row is keyed by its (column, value)
-    pairs, the values made primitive; proportional rows are merged with their
-    provenance, (x, outcome tuple), concatenated in generation order.
+    pairs, the values made primitive, as the expansion lists them: in
+    lexicographic permutation order, which is column order.  Proportional rows
+    are merged with their provenance, (x, outcome tuple), concatenated in
+    generation order.
     """
     vset, context, d = system.vset, system.contexts[x], system.vset.dim
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
@@ -91,8 +93,8 @@ def pqs_constraint_rows(system: ContextSystem, x: int) -> list[ConstraintRow]:
         for pos in sorted(expansion):
             if len(set(pos)) == d:
                 continue
-            perms, values = zip(*sorted(expansion[pos].items()))
-            key = tuple(zip(map(perm_index.__getitem__, perms), primitive(values)))
+            row = expansion[pos]
+            key = tuple(zip(map(perm_index.__getitem__, row), primitive(list(row.values()))))
             yield key, [(x, tuple(context[p] for p in pos))]
 
     return list(_merge(keyed()))
@@ -114,8 +116,9 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
     """Stack the rows of every context of the system, check them on the sign vector, rank them.
 
     Every merged row must annihilate the permutation-sign vector, in integers;
-    a row that does not is a generator fault and raises RuntimeError.  The
-    rank is one elimination of the sparse rows.
+    a row that does not is a generator fault and raises RuntimeError.  That
+    check proves rank <= d! - 1, so the rank is one elimination of the sparse
+    rows, already primitive, that stops once it reaches d! - 1.
     """
     d = system.vset.dim
     rows = _merge(
@@ -127,7 +130,7 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
     for row in rows:
         if sum(v * signs[c] for c, v in row.entries):
             raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")
-    system_rank = rank([dict(r.entries) for r in rows])
+    system_rank = rank(_ReadRows(dict(r.entries) for r in rows), at_most=len(signs) - 1)
     return SelftestSolution(d=d, variables=len(signs), rows=rows, rank=system_rank)
 
 

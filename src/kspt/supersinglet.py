@@ -111,7 +111,9 @@ def _product_expansion(choices: list[list[Vector]]) -> Expansion:
     the levels distinct.  One recursion over (party, unused level, member
     nonzero at that level), _expand_products, visits each nonzero (a, pi)
     once and never a tuple whose products all vanish, so a missing a is a
-    zero row.  Products stay int for integer vectors.
+    zero row.  Levels are tried in ascending order, party by party, so each
+    row E[a] lists its permutations in lexicographic order.  Products stay
+    int for integer vectors.
     """
     d = len(choices)
     # nonzero[i][j]: (position, entry) of the members of choices[i] nonzero at level j

@@ -76,6 +76,18 @@ def test_primitive_clears_denominators_and_sign():
     assert primitive(primitive((Fraction(-3, 7), Fraction(9, 14)))) == primitive(
         (Fraction(-3, 7), Fraction(9, 14))
     )
+    # a row of ints skips the denominator pass; Fraction entries, integral
+    # ones included, take it, and both give the same plain int tuple
+    for row, want in [
+        ((0, -4, 6), (0, 2, -3)),
+        ([-2, 0, 0], (1, 0, 0)),
+        ((Fraction(2), 4), (1, 2)),
+        ((Fraction(-4, 2), 6, 0), (1, -3, 0)),
+        ((3, Fraction(-1, 2), Fraction(2)), (6, -1, 4)),
+        ((0, 0), (0, 0)),
+    ]:
+        got = primitive(row)
+        assert got == want and all(type(x) is int for x in got), row
 
 
 def test_rank_identity():
@@ -213,6 +225,17 @@ def test_sparse_elimination_matches_the_dense_oracle(monkeypatch):
                 assert min(row) == c and all(row.values())
             got = (pivots, rank(rows), null_space_basis(rows, ncols=ncols))
             assert got == want, rows
+
+
+def test_bounded_rank_is_the_rank_capped():
+    # rank(m, at_most=k) stops reading rows once the basis holds k of them
+    for m in _oracle_matrices():
+        ncols = len(m[0])
+        full = rank(m)
+        mapped = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+        for rows in (m, mapped):
+            for k in range(ncols + 1):
+                assert rank(rows, at_most=k) == min(full, k), (rows, k)
 
 
 def test_determinant_basics():

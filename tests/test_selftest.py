@@ -24,7 +24,7 @@ from kspt.selftest import (
     support_restriction_constraints,
     verify_unique_supersinglet,
 )
-from kspt.supersinglet import build_supersinglet, levi_civita
+from kspt.supersinglet import _product_expansion, build_supersinglet, levi_civita
 from naive import densify, naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
@@ -192,6 +192,22 @@ def test_constraint_rows_match_the_all_tuples_oracle():
             assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
 
 
+def test_expansion_rows_list_permutations_in_lexicographic_order():
+    # pqs_constraint_rows keys each row as the expansion lists it, so the
+    # columns come out ascending only if this order holds
+    cases = [
+        (catalog_peres24(), None),
+        (catalog_conway_kochen31(), None),
+        (merged_peres(5), merged_window_bases(5)),
+    ]
+    for vset, contexts in cases:
+        for ctx in contexts or enumerate_contexts(vset):
+            expansion = _product_expansion([[vset.vectors[i] for i in ctx]] * vset.dim)
+            assert expansion
+            for row in expansion.values():
+                assert list(row) == sorted(row)
+
+
 def test_d6_window_basis_rows_are_pinned():
     # count and sha256 of (entries, provenance) of the merged rows, recorded
     # from the d^d-tuple generator
@@ -261,6 +277,27 @@ def test_single_tetrad_leaves_a_six_dimensional_null_space():
     unique, witness = verify_unique_supersinglet(solution)
     assert not unique
     assert witness is None
+
+
+@pytest.mark.parametrize("name, want", [
+    ("ck31", 5), ("peres24 single tetrad", 18), ("d4 all contexts", 23),
+    ("d4 windows", 23), ("d5 windows", 119), ("d6 windows", 719),
+])
+def test_rank_stopped_at_the_bound_is_the_full_rank(name, want):
+    # assemble_and_solve stops its elimination at d! - 1, which the
+    # annihilation check proves; the full elimination must agree
+    if name == "ck31":
+        system = ContextSystem.of(catalog_conway_kochen31(), CK_SELFTEST_CONTEXTS)
+    elif name == "peres24 single tetrad":
+        system = ContextSystem.of(catalog_peres24(), [(4, 5, 6, 7)])
+    elif name == "d4 all contexts":
+        system = ContextSystem.of(merged_peres(4))
+    else:
+        d = int(name[1])
+        system = ContextSystem.of(merged_peres(d), merged_window_bases(d))
+    solution = assemble_and_solve(system)
+    assert solution.rank == want
+    assert rank([dict(r.entries) for r in solution.rows]) == want
 
 
 def test_adding_contexts_never_lowers_the_rank():

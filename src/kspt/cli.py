@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import catalog as catalog_mod
 from . import scan
-from .game import GameSpec, classical_value_report, verify_perfect_strategy
+from .game import classical_value_report, verify_perfect_strategy
 from .ks_sets import (
     Context,
     ContextSystem,
@@ -39,6 +39,7 @@ from .ks_sets import (
 from .selftest import MAX_D, certify, general_d_selftest
 from .supersinglet import (
     DENSE_CHECK_MAX_D,
+    STATE_MAX_D,
     build_supersinglet,
     check_unitary_invariance,
     check_unitary_invariance_exact,
@@ -49,10 +50,6 @@ from .supersinglet import (
 
 # what a handler returns: (command, inputs, results, exit code)
 _Report = tuple[str, dict, dict, int]
-
-# state invariance builds the d!-term state for the exact signed check; its
-# time and memory grow ninefold from d = 8 to d = 9
-_STATE_MAX_D = 8
 
 
 def _fr(x: Fraction) -> str:
@@ -177,8 +174,8 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
         raise ValueError("--tolerance must be finite and non-negative")
     if args.samples > 0 and not 2 <= d <= DENSE_CHECK_MAX_D:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
-    if d > _STATE_MAX_D:
-        raise ValueError(f"--d must be at most {_STATE_MAX_D}: the d!-term state is built")
+    if d > STATE_MAX_D:
+        raise ValueError(f"--d must be at most {STATE_MAX_D}: the d!-term state is built")
     inputs = {
         "d": d,
         "samples": args.samples,
@@ -217,9 +214,8 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
 
 def _cmd_game(args: argparse.Namespace) -> _Report:
     system, inputs = _load_system(args)
-    spec = GameSpec.of(system)
     if args.game_cmd == "quantum-verify":
-        report = verify_perfect_strategy(spec)
+        report = verify_perfect_strategy(system)
         results = {
             "per_input": [
                 {"x": x, "y": y, "p": _fr(p)} for x, y, p in report.per_input
@@ -228,7 +224,7 @@ def _cmd_game(args: argparse.Namespace) -> _Report:
             "perfect": report.perfect,
         }
         return "game quantum-verify", inputs, results, 0 if report.perfect else 1
-    report = classical_value_report(spec)
+    report = classical_value_report(system)
     results = {
         "value": _fr(report.value),
         "best_total": report.best_total,

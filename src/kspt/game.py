@@ -1,10 +1,11 @@
 """The d-party vector-set game: exact quantum evaluation and classical optimum.
 
-A game instance is a vector set with a list of contexts (orthogonal bases,
-checked by ks_sets.ContextSystem.of).  The first d-1 parties all receive a
-context index x, the last party a member y of that context, both uniformly.
-They win when the first parties' outputs enumerate all of C_x except one
-member, and the last party's bit says whether the left-out member is y.
+A game instance is a ks_sets.ContextSystem, its contexts checked once by
+ContextSystem.of; GameSpec is its keyword constructor.  The first d-1
+parties all receive a context index x, the last party a member y of that
+context, both uniformly.  They win when the first parties' outputs enumerate
+all of C_x except one member, and the last party's bit says whether the
+left-out member is y.
 
 The quantum side evaluates the reference strategy (shared antisymmetric
 state, basis measurements) by one integer determinant per context: for a
@@ -18,9 +19,10 @@ denominator, and Fractions are formed only for the returned probabilities.
 
 The classical side maximizes over all deterministic strategies: for a fixed
 {0,1} vertex assignment the per-context choices decouple, and a context with
-k ones scores d - |k - 1| in the game's one score table.
+k ones scores d - |k - 1|, a choice that _best_choice solves.
 ``scan.best_assignment`` finds the least total loss sum |k - 1| by an exact
-branch and bound and returns the smallest maximizing assignment.
+branch and bound and returns the smallest maximizing assignment, which is
+re-scored with its choices through winning_predicate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import scan
 from .exact_linalg import determinant, norm_squared, primitive
@@ -48,58 +49,40 @@ BUDGET_ENV = "KS_SEARCH_BUDGET"
 OutputTuple = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class GameSpec:
-    """A playable instance: d parties, the vector set, the context alphabet.
+class GameSpec(ContextSystem):
+    """The game's keyword constructor: d parties, the vector set, the context alphabet.
 
-    Inputs are drawn uniformly: x over the contexts, then y over C_x.  The
-    constructor checks the contexts by ContextSystem.of.  For d distinct
-    nonzero rays, being pairwise orthogonal is the whole projector algebra of
-    a measurement: the rank-one projectors annihilate each other and sum to I.
+    d must be the dimension, and the contexts, at least one, go through
+    ContextSystem.of.  For d distinct nonzero rays, being pairwise orthogonal
+    is the whole projector algebra of a measurement: the rank-one projectors
+    annihilate each other and sum to I.
     """
 
-    d: int
-    vset: VectorSet
-    contexts: tuple[Context, ...]
-
-    def __post_init__(self) -> None:
-        if self.d != self.vset.dim:
+    def __new__(cls, *, d: int, vset: VectorSet, contexts: tuple[Context, ...]) -> GameSpec:
+        if d != vset.dim:
             raise ValueError("party count must equal the vector dimension")
-        if not self.contexts:
+        if not contexts:
             raise ValueError("need at least one context")
-        ContextSystem.of(self.vset, self.contexts)
-
-    @classmethod
-    def of(cls, system: ContextSystem) -> GameSpec:
-        """The game on a checked system; its contexts are not checked again."""
-        if not system.contexts:
-            raise ValueError("need at least one context")
-        spec = object.__new__(cls)
-        vars(spec).update(d=system.vset.dim, vset=system.vset, contexts=system.contexts)
-        return spec
-
-    @property
-    def m(self) -> int:
-        return len(self.contexts)
+        return cls.of(vset, contexts)
 
 
-def winning_predicate(spec: GameSpec, x: int, y: int, a: tuple[int, ...], b: int) -> bool:
+def winning_predicate(system: ContextSystem, x: int, y: int, a: tuple[int, ...], b: int) -> bool:
     """Win iff a enumerates C_x minus one member k, and b == (k is y)."""
-    ctx = spec.contexts[x]
+    ctx = system.contexts[x]
     members = set(ctx)
     if y not in members:
         raise ValueError(f"input {y} is not a member of context {x}")
-    if len(a) != spec.d - 1:
-        raise ValueError(f"expected {spec.d - 1} first-party outputs")
+    if len(a) != system.d - 1:
+        raise ValueError(f"expected {system.d - 1} first-party outputs")
     chosen = set(a)
-    if len(chosen) != spec.d - 1 or not chosen <= members:
+    if len(chosen) != system.d - 1 or not chosen <= members:
         return False
     (left_out,) = members - chosen
     return (left_out == y) == bool(b)
 
 
 def _outcome_weights(
-    spec: GameSpec, x: int, state: SupersingletState
+    system: ContextSystem, x: int, state: SupersingletState
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """Integer weights w(t) and one denominator D with p(t) = w(t) / D on context x.
 
@@ -109,10 +92,10 @@ def _outcome_weights(
     product of the context's squared norms, w(t) = coeff(t)^2 * prod_i
     N / |v_{t_i}|^2 and D = d! * N^d.
     """
-    if state.d != spec.d:
-        raise ValueError(f"state has d={state.d}, the game has d={spec.d}")
-    d, ctx = spec.d, spec.contexts[x]
-    vectors = [primitive(spec.vset.vectors[i]) for i in ctx]
+    if state.d != system.d:
+        raise ValueError(f"state has d={state.d}, the game has d={system.d}")
+    d, ctx = system.d, system.contexts[x]
+    vectors = [primitive(system.vset.vectors[i]) for i in ctx]
     norms = [norm_squared(v) for v in vectors]
     big = math.prod(norms)
     cofactors = [big // n for n in norms]
@@ -125,17 +108,17 @@ def _outcome_weights(
 
 
 def quantum_joint_distribution(
-    spec: GameSpec, x: int, y: int, state: SupersingletState | None = None
+    system: ContextSystem, x: int, y: int, state: SupersingletState | None = None
 ) -> dict[OutputTuple, Fraction]:
     """Exact p(a, b | x, y) for the reference strategy; zero entries omitted.
 
     b = 1 collects the outcomes whose last-party member is y, b = 0 the rest.
     """
-    if y not in spec.contexts[x]:
+    if y not in system.contexts[x]:
         raise ValueError(f"input {y} is not a member of context {x}")
     if state is None:
-        state = build_supersinglet(spec.d)
-    weights, denominator = _outcome_weights(spec, x, state)
+        state = build_supersinglet(system.d)
+    weights, denominator = _outcome_weights(system, x, state)
     sums: dict[OutputTuple, int] = {}
     for t, w in weights.items():
         key = (t[:-1], int(t[-1] == y))
@@ -161,14 +144,8 @@ class PerfectStrategyReport:
         return self.min_success == 1
 
 
-def _determinant_pair(spec: GameSpec, x: int) -> tuple[int, int]:
-    """(det(V)^2, prod |v_i|^2) for the rows V of context x as primitive integers."""
-    vectors = [primitive(spec.vset.vectors[i]) for i in spec.contexts[x]]
-    return determinant(vectors).numerator ** 2, math.prod(norm_squared(v) for v in vectors)
-
-
 def verify_perfect_strategy(
-    spec: GameSpec, state: SupersingletState | None = None
+    system: ContextSystem, state: SupersingletState | None = None
 ) -> PerfectStrategyReport:
     """Exact success probability of the reference strategy for every (x, y).
 
@@ -179,20 +156,26 @@ def verify_perfect_strategy(
     determinant, the sum the expansion forms, and the report keeps the pairs;
     they are equal by Hadamard's equality for orthogonal rows, so p = c^2.  Any
     other state, one of another d included, is summed over _outcome_weights.
+    A system with no context is refused (ValueError).
     """
-    c = 1 if state is None else _antisymmetric_constant(state, build_supersinglet(spec.d).terms)
+    if not system.contexts:
+        raise ValueError("need at least one context")
+    c = 1 if state is None else _antisymmetric_constant(state, build_supersinglet(system.d).terms)
     per_input: list[tuple[int, int, Fraction]] = []
     pairs: list[tuple[int, int]] = []
-    for x, ctx in enumerate(spec.contexts):
+    for x, ctx in enumerate(system.contexts):
         if c is not None:
-            det_squared, norms = _determinant_pair(spec, x)
+            # (det(V)^2, prod |v_i|^2) for the rows V as primitive integers
+            vectors = [primitive(system.vset.vectors[i]) for i in ctx]
+            det_squared = determinant(vectors).numerator ** 2
+            norms = math.prod(norm_squared(v) for v in vectors)
             pairs.append((det_squared, norms))
             per_input.extend((x, y, Fraction(c * c * det_squared, norms)) for y in ctx)
             continue
-        weights, denominator = _outcome_weights(spec, x, state)
+        weights, denominator = _outcome_weights(system, x, state)
         for y in ctx:
             won = sum(
-                w for t, w in weights.items() if winning_predicate(spec, x, y, t[:-1], t[-1] == y)
+                w for t, w in weights.items() if winning_predicate(system, x, y, t[:-1], t[-1] == y)
             )
             per_input.append((x, y, Fraction(won, denominator)))
     min_success = min(p for _, _, p in per_input)
@@ -204,22 +187,23 @@ def verify_perfect_strategy(
 
 
 def _best_choice(
-    spec: GameSpec, x: int, bit: dict[int, int] | tuple[int, ...]
+    system: ContextSystem, x: int, bit: dict[int, int] | tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
     """Best score on context x and its lexicographically first maximizing joint output.
 
-    The score of a first-party output a is the number of members y of C_x it
-    wins against the last party's answer bit[y].  Outputs outside C_x or with
-    a repeated member always lose, and a best score is at least 1, so the
-    first maximizer of C_x^{d-1} is among the sorted (d-1)-subsets of C_x.
+    An output a scores the members y of C_x it wins against bit[y].  Outputs
+    outside C_x or with a repeated member always lose and a best score is at
+    least 1, so the first maximizer of C_x^{d-1} is a sorted (d-1)-subset,
+    named by the member L it leaves out.  With k members at 1, leaving out L
+    wins against d - k + 1 answers when bit[L] = 1 and against d - 1 - k when
+    bit[L] = 0: the best is d - |k - 1|, by leaving out a member at 1, or any
+    member when none is.  combinations(sorted(C_x), d - 1) meets the largest
+    left-out member first, so its first maximizer leaves out the largest best.
     """
-    ctx = spec.contexts[x]
-
-    def score(a: tuple[int, ...]) -> int:
-        return sum(1 for y in ctx if winning_predicate(spec, x, y, a, bit[y]))
-
-    best_a = max(combinations(sorted(ctx), spec.d - 1), key=score)  # first maximizer
-    return score(best_a), best_a
+    ctx = sorted(system.contexts[x])
+    ones = [y for y in ctx if bit[y]]
+    left_out = ones[-1] if ones else ctx[-1]
+    return system.d - abs(len(ones) - 1), tuple(y for y in ctx if y != left_out)
 
 
 @dataclass(frozen=True)
@@ -236,18 +220,21 @@ class ClassicalBoundReport:
     context_choices: tuple[tuple[int, ...], ...]
 
 
-def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
+def classical_value_report(system: ContextSystem) -> ClassicalBoundReport:
     """The exact classical optimum over the deterministic strategies.
 
     The branch and bound of scan.best_assignment decides it over the vertex
-    assignments, on the score table derived from winning_predicate; it is
-    guarded by a cap on n (default n <= 26), and the KS_SEARCH_BUDGET
-    environment variable (parse_decimal's spelling) raises or lowers the cap;
-    a malformed budget or a set over it raises ValueError.  The witness is
-    deterministic: the smallest maximizing assignment v (vertex i is bit i),
-    read as a tuple, and per context the lexicographically first best choice.
+    assignments, on _best_choice's score table, under a cap on n (default
+    n <= 26) that the KS_SEARCH_BUDGET environment variable (parse_decimal's
+    spelling) raises or lowers; no context, a malformed budget or a set over
+    the cap raises ValueError.  The witness, the smallest maximizing
+    assignment v (vertex i is bit i) as a tuple and per context the first best
+    choice, is re-scored through winning_predicate in m * d calls; a total
+    other than the search's is a fault (RuntimeError).
     """
-    n = spec.vset.n
+    if not system.contexts:
+        raise ValueError("need at least one context")
+    n = system.vset.n
     raw = os.environ.get(BUDGET_ENV, str(DEFAULT_SEARCH_BUDGET))
     budget = parse_decimal(raw)
     if budget is None:
@@ -258,27 +245,31 @@ def classical_value_report(spec: GameSpec) -> ClassicalBoundReport:
             f"search's cap of n <= {budget}; set {BUDGET_ENV}={n} or higher to run anyway"
         )
     # Score table indexed by the 2^d pattern of member v-bits (bit j = v-bit
-    # of member j).  The predicate sees a context's members only through which
-    # one is left out, so every context has the table of C_0.
-    ctx = spec.contexts[0]
+    # of member j), the same for every context; scan.best_assignment takes
+    # only d - |k - 1|, so it checks _best_choice against the loss it bounds.
+    ctx = system.contexts[0]
     table = [
-        _best_choice(spec, 0, {y: (pattern >> j) & 1 for j, y in enumerate(ctx)})[0]
-        for pattern in range(1 << spec.d)
+        _best_choice(system, 0, {y: (pattern >> j) & 1 for j, y in enumerate(ctx)})[0]
+        for pattern in range(1 << system.d)
     ]
-    best_total, best_v = scan.best_assignment(list(spec.contexts), table, n)
+    best_total, best_v = scan.best_assignment(list(system.contexts), table, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))
-    choices = tuple(_best_choice(spec, x, assignment)[1] for x in range(spec.m))
+    choices = tuple(_best_choice(system, x, assignment)[1] for x in range(system.m))
+    won = sum(winning_predicate(system, x, y, a, assignment[y])
+              for x, a in enumerate(choices) for y in system.contexts[x])
+    if won != best_total:
+        raise RuntimeError(f"the witness scores {won}, the search found {best_total}")
     return ClassicalBoundReport(
-        value=Fraction(best_total, spec.m * spec.d),
+        value=Fraction(best_total, system.m * system.d),
         best_total=best_total,
-        trials=spec.m * spec.d,
+        trials=system.m * system.d,
         n=n,
-        m=spec.m,
-        d=spec.d,
+        m=system.m,
+        d=system.d,
         assignment=assignment,
         context_choices=choices,
     )
 
 
-def classical_value(spec: GameSpec) -> Fraction:
-    return classical_value_report(spec).value
+def classical_value(system: ContextSystem) -> Fraction:
+    return classical_value_report(system).value

@@ -237,6 +237,14 @@ class ContextSystem:
         vars(system).update(vset=vset, contexts=tuple(contexts))
         return system
 
+    @property
+    def d(self) -> int:
+        return self.vset.dim
+
+    @property
+    def m(self) -> int:
+        return len(self.contexts)
+
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << v for v in ctx) for ctx in self.contexts)

@@ -40,11 +40,12 @@ def best_assignment(
 ) -> tuple[int, int]:
     """Maximize sum_x table[pattern_x(v)] over v in [0, 2^n).
 
-    Bit j of context x's pattern is the v-bit of members[x][j].  The caller
-    guarantees what GameSpec decides: n >= 0, at least one context, each of d
-    distinct members in [0, n) for one d >= 1.  table is the game's own score
-    table [d - |popcount(p) - 1| for p in range(2^d)]; any other is a fault
-    (RuntimeError).  Returns (best_score, best_v), best_v the smallest maximizer.
+    Bit j of context x's pattern is the v-bit of members[x][j].  The caller's
+    checked ContextSystem and the game's refusal of an empty one guarantee
+    n >= 0, at least one context, each of d distinct members in [0, n) for
+    one d >= 1.  table is the game's own score table [d - |popcount(p) - 1|
+    for p in range(2^d)]; any other is a fault (RuntimeError).  Returns
+    (best_score, best_v), best_v the smallest maximizer.
     """
     m, d = len(members), len(members[0])
     if table != [d - abs(p.bit_count() - 1) for p in range(1 << d)]:

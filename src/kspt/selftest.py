@@ -121,12 +121,13 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
     rows, already primitive, that stops once it reaches d! - 1.
     """
     d = system.vset.dim
+    # built first, so a d over the state's budget is refused before any row
+    signs = list(build_supersinglet(d).terms.values())  # in lexicographic order, as the columns
     rows = _merge(
         (row.entries, row.provenance)
         for x in range(len(system.contexts))
         for row in pqs_constraint_rows(system, x)
     )
-    signs = list(build_supersinglet(d).terms.values())  # in lexicographic order, as the columns
     for row in rows:
         if sum(v * signs[c] for c, v in row.entries):
             raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")

@@ -31,6 +31,7 @@ Vector = tuple[Scalar, ...]
 Expansion = dict[tuple[int, ...], dict[Permutation, Scalar]]
 
 DENSE_CHECK_MAX_D = 6
+STATE_MAX_D = 8  # d = 9 would build 362,880 terms: nine times d = 8's time and memory
 
 
 def levi_civita(p: Permutation) -> int:
@@ -77,6 +78,8 @@ class SupersingletState:
 def build_supersinglet(d: int) -> SupersingletState:
     if d < 2:
         raise ValueError("antisymmetric state needs d >= 2")
+    if d > STATE_MAX_D:
+        raise ValueError(f"d={d} exceeds the budget of {STATE_MAX_D} for the d!-term state")
     # itertools.permutations yields only permutations of range(d), so neither
     # levi_civita's check nor the state's check on its keys runs on them
     state = object.__new__(SupersingletState)

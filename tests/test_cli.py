@@ -397,6 +397,30 @@ def test_state_expand_bad_context_index(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [9, 10])
+def test_the_state_budget_refuses_before_any_term_or_row(capsys, monkeypatch, tmp_path, d):
+    # a canonical-basis document of dimension d > 8: state expand and the
+    # self-test's rows both need the d!-term state, and neither builds a
+    # permutation or an expansion row before the refusal
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing d!-sized may be built for a refused request")
+
+    monkeypatch.setattr("kspt.supersinglet.permutations", refuse)
+    monkeypatch.setattr("kspt.selftest._product_expansion", refuse)
+    path = tmp_path / f"dim{d}.json"
+    vectors = [[int(i == j) for j in range(d)] for i in range(d)]
+    path.write_text(json.dumps({"dim": d, "vectors": vectors, "contexts": [list(range(d))]}))
+    everything = ",".join(map(str, range(d)))
+    for argv in (
+        ["state", "expand", "--set", str(path), "--context", "0"],
+        ["selftest", "--set", str(path), "--contexts", everything],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"d={d} exceeds the budget of 8 for the d!-term state" in captured.err
+
+
 def test_state_invariance_report(capsys):
     code, report = run_report(
         capsys,

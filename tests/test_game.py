@@ -5,6 +5,7 @@ import pytest
 
 from kspt import game, scan
 from kspt.catalog import catalog_ceg18, catalog_conway_kochen31, catalog_peres24, merged_peres
+from kspt.cli import run
 from kspt.game import (
     GameSpec,
     _best_choice,
@@ -15,7 +16,7 @@ from kspt.game import (
     verify_perfect_strategy,
     winning_predicate,
 )
-from kspt.ks_sets import VectorSet, enumerate_contexts
+from kspt.ks_sets import ContextSystem, VectorSet, enumerate_contexts
 from kspt.supersinglet import SupersingletState, build_supersinglet
 
 from naive import naive_best_choice, naive_classical_value, naive_joint_distribution
@@ -93,6 +94,22 @@ def test_game_spec_validation():
             GameSpec(d=4, vset=vset, contexts=(tetrads[0], ctx))
     spec = ceg_game()
     assert spec.m == 9
+
+
+def test_the_game_reads_any_context_system():
+    # GameSpec is a ContextSystem with a keyword constructor and nothing more,
+    # so the system the CLI loads is played as it is
+    assert [k for k in vars(GameSpec) if not k.startswith("__")] == []
+    for spec in (ceg_game(), peres_game(), toy_game()):
+        system = ContextSystem.of(spec.vset, spec.contexts)
+        assert isinstance(spec, ContextSystem) and type(system) is ContextSystem
+        assert (system.d, system.m) == (spec.d, spec.m)
+        assert verify_perfect_strategy(system) == verify_perfect_strategy(spec)
+        assert classical_value_report(system) == classical_value_report(spec)
+    empty = ContextSystem.of(ceg_game().vset, ())
+    for entry in (verify_perfect_strategy, classical_value_report):
+        with pytest.raises(ValueError, match="need at least one context"):
+            entry(empty)
 
 
 def test_quantum_joint_distribution_normalization_and_support():
@@ -325,6 +342,35 @@ def test_classical_witness_replays_to_the_reported_total():
     assert total == report.best_total
 
 
+def test_a_witness_that_does_not_rescore_is_a_fault(monkeypatch):
+    # keep every best score, so the score table and the search are unchanged,
+    # but leave out each context's smallest member instead of the solved one
+    solved = _best_choice
+
+    def wrong_choice(system, x, bit):
+        return solved(system, x, bit)[0], tuple(sorted(system.contexts[x]))[1:]
+
+    monkeypatch.setattr(game, "_best_choice", wrong_choice)
+    with pytest.raises(RuntimeError, match="the witness scores"):
+        classical_value_report(ceg_game())
+
+
+@pytest.mark.parametrize("builtin, calls", [("peres24", 24 * 4), ("ceg18", 9 * 4)])
+def test_classical_bound_calls_the_predicate_once_per_input(capsys, monkeypatch, builtin, calls):
+    # the choice is solved, not searched: only the witness re-score, m * d
+    # calls, reads the predicate
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return winning_predicate(*args)
+
+    monkeypatch.setattr(game, "winning_predicate", counting)
+    assert run(["game", "classical-bound", "--builtin", builtin]) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
 def test_classical_witnesses_are_pinned():
     # the witnesses of the builtin games, as the CLI reports them; a kernel
     # change must reproduce them bit for bit
@@ -404,6 +450,16 @@ def test_best_choice_matches_the_all_outputs_oracle():
             for p in range(1 << spec.d):
                 bit = {y: (p >> j) & 1 for j, y in enumerate(ctx)}
                 assert _best_choice(spec, x, bit) == naive_best_choice(spec, x, bit)
+    # and on the canonical basis, listed in descending order, for d = 2 to 7:
+    # every pattern up to d = 6; the oracle reads 7^6 outputs per pattern at
+    # d = 7 (about 1 s), so there only no 1 and 1s on members 5, 4 and 2
+    for d in range(2, 8):
+        identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        ctx = tuple(reversed(range(d)))
+        spec = GameSpec(d=d, vset=VectorSet(dim=d, vectors=identity), contexts=(ctx,))
+        for p in range(1 << d) if d < 7 else (0, 0b10110):
+            bit = {y: (p >> j) & 1 for j, y in enumerate(ctx)}
+            assert _best_choice(spec, 0, bit) == naive_best_choice(spec, 0, bit)
 
 
 def test_classical_value_invariant_under_vertex_relabeling():

@@ -3,10 +3,12 @@
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
 normalization kept implicit.  Amplitudes, self-test rows and the game's
 outcome weights for a state that is not antisymmetric read one product
-expansion E[a][pi] = prod_i v_{a_i}[pi(i)], by a recursion d deep; an
-amplitude is row E[a] dotted with the sign map over a symbolic square root,
-so probabilities are exact rationals.  A re-expansion in a basis B, and the
-game on an antisymmetric state, read one determinant instead: the overlap of
+expansion E[a][pi] = prod_i v_{a_i}[pi(i)], by a recursion d deep; the
+self-test reads it on the non-decreasing tuples only, one per member
+multiset, as permuting the parties relabels a row.  An amplitude is row E[a]
+dotted with the sign map over a symbolic square root, so probabilities are
+exact rationals.  A re-expansion in a basis B, and the game on an
+antisymmetric state, read one determinant instead: the overlap of
 c * sign with a product of basis vectors is c * det of those rows.  Both
 decide that a state is c * sign, and find c, with one helper,
 _antisymmetric_constant.  A signed permutation matrix acts on the state by
@@ -114,22 +116,46 @@ def _product_expansion(choices: list[list[Vector]]) -> Expansion:
     the levels distinct.  One recursion over (party, unused level, member
     nonzero at that level), _expand_products, visits each nonzero (a, pi)
     once and never a tuple whose products all vanish, so a missing a is a
-    zero row.  Levels are tried in ascending order, party by party, so each
-    row E[a] lists its permutations in lexicographic order.  Products stay
-    int for integer vectors.
+    zero row; _multiset_expansion runs it on the non-decreasing a only.
+    Levels are tried in ascending order, party by party, so each row E[a]
+    lists its permutations in lexicographic order.  Products stay int for
+    integer vectors.
     """
     d = len(choices)
-    # nonzero[i][j]: (position, entry) of the members of choices[i] nonzero at level j
-    nonzero = [[[(p, v[j]) for p, v in enumerate(vs) if v[j] != 0] for j in range(d)]
-               for vs in choices]
     expansion: Expansion = {}
-    _expand_products(nonzero, 0, 0, 1, [0] * d, [0] * d, expansion)
+    _expand_products(_nonzero_levels(choices), 0, 0, None, 1, [0] * d, [0] * d, expansion)
     return expansion
 
 
+def _multiset_expansion(vectors: list[Vector]) -> Expansion:
+    """_product_expansion([vectors] * d) on the non-decreasing tuples a only.
+
+    With every party choosing from the same vectors, the other rows are
+    these relabelled: E[a o sigma][pi o sigma] = E[a][pi] for every sigma
+    in S_d, so one row per member multiset holds the whole expansion.  The
+    same recursion builds it, each party's position kept at or above the
+    previous party's; rows list their permutations in lexicographic order.
+    """
+    d = len(vectors[0])
+    expansion: Expansion = {}
+    _expand_products(_nonzero_levels([vectors] * d), 0, 0, 0, 1, [0] * d, [0] * d, expansion)
+    return expansion
+
+
+def _nonzero_levels(choices: list[list[Vector]]) -> list[list[list[tuple[int, Scalar]]]]:
+    # [i][j]: (position, entry) of the members of choices[i] nonzero at level j
+    return [[[(p, v[j]) for p, v in enumerate(vs) if v[j] != 0] for j in range(len(choices))]
+            for vs in choices]
+
+
 def _expand_products(nonzero: list[list[list[tuple[int, Scalar]]]], i: int, used: int,
-                     prod: Scalar, a: list[int], pi: list[int], expansion: Expansion) -> None:
-    """Add to expansion each nonzero product extending parties 0..i-1's picks; depth d."""
+                     low: int | None, prod: Scalar, a: list[int], pi: list[int],
+                     expansion: Expansion) -> None:
+    """Add to expansion each nonzero product extending parties 0..i-1's picks; depth d.
+
+    low is the least position party i may take, and each party's position
+    the next one's; None leaves every position open to every party.
+    """
     # a[:i], pi[:i]: their positions and levels; used: those levels, one bit each
     if i == len(nonzero):
         expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
@@ -139,8 +165,10 @@ def _expand_products(nonzero: list[list[list[tuple[int, Scalar]]]], i: int, used
             continue
         pi[i] = level
         for p, x in members:
-            a[i] = p
-            _expand_products(nonzero, i + 1, used | 1 << level, prod * x, a, pi, expansion)
+            if low is None or p >= low:
+                a[i] = p
+                _expand_products(nonzero, i + 1, used | 1 << level, low if low is None else p,
+                                 prod * x, a, pi, expansion)
 
 
 def _overlap(state: SupersingletState, row: dict[Permutation, Scalar]) -> Scalar:

@@ -22,6 +22,10 @@ by its own support-constrained recursion into a dense row, keeping the tuples
 whose row is not identically zero.  densify turns a row's (column, value)
 pairs back into that dense tuple.
 
+expansion_constraint_rows: pqs_constraint_rows tuple by tuple, with no
+relabelling: one full product expansion of the context, a row for every
+live outcome tuple in product order, each made primitive on its own.
+
 naive_best_choice: _best_choice over every first-party output in
 C_x^(d-1), repeated members and unsorted orders included; the lexicographically
 first maximizer, with its score.
@@ -51,6 +55,7 @@ from kspt.exact_linalg import primitive
 from kspt.game import GameSpec, winning_predicate
 from kspt.ks_sets import build_orthogonality_graph, check_context
 from kspt.selftest import ConstraintRow
+from kspt.supersinglet import _product_expansion
 
 
 def naive_classical_value(spec: GameSpec) -> Fraction:
@@ -216,6 +221,21 @@ def naive_constraint_rows(vset, context, context_id=0):
         if any(row):
             key = tuple((j, x) for j, x in enumerate(primitive(row)) if x != 0)
             merged.setdefault(key, []).append((context_id, a))
+    return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
+
+
+def expansion_constraint_rows(system, x):
+    """pqs_constraint_rows(system, x) from the full expansion, one tuple at a time."""
+    vset, context, d = system.vset, system.contexts[x], system.vset.dim
+    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
+    expansion = _product_expansion([[vset.vectors[i] for i in context]] * d)
+    merged = {}
+    for pos in sorted(expansion):
+        if len(set(pos)) == d:
+            continue
+        row = expansion[pos]
+        key = tuple(zip(map(perm_index.__getitem__, row), primitive(list(row.values()))))
+        merged.setdefault(key, []).append((x, tuple(context[p] for p in pos)))
     return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
 
 

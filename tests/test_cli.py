@@ -406,7 +406,7 @@ def test_the_state_budget_refuses_before_any_term_or_row(capsys, monkeypatch, tm
         raise AssertionError("nothing d!-sized may be built for a refused request")
 
     monkeypatch.setattr("kspt.supersinglet.permutations", refuse)
-    monkeypatch.setattr("kspt.selftest._product_expansion", refuse)
+    monkeypatch.setattr("kspt.selftest._multiset_expansion", refuse)
     path = tmp_path / f"dim{d}.json"
     vectors = [[int(i == j) for j in range(d)] for i in range(d)]
     path.write_text(json.dumps({"dim": d, "vectors": vectors, "contexts": [list(range(d))]}))

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 import sympy
@@ -24,8 +25,13 @@ from kspt.selftest import (
     support_restriction_constraints,
     verify_unique_supersinglet,
 )
-from kspt.supersinglet import _product_expansion, build_supersinglet, levi_civita
-from naive import densify, naive_constraint_rows
+from kspt.supersinglet import (
+    _multiset_expansion,
+    _product_expansion,
+    build_supersinglet,
+    levi_civita,
+)
+from naive import densify, expansion_constraint_rows, naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
 # two tetrads {v4..v7} and {v8..v11}: 23 rows over the 24 permutation
@@ -192,9 +198,25 @@ def test_constraint_rows_match_the_all_tuples_oracle():
             assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
 
 
+def test_constraint_rows_match_the_tuple_by_tuple_generator():
+    # one expansion per member multiset, relabelled, against a full expansion
+    # read tuple by tuple: the same rows, entries and provenance in order
+    cases = [
+        (catalog_peres24(), None),
+        (catalog_conway_kochen31(), None),
+        (merged_peres(4), None),
+        (merged_peres(5), merged_window_bases(5)),
+        (merged_peres(6), merged_window_bases(6)),
+    ]
+    for vset, contexts in cases:
+        system = ContextSystem.of(vset, contexts)
+        for x in range(len(system.contexts)):
+            assert pqs_constraint_rows(system, x) == expansion_constraint_rows(system, x)
+
+
 def test_expansion_rows_list_permutations_in_lexicographic_order():
-    # pqs_constraint_rows keys each row as the expansion lists it, so the
-    # columns come out ascending only if this order holds
+    # the tuple-by-tuple generator keys each row as the expansion lists it,
+    # so its columns come out ascending only if this order holds
     cases = [
         (catalog_peres24(), None),
         (catalog_conway_kochen31(), None),
@@ -206,6 +228,31 @@ def test_expansion_rows_list_permutations_in_lexicographic_order():
             assert expansion
             for row in expansion.values():
                 assert list(row) == sorted(row)
+
+
+def test_party_permutations_relabel_the_expansion():
+    # E[a o sigma][pi o sigma] = E[a][pi] for every sigma: the fact that lets
+    # pqs_constraint_rows expand one tuple per member multiset.  Checking every
+    # live a covers the dead ones too: a dead a with a live a o sigma would
+    # fail the check of a o sigma under sigma's inverse
+    cases = [
+        (catalog_peres24(), None),
+        (catalog_conway_kochen31(), None),
+        (merged_peres(4), None),
+        (merged_peres(5), merged_window_bases(5)),
+    ]
+    for vset, contexts in cases:
+        d = vset.dim
+        perms = list(permutations(range(d)))
+        for ctx in contexts or enumerate_contexts(vset):
+            vectors = [vset.vectors[i] for i in ctx]
+            full = _product_expansion([vectors] * d)
+            for a, row in full.items():
+                for sigma in perms:
+                    move = itemgetter(*sigma)
+                    assert full[move(a)] == {move(pi): x for pi, x in row.items()}
+            ordered = {a: row for a, row in full.items() if list(a) == sorted(a)}
+            assert _multiset_expansion(vectors) == ordered
 
 
 def test_d6_window_basis_rows_are_pinned():

@@ -116,8 +116,6 @@ def row_echelon(rows: Rows, at_most: int | None = None) -> tuple[list[dict[int, 
 
 def rank(rows: Rows, at_most: int | None = None) -> int:
     """Exact matrix rank, or at_most when the rank reaches it."""
-    if at_most is None:
-        return len(row_echelon(rows)[0])
     return len(row_echelon(rows, at_most)[0])
 
 

@@ -19,22 +19,22 @@ denominator, and Fractions are formed only for the returned probabilities.
 
 The classical side maximizes over all deterministic strategies: for a fixed
 {0,1} vertex assignment the per-context choices decouple, and a context with
-k ones scores d - |k - 1|, a choice that _best_choice solves.
+k ones scores d - |k - 1|, a choice that _best_choice solves.  So the score
+table has one entry per count k = 0..d, the same for every context.
 ``scan.best_assignment`` finds the least total loss sum |k - 1| by an exact
-branch and bound and returns the smallest maximizing assignment, which is
-re-scored with its choices through winning_predicate.
+branch and bound within its node budget and returns the smallest maximizing
+assignment, which is re-scored with its choices through winning_predicate.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scan
 from .exact_linalg import determinant, norm_squared, primitive
-from .ks_sets import Context, ContextSystem, VectorSet, parse_decimal
+from .ks_sets import Context, ContextSystem, VectorSet
 from .supersinglet import (
     SupersingletState,
     _antisymmetric_constant,
@@ -42,9 +42,6 @@ from .supersinglet import (
     _product_expansion,
     build_supersinglet,
 )
-
-DEFAULT_SEARCH_BUDGET = 26
-BUDGET_ENV = "KS_SEARCH_BUDGET"
 
 OutputTuple = tuple[tuple[int, ...], int]
 
@@ -160,7 +157,7 @@ def verify_perfect_strategy(
     """
     if not system.contexts:
         raise ValueError("need at least one context")
-    c = 1 if state is None else _antisymmetric_constant(state, build_supersinglet(system.d).terms)
+    c = 1 if state is None else _antisymmetric_constant(state, system.d)
     per_input: list[tuple[int, int, Fraction]] = []
     pairs: list[tuple[int, int]] = []
     for x, ctx in enumerate(system.contexts):
@@ -224,33 +221,23 @@ def classical_value_report(system: ContextSystem) -> ClassicalBoundReport:
     """The exact classical optimum over the deterministic strategies.
 
     The branch and bound of scan.best_assignment decides it over the vertex
-    assignments, on _best_choice's score table, under a cap on n (default
-    n <= 26) that the KS_SEARCH_BUDGET environment variable (parse_decimal's
-    spelling) raises or lowers; no context, a malformed budget or a set over
-    the cap raises ValueError.  The witness, the smallest maximizing
-    assignment v (vertex i is bit i) as a tuple and per context the first best
-    choice, is re-scored through winning_predicate in m * d calls; a total
-    other than the search's is a fault (RuntimeError).
+    assignments, on _best_choice's score table by count, within the search's
+    node budget (scan.MAX_NODES); no context or a search past the budget
+    raises ValueError.  The witness, the smallest maximizing assignment v
+    (vertex i is bit i) as a tuple and per context the first best choice, is
+    re-scored through winning_predicate in m * d calls; a total other than
+    the search's is a fault (RuntimeError).
     """
     if not system.contexts:
         raise ValueError("need at least one context")
     n = system.vset.n
-    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_SEARCH_BUDGET))
-    budget = parse_decimal(raw)
-    if budget is None:
-        raise ValueError(f"{BUDGET_ENV} must be an integer in plain ASCII digits, got {raw!r}")
-    if n > budget:
-        raise ValueError(
-            f"the set has n = {n} vertices (2^{n} assignments), over the exact classical "
-            f"search's cap of n <= {budget}; set {BUDGET_ENV}={n} or higher to run anyway"
-        )
-    # Score table indexed by the 2^d pattern of member v-bits (bit j = v-bit
-    # of member j), the same for every context; scan.best_assignment takes
-    # only d - |k - 1|, so it checks _best_choice against the loss it bounds.
+    # table[k]: the score of a context with k members at 1, read off context
+    # 0 with its first k members at 1; scan.best_assignment takes only
+    # d - |k - 1|, so it checks _best_choice against the loss it bounds.
     ctx = system.contexts[0]
     table = [
-        _best_choice(system, 0, {y: (pattern >> j) & 1 for j, y in enumerate(ctx)})[0]
-        for pattern in range(1 << system.d)
+        _best_choice(system, 0, {y: int(j < k) for j, y in enumerate(ctx)})[0]
+        for k in range(system.d + 1)
     ]
     best_total, best_v = scan.best_assignment(list(system.contexts), table, n)
     assignment = tuple((best_v >> i) & 1 for i in range(n))

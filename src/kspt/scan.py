@@ -1,9 +1,10 @@
 """Exact classical optimum of the game over binary vertex assignments.
 
-A context with k of its d members set to 1 scores d - |k - 1|, so the optimum
-minimizes the loss sum_x |k_x - 1| over all 2^n assignments v.  A depth-first
-branch and bound on the context masks of ``ks_sets._holding_masks`` fixes
-vertices from n - 1 down to 0, bit 0 first, so leaves come in increasing v.
+A context with k of its d members set to 1 scores d - |k - 1|, a score table
+of d + 1 entries, so the optimum minimizes the loss sum_x |k_x - 1| over all
+2^n assignments v.  A depth-first branch and bound on the context masks of
+``ks_sets._holding_masks`` fixes vertices from n - 1 down to 0, bit 0 first,
+so leaves come in increasing v.
 With sat the contexts holding a fixed 1 and closed[i] those whose members
 are all fixed at depth i, a context loses at least k - 1 when k >= 1, at
 least 0 when it has no 1 and a free member, and 1 when every member is
@@ -13,7 +14,8 @@ fixed to 0.  So a node's loss is at least
 
 exactly so at a leaf.  A child is entered only if its bound is below the
 least leaf loss so far: a pruned subtree holds no leaf that could replace
-the best, and a leaf that is reached does.
+the best, and a leaf that is reached does.  The work, not n, is bounded:
+past MAX_NODES nodes entered the search raises ValueError.
 
 Ties go to the smallest maximizing v.  Let v* be the smallest minimizer and
 L* its loss.  Every leaf reached before v* is a smaller v, so it loses more
@@ -28,6 +30,7 @@ from __future__ import annotations
 from .ks_sets import _holding_masks
 
 LANE = "branch-and-bound"
+MAX_NODES = 1 << 22  # nodes entered; merged6 takes 1,841,064
 
 
 def compiled_available() -> bool:
@@ -38,18 +41,20 @@ def compiled_available() -> bool:
 def best_assignment(
     members: list[tuple[int, ...]], table: list[int], n: int
 ) -> tuple[int, int]:
-    """Maximize sum_x table[pattern_x(v)] over v in [0, 2^n).
+    """Maximize sum_x table[k_x(v)] over v in [0, 2^n).
 
-    Bit j of context x's pattern is the v-bit of members[x][j].  The caller's
+    k_x(v) is the number of members of context x at 1 in v.  The caller's
     checked ContextSystem and the game's refusal of an empty one guarantee
     n >= 0, at least one context, each of d distinct members in [0, n) for
-    one d >= 1.  table is the game's own score table [d - |popcount(p) - 1|
-    for p in range(2^d)]; any other is a fault (RuntimeError).  Returns
-    (best_score, best_v), best_v the smallest maximizer.
+    one d >= 1.  table is the game's own score table [d - |k - 1| for k in
+    range(d + 1)]; any other is a fault (RuntimeError).  Entering more than
+    MAX_NODES nodes raises ValueError.  Returns (best_score, best_v), best_v
+    the smallest maximizer.
     """
     m, d = len(members), len(members[0])
-    if table != [d - abs(p.bit_count() - 1) for p in range(1 << d)]:
+    if table != [d - abs(k - 1) for k in range(d + 1)]:
         raise RuntimeError(f"the search takes only the game's score table for d = {d}")
+    budget = MAX_NODES
     held = _holding_masks(members, n)
     counts = [mask.bit_count() for mask in held]
     # closed[i]: the contexts whose members are all fixed once i vertices are
@@ -86,6 +91,10 @@ def best_assignment(
             k += counts[u]
         loss = k - s.bit_count() + (closed[i + 1] & ~s).bit_count()
         if loss < best_loss:
+            budget -= 1
+            if budget < 0:
+                raise ValueError(f"the exact classical search entered more than its budget "
+                                 f"of {MAX_NODES} nodes (n = {n} vertices, m = {m} contexts)")
             v |= b << u
             sat[i + 1], ones[i + 1] = s, k
             i += 1

@@ -11,9 +11,9 @@ exact rationals.  A re-expansion in a basis B, and the game on an
 antisymmetric state, read one determinant instead: the overlap of
 c * sign with a product of basis vectors is c * det of those rows.  Both
 decide that a state is c * sign, and find c, with one helper,
-_antisymmetric_constant.  A signed permutation matrix acts on the state by
-relabeling and signing its terms, so the exact invariance check reads no
-expansion.  Every reader of the sign vector takes it from build_supersinglet.
+_antisymmetric_constant, which reads the signs off the state's own keys.  A
+signed permutation matrix acts on the state by relabeling and signing its
+terms, so the exact invariance check reads no expansion.
 Floats enter only in the dense tensor-power invariance check.
 """
 
@@ -216,13 +216,16 @@ class ProductBasisExpansion:
         return sum((a.probability for a in self.coefficients.values()), Fraction(0))
 
 
-def _antisymmetric_constant(state: SupersingletState, signs: dict[Permutation, int]) -> Scalar | None:
+def _antisymmetric_constant(state: SupersingletState, d: int) -> Scalar | None:
     """c when terms[pi] * sign(pi) is one nonzero constant c over all d! permutations, else None.
 
-    signs is the sign vector of build_supersinglet(d), d the dimension the
-    caller needs: a state of another d has no term on those keys and is None.
+    d is the dimension the caller needs: a state of another d is None, and so
+    is one that lacks a term.  The state's keys are permutations of
+    range(state.d), so the signs are read off them and no sign vector is built.
     """
-    signed = {state.terms.get(pi, 0) * sign for pi, sign in signs.items()}
+    if state.d != d or len(state.terms) != math.factorial(d):
+        return None
+    signed = {x * _cycle_sign(pi) for pi, x in state.terms.items()}
     if len(signed) != 1 or 0 in signed:
         return None
     (c,) = signed
@@ -235,15 +238,14 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     The state must be c * sign for one nonzero constant c: terms[pi] * sign(pi)
     = c over all d! permutations, and any other state is rejected.  Its
     overlap with b_{t_0} x ... x b_{t_{d-1}} is then c * det of those rows:
-    c * sign(t) * det(basis) for each of the d! injective tuples t, and zero
-    for a tuple with a repeated index (two equal rows), so nothing is lost.
+    c * sign(t) * det(basis) = terms[t] * det(basis) for each of the d!
+    injective tuples t, and zero for a tuple with a repeated index (two equal
+    rows), so nothing is lost.
     """
     d = state.d
     if len(basis) != d:
         raise ValueError(f"expected a basis of {d} vectors, got {len(basis)}")
-    signs = build_supersinglet(d).terms
-    c = _antisymmetric_constant(state, signs)
-    if c is None:
+    if _antisymmetric_constant(state, d) is None:
         raise ValueError("re-expansion needs an antisymmetric state: terms[pi] * sign(pi) "
                          "must be one nonzero constant over all permutations")
     for i, v in enumerate(basis):
@@ -256,9 +258,10 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
         for j in range(i + 1, d):
             if inner_product(basis[i], basis[j]) != 0:
                 raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
-    base = c * determinant(basis)
+    det = determinant(basis)
     scale = Fraction(math.factorial(d) * math.prod(norms))
-    coefficients = {t: Amplitude(coeff=sign * base, scale=scale) for t, sign in signs.items()}
+    coefficients = {t: Amplitude(coeff=state.terms[t] * det, scale=scale)
+                    for t in permutations(range(d))}
     return ProductBasisExpansion(d=d, basis=tuple(tuple(v) for v in basis), coefficients=coefficients)
 
 

@@ -58,6 +58,14 @@ def _traced_run(argv):
     return code, tracer
 
 
+def test_classical_bound_traces_one_search(capsys):
+    # the tracer's wrapper calls best_assignment as (members, tables, n)
+    code, tracer = _traced_run(["game", "classical-bound", "--builtin", "ceg18"])
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.calls("scan.best_assignment") == 1
+
+
 def test_ks_verify_counters_trace(capsys):
     code, tracer = _traced_run(["ks", "verify", "--builtin", "merged6"])
     capsys.readouterr()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kspt
-from kspt import ks_sets
+from kspt import cli, ks_sets, scan, supersinglet
 from kspt.catalog import (
     catalog_ceg18,
     catalog_conway_kochen31,
@@ -54,8 +54,7 @@ def test_report_shape_and_digest(capsys):
         ("selftest", ["--d", "4"]),
     ],
 )
-def test_every_report_command_has_the_report_shape(capsys, monkeypatch, command, flags):
-    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
+def test_every_report_command_has_the_report_shape(capsys, command, flags):
     code, report = run_report(capsys, [*command.split(), *flags])
     assert code == 0
     assert set(report) == {"command", "inputs_digest", "results", "timings_ms"}
@@ -397,6 +396,24 @@ def test_state_expand_bad_context_index(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_state_expand_builds_the_state_once(capsys, monkeypatch):
+    # the re-expansion reads the signs off the state it is given, so the
+    # d!-term state is built once per command
+    built = []
+    original = supersinglet.build_supersinglet
+
+    def counting(d):
+        built.append(d)
+        return original(d)
+
+    monkeypatch.setattr(supersinglet, "build_supersinglet", counting)
+    monkeypatch.setattr(cli, "build_supersinglet", counting)
+    code, report = run_report(capsys, ["state", "expand", "--builtin", "ceg18", "--context", "0"])
+    assert code == 0
+    assert report["results"]["total_probability"] == "1/1"
+    assert built == [4]
+
+
 @pytest.mark.parametrize("d", [9, 10])
 def test_the_state_budget_refuses_before_any_term_or_row(capsys, monkeypatch, tmp_path, d):
     # a canonical-basis document of dimension d > 8: state expand and the
@@ -525,8 +542,7 @@ def test_game_quantum_verify_is_perfect_at_d6_and_d7(capsys, name, inputs):
     assert all(entry["p"] == "1/1" for entry in results["per_input"])
 
 
-def test_game_classical_bound(capsys, monkeypatch):
-    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
+def test_game_classical_bound(capsys):
     code, report = run_report(capsys, ["game", "classical-bound", "--builtin", "ceg18"])
     assert code == 0
     results = report["results"]
@@ -539,34 +555,40 @@ def test_game_classical_bound(capsys, monkeypatch):
     assert isinstance(results["value"], str)
 
 
-def test_game_classical_bound_respects_budget(capsys, monkeypatch):
-    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
-    code = run(["game", "classical-bound", "--builtin", "ck31"])
-    assert code == 2
-    assert "KS_SEARCH_BUDGET" in capsys.readouterr().err
+def test_game_classical_bound_answers_ck31_by_default(capsys):
+    # n = 31; the search enters 17,590 nodes, far inside its budget
+    code, report = run_report(capsys, ["game", "classical-bound", "--builtin", "ck31"])
+    assert code == 0
+    assert report["results"]["value"] == "1/1"
+    assert report["results"]["best_total"] == 51
 
 
-def test_game_classical_bound_refusal_names_n_and_the_cap(capsys, monkeypatch):
-    monkeypatch.delenv("KS_SEARCH_BUDGET", raising=False)
+def test_game_classical_bound_refusal_names_the_node_budget(capsys, monkeypatch):
+    # merged5 enters 38,306 nodes, past a budget of 1,000
+    monkeypatch.setattr(scan, "MAX_NODES", 1000)
     assert run(["game", "classical-bound", "--builtin", "merged5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert "budget of 1000 nodes" in captured.err
     assert "n = 39 vertices" in captured.err
-    assert "cap of n <= 26" in captured.err
-    assert "KS_SEARCH_BUDGET=39 or higher" in captured.err
+    assert "m = 50 contexts" in captured.err
     assert "scan" not in captured.err
 
 
-def test_game_classical_bound_names_a_malformed_budget(capsys, monkeypatch):
-    # int() would read every spelling after "abc" as 18, or -1 as a budget
-    # that refuses every set; the budget has one spelling per value
-    for raw in ("abc", "+18", " 18 ", "1_8", "\u0661\u0668", "018", "-1"):
-        monkeypatch.setenv("KS_SEARCH_BUDGET", raw)
-        assert run(["game", "classical-bound", "--builtin", "ceg18"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "KS_SEARCH_BUDGET must be an integer" in captured.err
-        assert repr(raw) in captured.err
+def test_game_classical_bound_is_bounded_by_nodes_not_n(capsys, tmp_path):
+    # one context of the canonical basis at d = 64: n = 64, a score table of
+    # d + 1 entries, and 65 nodes entered
+    d = 64
+    path = tmp_path / "dim64.json"
+    path.write_text(json.dumps({
+        "dim": d,
+        "vectors": [[int(i == j) for j in range(d)] for i in range(d)],
+        "contexts": [list(range(d))],
+    }))
+    code, report = run_report(capsys, ["game", "classical-bound", "--set", str(path)])
+    assert code == 0
+    assert report["results"]["value"] == "1/1"
+    assert report["results"]["n"] == d
 
 
 @pytest.mark.parametrize("chunk", ["+0,3,4", "0,03,4", "1_0,5,6", "\u0660,3,4", "0, 3,4"])

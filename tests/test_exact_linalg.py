@@ -210,13 +210,19 @@ def _oracle_matrices():
         yield [list(densify(r.entries, solution.variables)) for r in solution.rows]
 
 
+def unbounded_naive_row_echelon(rows, at_most=None):
+    # rank passes its at_most on; the oracle rank reads every row
+    assert at_most is None
+    return naive_row_echelon(rows)
+
+
 def test_sparse_elimination_matches_the_dense_oracle(monkeypatch):
     # the pivot row may differ, so only pivots, rank and null space must agree;
     # every matrix is run once as dense rows and once as {column: value} rows
     for m in _oracle_matrices():
         ncols = len(m[0])
         with monkeypatch.context() as patch:
-            patch.setattr(exact_linalg, "row_echelon", naive_row_echelon)
+            patch.setattr(exact_linalg, "row_echelon", unbounded_naive_row_echelon)
             want = (naive_row_echelon(m)[1], rank(m), null_space_basis(m, ncols=ncols))
         mapped = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
         for rows in (m, mapped):

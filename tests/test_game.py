@@ -252,12 +252,12 @@ def test_an_antisymmetric_state_reads_no_expansion(monkeypatch):
 
     monkeypatch.setattr(game, "_outcome_weights", refuse)
     monkeypatch.setattr(game, "build_supersinglet", counting_build)
-    # the default state has c = 1 and is not built; a passed state is
-    # compared with one built sign vector
+    # the default state has c = 1 and is not built; a passed state's signs
+    # are read off its own keys, so no sign vector is built either
     assert verify_perfect_strategy(ceg_game()).perfect
     assert built == []
     assert verify_perfect_strategy(ceg_game(), build_supersinglet(4)).perfect
-    assert built == [4]
+    assert built == []
 
 
 def test_a_state_that_is_not_antisymmetric_is_summed_over_the_expansion(monkeypatch):
@@ -393,20 +393,18 @@ def test_classical_witnesses_are_pinned():
     )
 
 
-def test_ck31_witness_is_pinned_over_a_raised_budget(monkeypatch):
+def test_ck31_witness_is_pinned_by_default():
     # recorded from the exhaustive 2^31 scan, which took about a minute; the
-    # pruned search must reach the same smallest maximizer
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "31")
+    # pruned search must reach the same smallest maximizer, in 17,590 nodes
     report = classical_value_report(ck_game())
     assert report.best_total == 51
     assert report.value == 1
     assert report.assignment == tuple((9307809 >> i) & 1 for i in range(31))
 
 
-def test_merged5_witness_is_pinned_over_a_raised_budget(monkeypatch):
-    # n = 39, past the default cap; recorded from the pattern-table search
-    # that the loss bound replaced, with the same node count
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "39")
+def test_merged5_witness_is_pinned_by_default():
+    # n = 39; recorded from the pattern-table search that the loss bound
+    # replaced, with the same node count
     report = classical_value_report(merged_game(5))
     assert report.value == Fraction(124, 125)
     assert report.best_total == 248
@@ -418,8 +416,9 @@ class _ScanCalled(Exception):
 
 
 def test_every_context_scores_like_the_shared_table(monkeypatch):
-    # the scan gets one score table for all contexts; recompute each
-    # context's own table from the predicate and compare, pattern by pattern
+    # the scan gets one score table by count for all contexts; recompute
+    # each context's own table per member pattern and compare, pattern by
+    # pattern, with the shared entry for the pattern's count of 1s
     seen = {}
 
     def capture(members, table, n):
@@ -427,17 +426,15 @@ def test_every_context_scores_like_the_shared_table(monkeypatch):
         raise _ScanCalled
 
     monkeypatch.setattr(scan, "best_assignment", capture)
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "31")
     for spec in (ceg_game(), peres_game(), ck_game(), toy_game()):
         with pytest.raises(_ScanCalled):
             classical_value_report(spec)
         assert seen["members"] == [tuple(c) for c in spec.contexts]
+        assert len(seen["table"]) == spec.d + 1
         for x, ctx in enumerate(spec.contexts):
-            own = [
-                _best_choice(spec, x, {y: (p >> j) & 1 for j, y in enumerate(ctx)})[0]
-                for p in range(1 << spec.d)
-            ]
-            assert seen["table"] == own
+            for p in range(1 << spec.d):
+                own = _best_choice(spec, x, {y: (p >> j) & 1 for j, y in enumerate(ctx)})[0]
+                assert own == seen["table"][p.bit_count()]
 
 
 def test_best_choice_matches_the_all_outputs_oracle():
@@ -474,19 +471,23 @@ def test_classical_value_invariant_under_vertex_relabeling():
     assert classical_value(relabeled) == classical_value(spec)
 
 
-def test_search_budget_guard():
-    spec = ck_game()
-    assert spec.vset.n == 31
-    with pytest.raises(ValueError, match="KS_SEARCH_BUDGET") as err:
+def test_node_budget_guard(monkeypatch):
+    # merged5 enters 38,306 nodes; a budget of 1,000 refuses it, naming the
+    # budget, n and m
+    spec = merged_game(5)
+    monkeypatch.setattr(scan, "MAX_NODES", 1000)
+    with pytest.raises(ValueError, match="budget of 1000 nodes") as err:
         classical_value_report(spec)
-    assert "2^31" in str(err.value)
+    assert "n = 39 vertices" in str(err.value)
+    assert "m = 50 contexts" in str(err.value)
 
 
-def test_search_budget_override(monkeypatch):
+def test_node_budget_counts_the_nodes_entered(monkeypatch):
+    # ceg18 enters 437 nodes: one budget less refuses it, that budget answers
     spec = ceg_game()
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "10")
-    with pytest.raises(ValueError, match="KS_SEARCH_BUDGET=18"):
+    monkeypatch.setattr(scan, "MAX_NODES", 436)
+    with pytest.raises(ValueError, match="budget of 436 nodes"):
         classical_value_report(spec)
-    monkeypatch.setenv("KS_SEARCH_BUDGET", "18")
+    monkeypatch.setattr(scan, "MAX_NODES", 437)
     assert classical_value_report(spec).value == Fraction(35, 36)
 

@@ -44,8 +44,14 @@ def random_instance(rng, n, m, d):
 
 
 def game_table(d):
-    """The game's score table: a pattern with k ones scores d - |k - 1|."""
-    return [d - abs(bin(p).count("1") - 1) for p in range(1 << d)]
+    """The game's score table by count: a context with k ones scores d - |k - 1|."""
+    return [d - abs(k - 1) for k in range(d + 1)]
+
+
+def pattern_table(d):
+    """The same scores per member pattern p, for the oracles: game_table(d)[popcount(p)]."""
+    table = game_table(d)
+    return [table[bin(p).count("1")] for p in range(1 << d)]
 
 
 def test_lanes_match_brute_force_on_random_instances():
@@ -57,11 +63,11 @@ def test_lanes_match_brute_force_on_random_instances():
         d = rng.randint(1, min(5, n))
         m = rng.randint(1, 10)
         members = random_instance(rng, n, m=m, d=d)
-        table = game_table(d)
-        expected = vectorized_best(members, [table] * m, n)
+        patterns = pattern_table(d)
+        expected = vectorized_best(members, [patterns] * m, n)
         if n <= 10:
-            assert expected == brute_force_best(members, [table] * m, n)
-        assert scan.best_assignment(members, table, n) == expected
+            assert expected == brute_force_best(members, [patterns] * m, n)
+        assert scan.best_assignment(members, game_table(d), n) == expected
 
 
 def test_relabeled_ceg18_witnesses_are_pinned():
@@ -72,10 +78,9 @@ def test_relabeled_ceg18_witnesses_are_pinned():
         perm = list(range(18))
         random.Random(seed).shuffle(perm)
         members = [tuple(perm[i] for i in ctx) for ctx in tetrads]
-        table = game_table(4)
-        expected = vectorized_best(members, [table] * len(members), 18)
+        expected = vectorized_best(members, [pattern_table(4)] * len(members), 18)
         assert expected == (35, best_v)
-        assert scan.best_assignment(members, table, 18) == expected
+        assert scan.best_assignment(members, game_table(4), 18) == expected
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -92,9 +97,8 @@ def test_search_deeper_than_the_recursion_limit():
 def test_ties_resolve_to_the_smallest_assignment():
     # vertices 1..5 lie in no context and (0, 1) scores 2 with exactly one
     # 1, so v = 1, 2, 3 | 4, ... all tie; the winner must be v = 1
-    table = game_table(2)
-    assert vectorized_best([(0, 1)], [table], 6) == (2, 1)
-    assert scan.best_assignment([(0, 1)], table, 6) == (2, 1)
+    assert vectorized_best([(0, 1)], [pattern_table(2)], 6) == (2, 1)
+    assert scan.best_assignment([(0, 1)], game_table(2), 6) == (2, 1)
 
 
 def test_split_boundary_tie_is_won_in_a_high_block():
@@ -102,20 +106,23 @@ def test_split_boundary_tie_is_won_in_a_high_block():
     # needs v16 != v17, v18 != v4 and v0 != v1, and the smallest such v is
     # (1 << 16) | (1 << 4) | 1
     members = [(16, 17), (18, 4), (0, 1)]
-    table = game_table(2)
+    table = pattern_table(2)
     assert table == [1, 2, 2, 1]
     expected = (6, (1 << 16) | (1 << 4) | 1)
     assert vectorized_best(members, [table] * 3, 19) == expected
-    assert scan.best_assignment(members, table, 19) == expected
+    assert scan.best_assignment(members, game_table(2), 19) == expected
 
 
 @pytest.mark.parametrize(
     "table",
-    [[1, 1, 1, 1], [0, 1, 1, 0], [1, 2, 2], [1, 2, 2, 1, 0], [2, 3, 3, 2, 3, 2, 2, 1]],
+    [[1, 1, 1, 1], [0, 1, 1, 0], [1, 2, 2], [1, 2, 2, 1, 0], [2, 3, 3, 2, 3, 2, 2, 1],
+     [1, 2, 2, 1], [2, 3, 2, 1]],
 )
 def test_only_the_game_table_is_searched(table):
-    # d = 2 contexts: the game table is [1, 2, 2, 1]; anything else, the d = 3
-    # game table included, is a program fault: the table never comes from input
+    # d = 2 contexts: the game table is [1, 2, 1], by count; anything else,
+    # the per-pattern tables [1, 2, 2, 1] and [2, 3, 3, 2, 3, 2, 2, 1] and the
+    # d = 3 game table [2, 3, 2, 1] included, is a program fault: the table
+    # never comes from input
     with pytest.raises(RuntimeError, match="score table"):
         scan.best_assignment([(0, 1), (1, 2)], table, 3)
 
@@ -132,7 +139,8 @@ def test_only_the_game_table_is_searched(table):
     ],
 )
 def test_search_matches_the_scan_when_contexts_share_members(members, n):
-    table = game_table(len(members[0]))
-    expected = vectorized_best(members, [table] * len(members), n)
-    assert expected == brute_force_best(members, [table] * len(members), n)
-    assert scan.best_assignment(members, table, n) == expected
+    d = len(members[0])
+    patterns = pattern_table(d)
+    expected = vectorized_best(members, [patterns] * len(members), n)
+    assert expected == brute_force_best(members, [patterns] * len(members), n)
+    assert scan.best_assignment(members, game_table(d), n) == expected

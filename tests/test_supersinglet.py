@@ -213,7 +213,7 @@ def test_antisymmetric_constant_reads_c_or_none():
     signs = build_supersinglet(3).terms
     for c in (1, -1, 2, Fraction(1, 2)):
         scaled = SupersingletState(d=3, terms={p: c * s for p, s in signs.items()})
-        assert _antisymmetric_constant(scaled, signs) == c
+        assert _antisymmetric_constant(scaled, 3) == c
     # a flipped sign, a dropped term, the zero state and a state of another d
     for terms, d in (
         ({**signs, (0, 1, 2): -1}, 3),
@@ -221,7 +221,7 @@ def test_antisymmetric_constant_reads_c_or_none():
         (dict.fromkeys(signs, 0), 3),
         (build_supersinglet(4).terms, 4),
     ):
-        assert _antisymmetric_constant(SupersingletState(d=d, terms=terms), signs) is None
+        assert _antisymmetric_constant(SupersingletState(d=d, terms=terms), 3) is None
 
 
 def test_reexpand_coefficients_match_the_naive_overlap():

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
+from operator import mul
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -31,7 +32,7 @@ def inner_product(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def norm_squared(v: Sequence[Scalar]) -> Scalar:

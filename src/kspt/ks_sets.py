@@ -12,10 +12,12 @@ last.  Adjacency is held as one integer bitmask per vertex, and a context as
 the bitmask of its members.  ContextSystem.of runs check_context, the one
 test that a context is an orthogonal basis of its set, once on each listed
 context and on no enumerated one; its consumers trust the system.  Contexts
-are found by pivoted Bron-Kerbosch on the adjacency masks, exact here
-because every d-clique is a maximal clique; once a clique is two members
-short of d, each edge among its candidates completes one context.  Walks
-recurse only where d bounds the depth, as here.  The colorability search is
+are listed on the adjacency masks relabelled in the order of the primitive
+rays: the k-cliques inside a candidate mask are each candidate v followed by
+the (k - 1)-cliques of the candidates above v adjacent to it, and each
+(candidates, k) is listed once per call, so cliques whose spans leave the
+same candidates share one listing.  Walks recurse only where d bounds the
+depth, as here.  The colorability search is
 a depth-first search over contexts: branch on which member of an unsatisfied
 context receives the 1, propagate forced 0s along edges, and propagate
 forced 1s for contexts left with a single viable member.  It goes one level
@@ -148,41 +150,44 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
 
     Mutually orthogonal nonzero rays are linearly independent, so no clique
     can exceed size d and every d-clique is a full measurement basis.  The
-    search depends on this: every d-clique is then a maximal clique, and
-    Bron-Kerbosch finds each maximal clique exactly once.  The candidates P
-    (adjacent to the whole clique, not yet tried) and the tried vertices X
-    are bitmasks; the pivot is the vertex of P | X with the most neighbours
-    in P (Tomita), and a branch stops once the clique plus P is smaller
-    than d.  At clique size d - 2 every edge inside P completes its own
-    context (a tried vertex adjacent to both ends would make a (d+1)-clique),
-    so that level lists the edges of P instead of recursing.
+    k-cliques inside a candidate mask p are each v of p followed by the
+    (k - 1)-cliques of the members of p above v adjacent to v, and each
+    (p, k) is listed once per call: the candidates of a clique are the rays
+    orthogonal to its span, which many cliques share.  They are shared in
+    the listing only when the vertices come in an order fixed by the rays,
+    so the vertices are ranked by primitive ray and the adjacency masks
+    relabelled once; the listing does not depend on how the set numbers its
+    rays.  Each clique comes out in the set's indices, sorted.
     """
-    out: list[Context] = []
-    _bron_kerbosch(vset.graph._masks, vset.dim, [], (1 << vset.n) - 1, 0, out)
-    out.sort()
+    n, adj = vset.n, vset.graph._masks
+    order = [v for _, v in sorted(vset._ray_index.items())]  # order[rank] = vertex
+    bit = [0] * n
+    for r, v in enumerate(order):
+        bit[v] = 1 << r
+    ranked = [sum(map(bit.__getitem__, _bits(adj[v]))) for v in order]
+    return sorted([tuple(sorted(c)) for c in _cliques(ranked, order, (1 << n) - 1, vset.dim, {})])
+
+
+def _cliques(adj: Sequence[int], label: Sequence[int], p: int, k: int,
+             listed: dict[tuple[int, int], list[Context]]) -> list[Context]:
+    """The k-cliques (k >= 2) inside candidate mask p, as labels; each (p, k) listed once.
+
+    adj and p are over ranks, and each member of a clique is given as its
+    label[rank].  Depth <= k - 2.
+    """
+    out = listed.get((p, k))
+    if out is not None:
+        return out
+    out = listed[p, k] = []
+    for v in _bits(p):
+        p ^= 1 << v  # p now holds the candidates above v
+        q = p & adj[v]
+        u = label[v]
+        if k == 2:
+            out += [(u, label[w]) for w in _bits(q)]
+        elif q.bit_count() >= k - 1:
+            out += [(u, *c) for c in _cliques(adj, label, q, k - 1, listed)]
     return out
-
-
-def _bron_kerbosch(adj: Sequence[int], d: int, clique: list[int], p: int, x: int,
-                   out: list[Context]) -> None:
-    """Add to out the d-cliques of clique and candidates p, x those tried; depth <= d - 2."""
-    if len(clique) + p.bit_count() < d:
-        return
-    if len(clique) == d - 2:
-        for v in _bits(p):
-            p ^= 1 << v  # p now holds the candidates above v
-            for w in _bits(p & adj[v]):
-                out.append(tuple(sorted(clique + [v, w])))
-        return
-    most = -1
-    for u in _bits(p | x):
-        k = (p & adj[u]).bit_count()
-        if k > most:
-            most, pivot = k, u
-    for v in _bits(p & ~adj[pivot]):
-        _bron_kerbosch(adj, d, clique + [v], p & adj[v], x & adj[v], out)
-        p &= ~(1 << v)
-        x |= 1 << v
 
 
 def check_context(vset: VectorSet, ctx: Context, adj: Sequence[int] | None = None) -> int:
@@ -247,7 +252,8 @@ class ContextSystem:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << v for v in ctx) for ctx in self.contexts)
+        bit = [1 << v for v in range(self.vset.n)]
+        return tuple(sum(map(bit.__getitem__, ctx)) for ctx in self.contexts)
 
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""

@@ -142,6 +142,39 @@ def test_contexts_agree_with_networkx_cliques_on_larger_and_planar_sets():
     assert enumerate_contexts(DIM2) == [(0, 1), (2, 3), (4, 5)]
 
 
+def _permuted(vset, seed):
+    # the vertices relabelled by a seeded shuffle, as the benchmark draws its
+    # documents; new_of[old index] = new index
+    order = list(range(vset.n))
+    random.Random(seed).shuffle(order)
+    new_of = [0] * vset.n
+    for new, old in enumerate(order):
+        new_of[old] = new
+    return VectorSet(dim=vset.dim, vectors=tuple(vset.vectors[old] for old in order)), new_of
+
+
+def test_contexts_agree_with_networkx_cliques_under_relabelling():
+    # the listing runs in the order of the primitive rays, whatever order
+    # the set gives its vertices
+    ck31_completed = complete_set(catalog_conway_kochen31())
+    for vset in (merged_peres(7), merged_peres(8), merged_peres(10), ck31_completed, DIM2):
+        contexts = enumerate_contexts(vset)
+        for seed in (1, 7):
+            relabelled, new_of = _permuted(vset, seed)
+            expected = sorted(tuple(sorted(new_of[v] for v in ctx)) for ctx in contexts)
+            assert enumerate_contexts(relabelled) == expected
+            assert expected == _networkx_contexts(relabelled)
+
+
+def test_fewer_rays_than_the_dimension_give_no_contexts():
+    for vset in (
+        VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0))),
+        VectorSet(dim=4, vectors=((1, 0, 0, 0),)),
+        VectorSet(dim=5, vectors=()),
+    ):
+        assert enumerate_contexts(vset) == []
+
+
 def test_maximal_cliques_smaller_than_d_are_not_contexts():
     # {0, 1, 2} is the one triad; {0, 3} is a maximal clique of size 2, and
     # (0, 1, 1) spans no edge with (0, 1, 0) or (0, 0, 1)

@@ -188,7 +188,7 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
     max_dev_det = 0.0
     for k in range(args.samples):
         u = random_special_unitary(d, args.seed + k)
-        rep = check_unitary_invariance(d, u, tolerance=args.tolerance)
+        rep = check_unitary_invariance(state, u, tolerance=args.tolerance)
         max_dev_id = max(max_dev_id, rep.max_deviation_identity)
         max_dev_det = max(max_dev_det, rep.max_deviation_det)
     signed_ok = True

@@ -13,9 +13,10 @@ state c * sign the overlap with outcome t is c * det(V_t), so every input of
 context x wins with p = c^2 det(V)^2 / prod |v_i|^2, the rays read as
 primitive integers, and the pair (det(V)^2, prod |v_i|^2) is the context's
 certificate; the default state has c = 1 and is not built.  A state that is
-not antisymmetric is evaluated from the context's product expansion instead:
-every outcome tuple with nonzero amplitude gets an integer weight over one
-denominator, and Fractions are formed only for the returned probabilities.
+not antisymmetric is evaluated from the context's product expansion instead,
+read as the self-test reads it: every outcome tuple with nonzero amplitude
+gets an integer weight over one denominator, and Fractions are formed only
+for the returned probabilities.
 
 The classical side maximizes over all deterministic strategies: for a fixed
 {0,1} vertex assignment the per-context choices decouple, and a context with
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import scan
 from .exact_linalg import determinant, norm_squared, primitive
@@ -38,8 +40,8 @@ from .ks_sets import Context, ContextSystem, VectorSet
 from .supersinglet import (
     SupersingletState,
     _antisymmetric_constant,
-    _overlap,
-    _product_expansion,
+    _arrangements,
+    _multiset_expansion,
     build_supersinglet,
 )
 
@@ -84,9 +86,9 @@ def _outcome_weights(
     """Integer weights w(t) and one denominator D with p(t) = w(t) / D on context x.
 
     t is an outcome tuple in C_x^d (first parties, then the last party), kept
-    when its overlap with the state, read off the context's one product
-    expansion, is nonzero.  Rays are read as primitive integers; with N the
-    product of the context's squared norms, w(t) = coeff(t)^2 * prod_i
+    when its overlap with the state, sum_pi terms[pi o sigma] * E[s][pi] for
+    t = s o sigma, is nonzero.  Rays are read as primitive integers; with N
+    the product of the context's squared norms, w(t) = coeff(t)^2 * prod_i
     N / |v_{t_i}|^2 and D = d! * N^d.
     """
     if state.d != system.d:
@@ -97,10 +99,12 @@ def _outcome_weights(
     big = math.prod(norms)
     cofactors = [big // n for n in norms]
     weights = {}
-    for t, row in _product_expansion([vectors] * d).items():
-        coeff = _overlap(state, row)
-        if coeff:
-            weights[tuple(ctx[i] for i in t)] = coeff * coeff * math.prod(cofactors[i] for i in t)
+    for s, row in _multiset_expansion(vectors).items():
+        for b, sigma in _arrangements(s).items():
+            move = itemgetter(*sigma)
+            coeff = sum(state.terms.get(move(pi), 0) * x for pi, x in row.items())
+            if coeff:
+                weights[tuple(ctx[i] for i in b)] = coeff * coeff * math.prod(cofactors[i] for i in b)
     return weights, math.factorial(d) * big**d
 
 

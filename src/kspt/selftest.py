@@ -9,8 +9,8 @@ context contributes one homogeneous row per forbidden outcome tuple.
 A context's rows are its product-expansion rows on the tuples that are not
 permutations of it.  Permuting the parties permutes a row's columns, so each
 member multiset is expanded once and its row relabelled for every
-arrangement; the rows, their order and their values are those of expanding
-every tuple.  Such a tuple repeats a member, so the row's product with the
+arrangement, by the helper the game's outcome weights use too; the rows,
+their order and their values are those of expanding every tuple.  Such a tuple repeats a member, so the row's product with the
 permutation-sign vector is a determinant with two equal rows: every row
 annihilates the sign vector.  The certificate is that integer check plus the
 exact rank: nullity = d! - rank, and nullity 1 means the null space is the
@@ -29,7 +29,7 @@ from operator import itemgetter
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import _ReadRows, primitive, rank
 from .ks_sets import Context, ContextSystem, check_context
-from .supersinglet import SupersingletState, _multiset_expansion, build_supersinglet
+from .supersinglet import SupersingletState, _arrangements, _multiset_expansion, build_supersinglet
 
 MAX_D = 6
 
@@ -84,27 +84,24 @@ def pqs_constraint_rows(system: ContextSystem, x: int) -> list[ConstraintRow]:
 
     Tuples come in the order of product(context, repeat=d); identically zero
     rows are absent.  Each member multiset is expanded once, as its
-    non-decreasing tuple s, and every arrangement b = s o sigma reads s's row
-    with column pi moved to pi o sigma, sorted back into column (that is,
-    lexicographic permutation) order.  Relabelling keeps the values, so s's
-    are made primitive once and each arrangement only fixes the sign of its
-    lowest column.  A row is keyed by its (column, value) pairs; proportional
-    rows are merged with their provenance, (x, outcome tuple), concatenated
-    in generation order.
+    non-decreasing tuple s, and every arrangement b = s o sigma
+    (supersinglet._arrangements) reads s's row with column pi moved to
+    pi o sigma, sorted back into column (that is, lexicographic permutation)
+    order.  Relabelling keeps the values, so s's are made primitive once and
+    each arrangement only fixes the sign of its lowest column.  A row is
+    keyed by its (column, value) pairs; proportional rows are merged with
+    their provenance, (x, outcome tuple), concatenated in generation order.
     """
     vset, context, d = system.vset, system.contexts[x], system.vset.dim
     expansion = _multiset_expansion([vset.vectors[i] for i in context])
-    perms = list(permutations(range(d)))
-    perm_index = {p: i for i, p in enumerate(perms)}
+    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
     # every live arrangement b -> (sigma, the columns pi of s's row, their primitive values)
     arrangements = {}
     for s, row in expansion.items():
         if len(set(s)) == d:
             continue
         pis, values = list(row), primitive(list(row.values()))
-        # permutations of the sorted s list each arrangement with the sigmas of its
-        # stabiliser coset, any of which relabels s's row into the arrangement's
-        for b, sigma in dict(zip(permutations(s), perms)).items():
+        for b, sigma in _arrangements(s).items():
             arrangements[b] = (sigma, pis, values)
 
     def keyed():

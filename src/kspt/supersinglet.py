@@ -1,20 +1,19 @@
 """The totally antisymmetric state of d parties with d levels.
 
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
-normalization kept implicit.  Amplitudes, self-test rows and the game's
-outcome weights for a state that is not antisymmetric read one product
-expansion E[a][pi] = prod_i v_{a_i}[pi(i)], by a recursion d deep; the
-self-test reads it on the non-decreasing tuples only, one per member
-multiset, as permuting the parties relabels a row.  An amplitude is row E[a]
-dotted with the sign map over a symbolic square root, so probabilities are
-exact rationals.  A re-expansion in a basis B, and the game on an
-antisymmetric state, read one determinant instead: the overlap of
-c * sign with a product of basis vectors is c * det of those rows.  Both
-decide that a state is c * sign, and find c, with one helper,
-_antisymmetric_constant, which reads the signs off the state's own keys.  A
-signed permutation matrix acts on the state by relabeling and signing its
-terms, so the exact invariance check reads no expansion.
-Floats enter only in the dense tensor-power invariance check.
+normalization kept implicit.  An amplitude reads the terms,
+sum_pi terms[pi] * prod_i v_i[pi(i)], over a symbolic square root: exact
+rational probabilities, and corrupted sign maps evaluated as given.  The self-test rows
+and the game's outcome weights for a state that is not antisymmetric read one
+product expansion E[s][pi] = prod_i v_{s_i}[pi(i)] of a context, one row per
+member multiset s: permuting the parties relabels a row (_arrangements).  A
+re-expansion in a basis B, and the game on an antisymmetric state, read one
+determinant instead: the overlap of c * sign with a product of basis vectors
+is c * det of those rows.  Both decide that a state is c * sign, and find c,
+with one helper, _antisymmetric_constant, which reads the signs off the
+state's own keys.  A signed permutation matrix acts on the state by
+relabeling and signing its terms, so the exact invariance check reads no
+expansion.  Floats enter only in the dense invariance check of a state.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from numbers import Rational
+from operator import getitem
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class SupersingletState:
     terms: dict[Permutation, int]
 
     def __post_init__(self) -> None:
-        # the product expansion has no other level maps: it would ignore the key
+        # amplitudes index levels by the key; outcome weights look up permutations only
         for pi in self.terms:
             if sorted(pi) != list(range(self.d)):
                 raise ValueError(f"term {pi!r} is not a permutation of range({self.d})")
@@ -109,77 +110,57 @@ class Amplitude:
         return self.coeff == 0
 
 
-def _product_expansion(choices: list[list[Vector]]) -> Expansion:
-    """E[a][pi] = prod_i choices[i][a_i][pi(i)] for every nonzero product.
-
-    Party i picks the vector at position a_i of choices[i] and a level pi(i),
-    the levels distinct.  One recursion over (party, unused level, member
-    nonzero at that level), _expand_products, visits each nonzero (a, pi)
-    once and never a tuple whose products all vanish, so a missing a is a
-    zero row; _multiset_expansion runs it on the non-decreasing a only.
-    Levels are tried in ascending order, party by party, so each row E[a]
-    lists its permutations in lexicographic order.  Products stay int for
-    integer vectors.
-    """
-    d = len(choices)
-    expansion: Expansion = {}
-    _expand_products(_nonzero_levels(choices), 0, 0, None, 1, [0] * d, [0] * d, expansion)
-    return expansion
-
-
 def _multiset_expansion(vectors: list[Vector]) -> Expansion:
-    """_product_expansion([vectors] * d) on the non-decreasing tuples a only.
+    """E[s][pi] = prod_i vectors[s_i][pi(i)] on the non-decreasing s, nonzero products only.
 
-    With every party choosing from the same vectors, the other rows are
-    these relabelled: E[a o sigma][pi o sigma] = E[a][pi] for every sigma
-    in S_d, so one row per member multiset holds the whole expansion.  The
-    same recursion builds it, each party's position kept at or above the
-    previous party's; rows list their permutations in lexicographic order.
+    Every party picks from the same vectors, so row s of one member multiset,
+    relabelled (_arrangements), gives every other.  The recursion
+    _expand_products visits each nonzero (s, pi) once, never a tuple whose
+    products all vanish, so a missing s is a zero row.  Each row lists its
+    permutations in lexicographic order; products stay int for int vectors.
     """
     d = len(vectors[0])
+    # [j]: (position, entry) of the members nonzero at level j
+    nonzero = [[(p, v[j]) for p, v in enumerate(vectors) if v[j] != 0] for j in range(d)]
     expansion: Expansion = {}
-    _expand_products(_nonzero_levels([vectors] * d), 0, 0, 0, 1, [0] * d, [0] * d, expansion)
+    _expand_products(nonzero, 0, 0, 0, 1, [0] * d, [0] * d, expansion)
     return expansion
 
 
-def _nonzero_levels(choices: list[list[Vector]]) -> list[list[list[tuple[int, Scalar]]]]:
-    # [i][j]: (position, entry) of the members of choices[i] nonzero at level j
-    return [[[(p, v[j]) for p, v in enumerate(vs) if v[j] != 0] for j in range(len(choices))]
-            for vs in choices]
-
-
-def _expand_products(nonzero: list[list[list[tuple[int, Scalar]]]], i: int, used: int,
-                     low: int | None, prod: Scalar, a: list[int], pi: list[int],
-                     expansion: Expansion) -> None:
+def _expand_products(nonzero: list[list[tuple[int, Scalar]]], i: int, used: int, low: int,
+                     prod: Scalar, s: list[int], pi: list[int], expansion: Expansion) -> None:
     """Add to expansion each nonzero product extending parties 0..i-1's picks; depth d.
 
-    low is the least position party i may take, and each party's position
-    the next one's; None leaves every position open to every party.
+    Party i tries each unused level in ascending order, and each member
+    nonzero there at a position at least low, the previous party's.
     """
-    # a[:i], pi[:i]: their positions and levels; used: those levels, one bit each
+    # s[:i], pi[:i]: their positions and levels; used: those levels, one bit each
     if i == len(nonzero):
-        expansion.setdefault(tuple(a), {})[tuple(pi)] = prod
+        expansion.setdefault(tuple(s), {})[tuple(pi)] = prod
         return
-    for level, members in enumerate(nonzero[i]):
+    for level, members in enumerate(nonzero):
         if used >> level & 1:
             continue
         pi[i] = level
         for p, x in members:
-            if low is None or p >= low:
-                a[i] = p
-                _expand_products(nonzero, i + 1, used | 1 << level, low if low is None else p,
-                                 prod * x, a, pi, expansion)
+            if p >= low:
+                s[i] = p
+                _expand_products(nonzero, i + 1, used | 1 << level, p, prod * x, s, pi, expansion)
 
 
-def _overlap(state: SupersingletState, row: dict[Permutation, Scalar]) -> Scalar:
-    """sum_pi terms[pi] * row[pi], the unnormalized amplitude of an expansion row."""
-    return sum(state.terms.get(pi, 0) * x for pi, x in row.items())
+def _arrangements(s: tuple[int, ...]) -> dict[tuple[int, ...], Permutation]:
+    """Each distinct arrangement b = s o sigma (b_i = s_sigma(i)) of a sorted s, with one sigma.
+
+    They come in lexicographic order.  E[s o sigma][pi o sigma] = E[s][pi] for
+    every sigma giving b, so row b is row s with column pi moved to pi o sigma.
+    """
+    return dict(zip(permutations(s), permutations(range(len(s)))))
 
 
 def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitude:
     """Overlap of one product of rational party vectors with the state.
 
-    coeff = sum over terms pi of sign(pi) * prod_i (v_i)_{pi(i)}, the radicand
+    coeff = sum over terms pi of terms[pi] * prod_i (v_i)_{pi(i)}, the radicand
     scale = d! * prod ||v_i||^2.  For the canonical sign map the coefficient
     equals det(rows = party vectors); reading the terms keeps the evaluation
     honest for deliberately corrupted sign maps too.
@@ -190,9 +171,9 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     for v in party_vectors:
         if len(v) != d:
             raise ValueError(f"party vector of dimension {len(v)}, expected {d}")
-    row = _product_expansion([[v] for v in party_vectors]).get((0,) * d, {})
+    coeff = sum(x * math.prod(map(getitem, party_vectors, pi)) for pi, x in state.terms.items())
     scale = math.factorial(d) * math.prod(norm_squared(v) for v in party_vectors)
-    return Amplitude(coeff=Fraction(_overlap(state, row)), scale=Fraction(scale))
+    return Amplitude(coeff=Fraction(coeff), scale=Fraction(scale))
 
 
 @dataclass(frozen=True)
@@ -287,25 +268,31 @@ class InvarianceReport:
         return self.max_deviation_identity <= self.tolerance
 
 
-def _dense_state(d: int) -> np.ndarray:
-    s = np.zeros((d,) * d, dtype=complex)
-    w = 1.0 / math.sqrt(math.factorial(d))
-    for p, sign in build_supersinglet(d).terms.items():
-        s[p] = sign * w
+def _dense_state(state: SupersingletState) -> np.ndarray:
+    s = np.zeros((state.d,) * state.d, dtype=complex)
+    w = 1.0 / math.sqrt(math.factorial(state.d))
+    for p, x in state.terms.items():
+        s[p] = x * w
     return s
 
 
-def check_unitary_invariance(d: int, U: np.ndarray, tolerance: float = 1e-10) -> InvarianceReport:
-    """Apply U tensored d times to the dense state and measure the deviations."""
+def check_unitary_invariance(state: SupersingletState, U: np.ndarray,
+                             tolerance: float = 1e-10) -> InvarianceReport:
+    """Apply U tensored d times to the dense state; ValueError unless U is finite and unitary."""
+    d = state.d
     if d < 2 or d > DENSE_CHECK_MAX_D:
         raise ValueError(f"dense invariance check supports 2 <= d <= {DENSE_CHECK_MAX_D}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise ValueError("matrix has a non-finite entry")
     unitarity = np.max(np.abs(U.conj().T @ U - np.eye(d)))
     if unitarity > tolerance:
         raise ValueError(f"matrix is not unitary within tolerance: deviation {unitarity:.3e}")
-    s = _dense_state(d)
+    s = _dense_state(state)
     out = s
     for axis in range(d):
         out = np.tensordot(U, out, axes=([1], [axis]))
@@ -332,7 +319,8 @@ def _signed_permutation_image(state: SupersingletState, M: list[Vector]) -> dict
     """Components of M tensored d times applied to the state, on the injective tuples.
 
     Row i of M must be s_i * e_{sigma(i)} with s_i = +-1 and the columns
-    sigma(i) distinct; any other matrix raises ValueError.  Such an M only
+    sigma(i) distinct, every entry an exact integer; any other matrix raises
+    ValueError.  Such an M only
     relabels and signs the levels: the component on t, the state's overlap
     with rows t_0..t_{d-1} of M, is prod_i s_{t_i} * terms[sigma o t], and on
     an injective t that sign product is prod_i s_i.
@@ -340,6 +328,8 @@ def _signed_permutation_image(state: SupersingletState, M: list[Vector]) -> dict
     d = state.d
     if len(M) != d or any(len(r) != d for r in M):
         raise ValueError(f"expected a {d}x{d} matrix")
+    if not all(isinstance(x, Rational) and x.denominator == 1 for r in M for x in r):
+        raise ValueError("expected a signed permutation matrix of exact integer entries")
     # sigma(i) for each row with exactly one nonzero entry, and that entry +-1
     nonzero = [[(c, x) for c, x in enumerate(r) if x != 0] for r in M]
     sigma = [nz[0][0] for nz in nonzero if len(nz) == 1 and nz[0][1] in (1, -1)]

@@ -16,15 +16,13 @@ naive_levi_civita: the sign of a permutation from its inversions, counted
 pair by pair, the O(d^2) count the cycle walk of levi_civita replaced.
 
 naive_amplitude_coeff and naive_row / naive_constraint_rows: the product
-expansion computed the long way.  The amplitude loops over every term of the
-state; the rows walk all d^d outcome tuples of a context and expand each one
-by its own support-constrained recursion into a dense row, keeping the tuples
-whose row is not identically zero.  densify turns a row's (column, value)
-pairs back into that dense tuple.
-
-expansion_constraint_rows: pqs_constraint_rows tuple by tuple, with no
-relabelling: one full product expansion of the context, a row for every
-live outcome tuple in product order, each made primitive on its own.
+expansion computed the long way, with no member multiset and no relabelling.
+The amplitude loops over every term of the state, one product per term;
+naive_row expands one outcome tuple by its own support-constrained recursion
+into a dense row, and naive_constraint_rows walks all d^d outcome tuples of
+a context, one naive_row each, keeping the tuples whose row is not
+identically zero.  densify turns a row's (column, value) pairs back into
+that dense tuple.
 
 naive_best_choice: _best_choice over every first-party output in
 C_x^(d-1), repeated members and unsorted orders included; the lexicographically
@@ -55,7 +53,6 @@ from kspt.exact_linalg import primitive
 from kspt.game import GameSpec, winning_predicate
 from kspt.ks_sets import build_orthogonality_graph, check_context
 from kspt.selftest import ConstraintRow
-from kspt.supersinglet import _product_expansion
 
 
 def naive_classical_value(spec: GameSpec) -> Fraction:
@@ -221,21 +218,6 @@ def naive_constraint_rows(vset, context, context_id=0):
         if any(row):
             key = tuple((j, x) for j, x in enumerate(primitive(row)) if x != 0)
             merged.setdefault(key, []).append((context_id, a))
-    return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
-
-
-def expansion_constraint_rows(system, x):
-    """pqs_constraint_rows(system, x) from the full expansion, one tuple at a time."""
-    vset, context, d = system.vset, system.contexts[x], system.vset.dim
-    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
-    expansion = _product_expansion([[vset.vectors[i] for i in context]] * d)
-    merged = {}
-    for pos in sorted(expansion):
-        if len(set(pos)) == d:
-            continue
-        row = expansion[pos]
-        key = tuple(zip(map(perm_index.__getitem__, row), primitive(list(row.values()))))
-        merged.setdefault(key, []).append((x, tuple(context[p] for p in pos)))
     return [ConstraintRow(entries=k, provenance=tuple(p)) for k, p in merged.items()]
 
 

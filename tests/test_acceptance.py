@@ -251,7 +251,7 @@ def test_criterion_09_invariance(capsys):
     for d in (3, 4):
         for seed in range(20):
             rep = check_unitary_invariance(
-                d, random_special_unitary(d, seed), tolerance=tolerance
+                build_supersinglet(d), random_special_unitary(d, seed), tolerance=tolerance
             )
             max_dev = max(max_dev, rep.max_deviation_identity)
     unitary_ok = max_dev < tolerance

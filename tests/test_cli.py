@@ -414,6 +414,25 @@ def test_state_expand_builds_the_state_once(capsys, monkeypatch):
     assert built == [4]
 
 
+def test_state_invariance_builds_the_state_once(capsys, monkeypatch):
+    # both invariance checks read the state the handler built, so the dense
+    # samples build no state of their own
+    built = []
+    original = supersinglet.build_supersinglet
+
+    def counting(d):
+        built.append(d)
+        return original(d)
+
+    monkeypatch.setattr(supersinglet, "build_supersinglet", counting)
+    monkeypatch.setattr(cli, "build_supersinglet", counting)
+    argv = ["state", "invariance", "--d", "5", "--samples", "4", "--signed", "2"]
+    code, report = run_report(capsys, argv)
+    assert code == 0
+    assert report["results"]["special_unitary_samples"] == 4
+    assert built == [5]
+
+
 @pytest.mark.parametrize("d", [9, 10])
 def test_the_state_budget_refuses_before_any_term_or_row(capsys, monkeypatch, tmp_path, d):
     # a canonical-basis document of dimension d > 8: state expand and the

@@ -31,7 +31,7 @@ from kspt.ks_sets import (
     validate_assignment,
 )
 from kspt.selftest import general_d_selftest
-from kspt.supersinglet import _product_expansion
+from kspt.supersinglet import _multiset_expansion
 
 from naive import naive_ks_search
 
@@ -558,7 +558,7 @@ def test_recursive_searches_leave_no_reference_cycles():
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert _cycles_left_by(lambda: check_ks_property(system)) == 0
     assert _cycles_left_by(lambda: enumerate_contexts(vset)) == 0
-    assert _cycles_left_by(lambda: _product_expansion([basis] * 3)) == 0
+    assert _cycles_left_by(lambda: _multiset_expansion(basis)) == 0
     assert _cycles_left_by(lambda: general_d_selftest(4)) == 0
 
 

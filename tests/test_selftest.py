@@ -26,12 +26,12 @@ from kspt.selftest import (
     verify_unique_supersinglet,
 )
 from kspt.supersinglet import (
+    _arrangements,
     _multiset_expansion,
-    _product_expansion,
     build_supersinglet,
     levi_civita,
 )
-from naive import densify, expansion_constraint_rows, naive_constraint_rows
+from naive import densify, naive_constraint_rows
 
 # Independently transcribed reference rows for the d=4 system built from the
 # two tetrads {v4..v7} and {v8..v11}: 23 rows over the 24 permutation
@@ -185,10 +185,12 @@ def test_constraint_rows_match_the_all_tuples_oracle():
     # the oracle walks all d^d outcome tuples and expands each one separately
     ck31 = catalog_conway_kochen31()
     ceg, tetrads = catalog_ceg18()
+    peres24 = catalog_peres24()
     merged4 = merged_peres(4)
     cases = [
         (ck31, enumerate_contexts(ck31)),
         (ceg, tetrads),
+        (peres24, enumerate_contexts(peres24)),
         (merged4, enumerate_contexts(merged4)),
         (merged_peres(5), merged_window_bases(5)),
     ]
@@ -198,25 +200,10 @@ def test_constraint_rows_match_the_all_tuples_oracle():
             assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
 
 
-def test_constraint_rows_match_the_tuple_by_tuple_generator():
-    # one expansion per member multiset, relabelled, against a full expansion
-    # read tuple by tuple: the same rows, entries and provenance in order
-    cases = [
-        (catalog_peres24(), None),
-        (catalog_conway_kochen31(), None),
-        (merged_peres(4), None),
-        (merged_peres(5), merged_window_bases(5)),
-        (merged_peres(6), merged_window_bases(6)),
-    ]
-    for vset, contexts in cases:
-        system = ContextSystem.of(vset, contexts)
-        for x in range(len(system.contexts)):
-            assert pqs_constraint_rows(system, x) == expansion_constraint_rows(system, x)
-
-
 def test_expansion_rows_list_permutations_in_lexicographic_order():
-    # the tuple-by-tuple generator keys each row as the expansion lists it,
-    # so its columns come out ascending only if this order holds
+    # each member multiset's row lists its permutations in lexicographic
+    # order, and its arrangements come in lexicographic order, each once,
+    # with a sigma that makes it: b = s o sigma
     cases = [
         (catalog_peres24(), None),
         (catalog_conway_kochen31(), None),
@@ -224,17 +211,21 @@ def test_expansion_rows_list_permutations_in_lexicographic_order():
     ]
     for vset, contexts in cases:
         for ctx in contexts or enumerate_contexts(vset):
-            expansion = _product_expansion([[vset.vectors[i] for i in ctx]] * vset.dim)
+            expansion = _multiset_expansion([vset.vectors[i] for i in ctx])
             assert expansion
-            for row in expansion.values():
+            for s, row in expansion.items():
                 assert list(row) == sorted(row)
+                arrangements = _arrangements(s)
+                assert list(arrangements) == sorted(set(permutations(s)))
+                assert all(b == itemgetter(*sigma)(s) for b, sigma in arrangements.items())
 
 
 def test_party_permutations_relabel_the_expansion():
-    # E[a o sigma][pi o sigma] = E[a][pi] for every sigma: the fact that lets
-    # pqs_constraint_rows expand one tuple per member multiset.  Checking every
-    # live a covers the dead ones too: a dead a with a live a o sigma would
-    # fail the check of a o sigma under sigma's inverse
+    # E[s o sigma][pi o sigma] = E[s][pi] for every sigma, not only the one
+    # _arrangements keeps: relabelled by each sigma, every multiset row is
+    # the row _arrangements gives the arrangement s o sigma.  Those rows
+    # match naive_row on every outcome tuple
+    # (test_supersinglet.py::test_product_expansion_matches_the_naive_oracles)
     cases = [
         (catalog_peres24(), None),
         (catalog_conway_kochen31(), None),
@@ -242,17 +233,16 @@ def test_party_permutations_relabel_the_expansion():
         (merged_peres(5), merged_window_bases(5)),
     ]
     for vset, contexts in cases:
-        d = vset.dim
-        perms = list(permutations(range(d)))
+        perms = list(permutations(range(vset.dim)))
         for ctx in contexts or enumerate_contexts(vset):
-            vectors = [vset.vectors[i] for i in ctx]
-            full = _product_expansion([vectors] * d)
-            for a, row in full.items():
+            for s, row in _multiset_expansion([vset.vectors[i] for i in ctx]).items():
+                arrangements = _arrangements(s)
                 for sigma in perms:
                     move = itemgetter(*sigma)
-                    assert full[move(a)] == {move(pi): x for pi, x in row.items()}
-            ordered = {a: row for a, row in full.items() if list(a) == sorted(a)}
-            assert _multiset_expansion(vectors) == ordered
+                    kept = itemgetter(*arrangements[move(s)])
+                    assert {move(pi): x for pi, x in row.items()} == {
+                        kept(pi): x for pi, x in row.items()
+                    }
 
 
 def test_d6_window_basis_rows_are_pinned():

@@ -2,17 +2,27 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
-from kspt.catalog import CEG18_VECTORS, catalog_ceg18
+from kspt.catalog import (
+    CEG18_VECTORS,
+    catalog_ceg18,
+    catalog_conway_kochen31,
+    catalog_peres24,
+    merged_peres,
+    merged_window_bases,
+)
 from kspt.exact_linalg import determinant, gram_schmidt
+from kspt.ks_sets import enumerate_contexts
 from kspt.supersinglet import (
     DENSE_CHECK_MAX_D,
     SupersingletState,
     _antisymmetric_constant,
-    _product_expansion,
+    _arrangements,
+    _multiset_expansion,
     _signed_permutation_image,
     amplitude,
     build_supersinglet,
@@ -275,7 +285,7 @@ def test_reexpand_checks_every_dimension_before_any_inner_product():
 
 
 def test_invariance_under_identity():
-    rep = check_unitary_invariance(3, np.eye(3))
+    rep = check_unitary_invariance(build_supersinglet(3), np.eye(3))
     assert rep.determinant == pytest.approx(1)
     assert rep.max_deviation_det == 0
     assert rep.max_deviation_identity == 0
@@ -287,7 +297,7 @@ def test_invariance_under_random_special_unitaries():
         for seed in range(5):
             u = random_special_unitary(d, seed)
             assert np.isclose(np.linalg.det(u), 1)
-            rep = check_unitary_invariance(d, u)
+            rep = check_unitary_invariance(build_supersinglet(d), u)
             assert rep.max_deviation_det <= 1e-10
             assert rep.invariant
 
@@ -295,7 +305,7 @@ def test_invariance_under_random_special_unitaries():
 def test_invariance_detects_global_determinant_phase():
     # i * identity is unitary with det = -i: the image is det * state exactly,
     # which is not the state itself
-    rep = check_unitary_invariance(3, 1j * np.eye(3))
+    rep = check_unitary_invariance(build_supersinglet(3), 1j * np.eye(3))
     assert rep.max_deviation_det <= 1e-12
     assert rep.max_deviation_identity > 0.1
     assert not rep.invariant
@@ -303,13 +313,39 @@ def test_invariance_detects_global_determinant_phase():
 
 def test_invariance_rejects_non_unitary_and_bad_shapes():
     with pytest.raises(ValueError):
-        check_unitary_invariance(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        check_unitary_invariance(build_supersinglet(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        check_unitary_invariance(3, np.eye(2))
+        check_unitary_invariance(build_supersinglet(3), np.eye(2))
     with pytest.raises(ValueError):
-        check_unitary_invariance(1, np.eye(1))
+        # build_supersinglet refuses d = 1 itself, so the check's own bound is hit here
+        check_unitary_invariance(SupersingletState(d=1, terms={(0,): 1}), np.eye(1))
     with pytest.raises(ValueError):
-        check_unitary_invariance(DENSE_CHECK_MAX_D + 1, np.eye(DENSE_CHECK_MAX_D + 1))
+        check_unitary_invariance(
+            build_supersinglet(DENSE_CHECK_MAX_D + 1), np.eye(DENSE_CHECK_MAX_D + 1)
+        )
+    # a NaN compares false with every deviation, so as a tolerance it would
+    # pass 2 * I as unitary, and as an entry it would pass itself
+    state = build_supersinglet(3)
+    for bad in (math.nan, math.inf, -math.inf, -1e-12):
+        for u in (np.eye(3), 2 * np.eye(3)):
+            with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+                check_unitary_invariance(state, u, tolerance=bad)
+    for bad in (math.nan, math.inf, complex(0, math.nan)):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            check_unitary_invariance(state, u)
+
+
+def test_invariance_reads_the_state_it_is_given():
+    # identity sign flipped: the identity keeps it and a special unitary does
+    # not, so the check reads the state it is given, not the canonical one
+    state = build_supersinglet(3)
+    corrupted = SupersingletState(d=3, terms={**state.terms, (0, 1, 2): -1})
+    assert check_unitary_invariance(corrupted, np.eye(3)).invariant
+    u = random_special_unitary(3, 0)
+    assert check_unitary_invariance(state, u).invariant
+    assert not check_unitary_invariance(corrupted, u).invariant
 
 
 def test_exact_invariance_under_signed_permutations():
@@ -351,9 +387,16 @@ def test_exact_invariance_rejects_non_orthogonal_matrix():
     # an exactly orthogonal rational rotation is refused too: the exact check
     # acts by relabeling, so it takes signed permutation matrices only
     rotation = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))]
-    for m in (rotation, [(2, 0), (0, 1)], [(1, 0), (-1, 0)], [(0, 0), (0, 1)]):
+    # so is an inexact entry: 1.0 == 1 passes the +-1 test, and the
+    # determinant cannot read it
+    inexact = [[(1.0, 0), (0, 1)], [(1, 0.0), (0, 1)], [(1, 0), (0, np.float64(-1))],
+               [(1 + 0j, 0), (0, 1)]]
+    for m in (rotation, [(2, 0), (0, 1)], [(1, 0), (-1, 0)], [(0, 0), (0, 1)], *inexact):
         with pytest.raises(ValueError, match="signed permutation"):
             check_unitary_invariance_exact(state, m)
+    # an exact integer is taken in any rational type
+    rep = check_unitary_invariance_exact(state, [(Fraction(1), 0), (0, np.int64(-1))])
+    assert rep.determinant == -1 and rep.equals_det_times_state
 
 
 def test_exact_invariance_matches_the_naive_overlaps():
@@ -403,25 +446,69 @@ def _corrupted(state, rng):
     return SupersingletState(d=state.d, terms=terms)
 
 
+def _relabelled(expansion):
+    """Every row of the expansion: row s o sigma is row s with column pi moved to pi o sigma."""
+    full = {}
+    for s, row in expansion.items():
+        for b, sigma in _arrangements(s).items():
+            move = itemgetter(*sigma)
+            full[b] = {move(pi): x for pi, x in row.items()}
+    return full
+
+
+def _catalog_bases():
+    for vset, contexts in (
+        (catalog_peres24(), None),
+        (catalog_conway_kochen31(), None),
+        (merged_peres(4), None),
+        (merged_peres(5), merged_window_bases(5)),
+    ):
+        for ctx in contexts or enumerate_contexts(vset):
+            yield [vset.vectors[i] for i in ctx]
+
+
 def test_product_expansion_matches_the_naive_oracles():
+    # the multiset rows, relabelled, against naive_row on every outcome tuple:
+    # random vectors every party picks from, and every context of the
+    # catalog's sets.  Amplitudes read the state's terms, so they are checked
+    # on corrupted states too: on random vectors, a different list per party,
+    # and on every live tuple of the catalog's contexts
+    # (test_party_permutations_relabel_the_expansion checks every sigma)
     rng = random.Random(11)
+    cases = []
     for d in (2, 3, 4, 5):
         canonical = build_supersinglet(d)
         states = [canonical, _corrupted(canonical, rng), _corrupted(canonical, rng)]
         most = max(2, 6 - d)  # vectors per party
         for exact_kind in ("int", "fraction"):
             for _ in range(3):
+                vectors = [_random_vector(rng, d, exact_kind) for _ in range(rng.randint(1, most))]
+                cases.append((vectors, states))
                 choices = [
                     [_random_vector(rng, d, exact_kind) for _ in range(rng.randint(1, most))]
                     for _ in range(d)
                 ]
-                expansion = _product_expansion(choices)
-                assert all(x != 0 for row in expansion.values() for x in row.values())
                 for a in product(*(range(len(c)) for c in choices)):
-                    vectors = [choices[i][p] for i, p in enumerate(a)]
-                    row = naive_row(vectors)
-                    stored = expansion.get(a, {})
-                    assert [stored.get(pi, 0) for pi in permutations(range(d))] == row
-                    assert (a in expansion) == any(row)
+                    party_vectors = [choices[i][p] for i, p in enumerate(a)]
                     for state in states:
-                        assert amplitude(state, vectors).coeff == naive_amplitude_coeff(state, vectors)
+                        assert (amplitude(state, party_vectors).coeff
+                                == naive_amplitude_coeff(state, party_vectors))
+    for vectors in _catalog_bases():
+        cases.append((vectors, [_corrupted(build_supersinglet(len(vectors)), rng)]))
+    for vectors, states in cases:
+        d = len(vectors[0])
+        perms = list(permutations(range(d)))
+        expansion = _multiset_expansion(vectors)
+        assert all(list(s) == sorted(s) for s in expansion)
+        assert all(x != 0 for row in expansion.values() for x in row.values())
+        full = _relabelled(expansion)
+        for a in product(range(len(vectors)), repeat=d):
+            party_vectors = [vectors[p] for p in a]
+            row = naive_row(party_vectors)
+            stored = full.get(a, {})
+            assert [stored.get(pi, 0) for pi in perms] == row
+            assert (a in full) == any(row)
+            if a in full:
+                for state in states:
+                    assert (amplitude(state, party_vectors).coeff
+                            == naive_amplitude_coeff(state, party_vectors))

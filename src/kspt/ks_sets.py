@@ -8,10 +8,12 @@ property when no 0/1 assignment to the rays gives every context exactly one
 
 Each set builds its orthogonality graph once, on first use, and every
 consumer reads that graph; complete_set grows each round's graph from the
-last.  Adjacency is held as one integer bitmask per vertex, and a context as
-the bitmask of its members.  ContextSystem.of runs check_context, the one
-test that a context is an orthogonal basis of its set, once on each listed
-context and on no enumerated one; its consumers trust the system.  Contexts
+last.  The graph is held only as one integer bitmask per vertex, its
+neighbours, and a context as the bitmask of its members.  Completeness reads
+the same masks: a vertex's edges outside its mask of context neighbours lie
+in no context.  ContextSystem.of runs check_context, the one test that a
+context is an orthogonal basis of its set, once on each listed context and
+on no enumerated one; its consumers trust the system.  Contexts
 are listed on the adjacency masks relabelled in the order of the primitive
 rays: the k-cliques inside a candidate mask are each candidate v followed by
 the (k - 1)-cliques of the candidates above v adjacent to it, and each
@@ -87,24 +89,9 @@ class VectorSet:
         return index
 
     @cached_property
-    def graph(self) -> OrthogonalityGraph:
-        """The orthogonality graph, built on first use and kept."""
+    def graph(self) -> tuple[int, ...]:
+        """The orthogonality graph's adjacency masks, built on first use and kept."""
         return build_orthogonality_graph(self)
-
-
-@dataclass(frozen=True)
-class OrthogonalityGraph:
-    n: int
-    edges: frozenset[Edge]
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        # bit j of mask i is set iff (i, j) or (j, i) is an edge
-        masks = [0] * self.n
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -126,23 +113,26 @@ class KSDecision:
         return self.verdict == "uncolorable"
 
 
-def build_orthogonality_graph(vset: VectorSet) -> OrthogonalityGraph:
-    """Edge (i,j) iff the exact inner product of rays i and j is zero."""
-    return _grown_graph(OrthogonalityGraph(n=0, edges=frozenset()), vset)
+def build_orthogonality_graph(vset: VectorSet) -> tuple[int, ...]:
+    """The adjacency masks: bit j of mask i is set iff rays i and j have exact inner product 0."""
+    return _grown_graph((), vset)
 
 
-def _grown_graph(graph: OrthogonalityGraph, vset: VectorSet) -> OrthogonalityGraph:
-    """The orthogonality graph of vset, given graph, that of its first graph.n rays.
+def _grown_graph(masks: tuple[int, ...], vset: VectorSet) -> tuple[int, ...]:
+    """The orthogonality graph of vset, given masks, that of its first len(masks) rays.
 
-    Only the pairs with a ray past graph.n cost an inner product.
+    Only the pairs with a ray past len(masks) cost an inner product.
     """
     vectors = vset.vectors
-    edges = set(graph.edges)
-    for j in range(graph.n, vset.n):
+    adj = list(masks)
+    for j in range(len(masks), vset.n):
+        row = 0
         for i in range(j):
             if inner_product(vectors[i], vectors[j]) == 0:
-                edges.add((i, j))
-    return OrthogonalityGraph(n=vset.n, edges=frozenset(edges))
+                row |= 1 << i
+                adj[i] |= 1 << j
+        adj.append(row)
+    return tuple(adj)
 
 
 def enumerate_contexts(vset: VectorSet) -> list[Context]:
@@ -159,7 +149,7 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     relabelled once; the listing does not depend on how the set numbers its
     rays.  Each clique comes out in the set's indices, sorted.
     """
-    n, adj = vset.n, vset.graph._masks
+    n, adj = vset.n, vset.graph
     order = [v for _, v in sorted(vset._ray_index.items())]  # order[rank] = vertex
     bit = [0] * n
     for r, v in enumerate(order):
@@ -232,7 +222,7 @@ class ContextSystem:
         d, n = vset.dim, vset.n
         many = "graph" in vars(vset) or len(contexts) * d * (d - 1) > n * (n - 1)
         for ctx in contexts:
-            check_context(vset, ctx, vset.graph._masks if many else None)
+            check_context(vset, ctx, vset.graph if many else None)
         return cls._trusted(vset, contexts)
 
     @classmethod
@@ -257,9 +247,11 @@ class ContextSystem:
 
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""
-        # a negative member has no bit; a repeat needs no test: d powers of two
-        # with a repeat carry into fewer than d set bits, so match no context
-        if len(ctx) != self.vset.dim or min(ctx) < 0:
+        # a member outside [0, n) has no bit, and is refused before it is
+        # shifted; a repeat needs no test: d powers of two with a repeat carry
+        # into fewer than d set bits, so match no context
+        n = self.vset.n
+        if len(ctx) != self.vset.dim or not all(0 <= v < n for v in ctx):
             return None
         return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
 
@@ -271,7 +263,7 @@ def _condition_masks(system: ContextSystem, edges_from_contexts_only: bool) -> t
     vertices that share a context of the system with it.
     """
     if not edges_from_contexts_only:
-        return system.vset.graph._masks
+        return system.vset.graph
     nbr = [0] * system.vset.n
     for mask in system.masks:
         for v in _bits(mask):
@@ -411,10 +403,16 @@ def parity_certificate(vset: VectorSet, contexts: list[Context]) -> bool:
 
 
 def check_completeness(vset: VectorSet) -> tuple[bool, list[Edge]]:
-    """Does every orthogonal pair extend to a full d-clique within the set?"""
-    # enumerated contexts list their members ascending, so pairs come as edges
-    covered = {pair for ctx in enumerate_contexts(vset) for pair in itertools.combinations(ctx, 2)}
-    uncovered = sorted(e for e in vset.graph.edges if e not in covered)
+    """Does every orthogonal pair extend to a full d-clique within the set?
+
+    The uncovered pairs (i, j), i < j, in lexicographic order: per vertex i,
+    its neighbours above i that share no enumerated context with it.
+    """
+    system = ContextSystem._trusted(vset, enumerate_contexts(vset))
+    covered = _condition_masks(system, edges_from_contexts_only=True)
+    uncovered = [
+        (i, j) for i, row in enumerate(vset.graph) for j in _bits(row & ~covered[i]) if i < j
+    ]
     return (not uncovered, uncovered)
 
 
@@ -432,7 +430,7 @@ def complete_set(vset: VectorSet) -> VectorSet:
     labels = list(vset.labels) if vset.labels is not None else None
     rays = {primitive(v) for v in vectors}
     added = 0
-    graph = OrthogonalityGraph(n=0, edges=frozenset())
+    graph: tuple[int, ...] = ()
     for _ in range(MAX_ROUNDS):
         current = VectorSet(dim=vset.dim, vectors=tuple(vectors), labels=tuple(labels) if labels else None)
         # the last round's graph grown by the rays added since, stored where

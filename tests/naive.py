@@ -7,6 +7,13 @@ vertex assignment; nothing is shared with the library's classical search
 except the winning predicate.  Exponential in every direction, so only for
 tiny specs.
 
+naive_edges: the orthogonality graph as its set of pairs (i, j), i < j, whose
+inner product, summed entry by entry from the raw vectors, is zero; nothing
+is read from the library's graph.
+
+naive_uncovered: the pairs of naive_edges that lie in none of the given
+contexts, sorted, the list check_completeness must return.
+
 naive_ks_search: the colorability search with set-based state that rescans
 every context on every propagation pass.  It branches exactly as
 check_ks_property does (contexts in sorted order, members in context order),
@@ -51,7 +58,7 @@ from itertools import combinations, permutations, product
 
 from kspt.exact_linalg import primitive
 from kspt.game import GameSpec, winning_predicate
-from kspt.ks_sets import build_orthogonality_graph, check_context
+from kspt.ks_sets import check_context
 from kspt.selftest import ConstraintRow
 
 
@@ -85,12 +92,28 @@ def naive_best_choice(spec: GameSpec, x, bit):
     return score(best_a), best_a
 
 
+def naive_edges(vset):
+    """{(i, j): i < j, sum_k v_i[k] v_j[k] == 0}, from the raw vectors."""
+    vectors = vset.vectors
+    return {
+        (i, j)
+        for i, j in combinations(range(len(vectors)), 2)
+        if sum(a * b for a, b in zip(vectors[i], vectors[j])) == 0
+    }
+
+
+def naive_uncovered(vset, contexts):
+    """The orthogonal pairs i < j that lie in none of contexts, sorted."""
+    members = [set(ctx) for ctx in contexts]
+    return sorted(e for e in naive_edges(vset) if not any(set(e) <= ctx for ctx in members))
+
+
 def naive_ks_search(vset, contexts, edges_from_contexts_only=False):
     """(verdict, nodes, witness) of the depth-first colorability search."""
     if edges_from_contexts_only:
         edges = {pair for ctx in contexts for pair in combinations(sorted(ctx), 2)}
     else:
-        edges = build_orthogonality_graph(vset).edges
+        edges = naive_edges(vset)
     nbr = [set() for _ in range(vset.n)]
     for i, j in edges:
         nbr[i].add(j)

@@ -326,6 +326,21 @@ def test_ks_complete_writes_the_closure(capsys, tmp_path):
     assert vset.n == 44
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("ck31", "347f14b6b591feea743c1998ad960c5e76c89c61275793745163366720d5b52e"),
+        ("ceg18", "2ee197afc301049a37d811906aec4188edaea5439a6616b80a1625ff94ce83bc"),
+    ],
+)
+def test_ks_complete_adds_its_rays_in_a_pinned_order(capsys, name, digest):
+    # the rays come in the order of the uncovered pairs, round by round
+    code, report = run_report(capsys, ["ks", "complete", "--builtin", name])
+    assert code == 0
+    added = json.dumps(report["results"]["added"])
+    assert hashlib.sha256(added.encode()).hexdigest() == digest
+
+
 def test_ks_complete_does_not_enumerate_the_input_contexts(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ks complete reads no contexts")
@@ -760,13 +775,17 @@ def test_selftest_rejects_row_contexts_the_game_does_not_measure(capsys, tmp_pat
     assert report["results"]["nullity"] == 3
 
 
-@pytest.mark.parametrize("contexts", [["0,3,99"], ["0,3,-27", "1,5,6"], ["0,0,4", "1,5,6"]])
+@pytest.mark.parametrize(
+    "contexts", [["0,3,99"], ["0,1,99999999999"], ["0,3,-27", "1,5,6"], ["0,0,4", "1,5,6"]]
+)
 def test_selftest_rejects_context_members_outside_the_set(capsys, contexts):
-    # 99 is past the 31 rays; -27 must not be read as vertex 4, and since an
-    # index has no sign it is refused as it is read; a repeated member is no
-    # context of the game and gets check_context's message
+    # 99 is past the 31 rays, and 99999999999 is refused before any mask
+    # holds its bit; -27 must not be read as vertex 4, and since an index has
+    # no sign it is refused as it is read; a repeated member is no context of
+    # the game and gets check_context's message
     message = {
         "0,3,99": "outside [0, 31)",
+        "0,1,99999999999": "has a member outside [0, 31)",
         "0,3,-27": "context '0,3,-27' is not a comma-separated index list",
         "0,0,4": "context (0, 0, 4) must have 3 distinct members",
     }[contexts[0]]

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -33,7 +34,7 @@ from kspt.ks_sets import (
 from kspt.selftest import general_d_selftest
 from kspt.supersinglet import _multiset_expansion
 
-from naive import naive_ks_search
+from naive import naive_edges, naive_ks_search, naive_uncovered
 
 
 def test_vector_set_rejects_dimension_mismatch():
@@ -72,9 +73,7 @@ def test_vector_set_labels_default():
 
 def test_canonical_basis_graph_is_complete():
     vset = VectorSet(dim=4, vectors=tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4)))
-    graph = build_orthogonality_graph(vset)
-    assert graph.edges == frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})
-    assert graph._masks[0] == 0b1110
+    assert build_orthogonality_graph(vset) == (0b1110, 0b1101, 0b1011, 0b0111)
 
 
 def test_vector_set_builds_its_graph_once():
@@ -85,9 +84,9 @@ def test_vector_set_builds_its_graph_once():
 
 def test_orthogonality_graph_edge_counts():
     ceg, _ = catalog_ceg18()
-    assert len(build_orthogonality_graph(ceg).edges) == 63
-    assert len(build_orthogonality_graph(catalog_peres24()).edges) == 108
-    assert len(build_orthogonality_graph(catalog_conway_kochen31()).edges) == 71
+    for vset, count in ((ceg, 63), (catalog_peres24(), 108), (catalog_conway_kochen31(), 71)):
+        assert len(naive_edges(vset)) == count
+        assert sum(mask.bit_count() for mask in build_orthogonality_graph(vset)) == 2 * count
 
 
 def test_context_counts():
@@ -112,10 +111,9 @@ def test_contexts_agree_with_networkx_cliques():
         merged_peres(6),
         merged_peres(10),
     ):
-        graph = build_orthogonality_graph(vset)
         g = nx.Graph()
         g.add_nodes_from(range(vset.n))
-        g.add_edges_from(graph.edges)
+        g.add_edges_from(naive_edges(vset))
         cliques = {
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == vset.dim
         }
@@ -126,7 +124,7 @@ def test_contexts_agree_with_networkx_cliques():
 def _networkx_contexts(vset):
     g = nx.Graph()
     g.add_nodes_from(range(vset.n))
-    g.add_edges_from(build_orthogonality_graph(vset).edges)
+    g.add_edges_from(naive_edges(vset))
     return sorted(tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == vset.dim)
 
 
@@ -339,7 +337,7 @@ def test_check_context_reads_the_graph_and_the_pairs_alike():
     outcomes = []
     for ctx in candidates:
         verdicts = []
-        for adj in (None, vset.graph._masks):
+        for adj in (None, vset.graph):
             try:
                 verdicts.append(check_context(vset, ctx, adj))
             except ValueError as exc:
@@ -359,6 +357,21 @@ def test_context_system_is_made_by_of_and_derives_its_masks():
     for system in (ContextSystem.of(vset), ContextSystem.of(vset, [(2, 1, 0), (0, 4, 3)])):
         assert system.masks == tuple(sum(1 << v for v in ctx) for ctx in system.contexts)
     assert ContextSystem.of(vset).contexts == ((0, 1, 2), (0, 3, 4))
+
+
+def test_mask_of_refuses_a_member_past_the_set_before_shifting():
+    # 1 << 10**8 would take 12.5 MB; a member outside [0, n) matches no context
+    system = ContextSystem.of(catalog_conway_kochen31())
+    tracemalloc.start()
+    try:
+        assert system.mask_of((0, 1, 10**8)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert system.mask_of((0, 1, 31)) is None
+    assert system.mask_of((0, 1, -1)) is None
+    assert system.mask_of(system.contexts[0][::-1]) == system.masks[0]
 
 
 def test_validate_assignment_rejects_bad_inputs():
@@ -404,6 +417,17 @@ def test_completeness_goldens():
     ck_complete, ck_uncovered = check_completeness(catalog_conway_kochen31())
     assert not ck_complete
     assert len(ck_uncovered) == 20
+
+
+def test_completeness_matches_the_naive_oracle_in_order():
+    # the order of the uncovered pairs is the order in which ks complete adds
+    # rays, so the list itself is compared, not only its length
+    ck31, ceg18 = catalog_conway_kochen31(), catalog_ceg18()[0]
+    sets = [ceg18, ck31, catalog_peres24(), merged_peres(5), merged_peres(6)]
+    sets += [_permuted(vset, seed)[0] for vset in (ck31, ceg18) for seed in (1, 7)]
+    for vset in sets:
+        uncovered = naive_uncovered(vset, _networkx_contexts(vset))
+        assert check_completeness(vset) == (not uncovered, uncovered)
 
 
 def test_complete_set_grows_the_graph_of_a_fresh_build():
@@ -520,11 +544,11 @@ def test_merged_window_bases_are_orthogonal_bases():
         vset = merged_peres(d)
         bases = merged_window_bases(d)
         assert len(bases) == 2 * (d - 3)
-        graph = build_orthogonality_graph(vset)
+        edges = naive_edges(vset)
         for ctx in bases:
             assert len(set(ctx)) == d
             for i, j in itertools.combinations(sorted(ctx), 2):
-                assert (i, j) in graph.edges
+                assert (i, j) in edges
 
 
 def test_every_context_is_mutually_orthogonal():
@@ -533,10 +557,10 @@ def test_every_context_is_mutually_orthogonal():
         (catalog_peres24(), enumerate_contexts(catalog_peres24())),
         (catalog_conway_kochen31(), enumerate_contexts(catalog_conway_kochen31())),
     ):
-        graph = build_orthogonality_graph(vset)
+        edges = naive_edges(vset)
         for ctx in contexts:
             for i, j in itertools.combinations(sorted(ctx), 2):
-                assert (i, j) in graph.edges
+                assert (i, j) in edges
 
 
 def _cycles_left_by(call) -> int:

@@ -63,6 +63,11 @@ def _reduce_row(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _reduce_entries(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 class _ReadRows(list):
     """Rows already primitive integer {column: nonzero} dicts; row_echelon takes them as is."""
 
@@ -84,7 +89,7 @@ def _read_rows(rows: Rows, ncols: int | None = None) -> tuple[_ReadRows, int | N
         row = {c: x for c, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x != 0}
         if row and not 0 <= min(row) <= max(row) < (inf if ncols is None else ncols):
             raise ValueError(f"columns {sorted(row)} outside [0, ncols), ncols = {ncols}")
-        work.append(dict(zip(row, _reduce_row(_integer_row(list(row.values()))))))
+        work.append(_reduce_entries(dict(zip(row, _integer_row(list(row.values()))))))
     return work, ncols
 
 
@@ -108,9 +113,13 @@ def row_echelon(rows: Rows, at_most: int | None = None) -> tuple[list[dict[int, 
                 break
             g = gcd(prow[c], row[c])
             a, b = prow[c] // g, row[c] // g
-            new = {j: v for j in row.keys() | prow.keys()
-                   if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
-            row = dict(zip(new, _reduce_row(list(new.values()))))
+            new = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                if w := new.get(j, 0) - b * v:
+                    new[j] = w
+                else:  # a * row[j] == b * v, so j was in new
+                    del new[j]
+            row = _reduce_entries(new)
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots
 

@@ -9,9 +9,11 @@ context contributes one homogeneous row per forbidden outcome tuple.
 A context's rows are its product-expansion rows on the tuples that are not
 permutations of it.  Permuting the parties permutes a row's columns, so each
 member multiset is expanded once and its row relabelled for every
-arrangement, by the helper the game's outcome weights use too; the rows,
-their order and their values are those of expanding every tuple.  Such a tuple repeats a member, so the row's product with the
-permutation-sign vector is a determinant with two equal rows: every row
+arrangement, by the helper the game's outcome weights use too, in one pass
+over the contexts that relabels each (multiset row, sigma) pair once; the
+rows, their order, values and provenance are those of expanding every tuple
+of every context.  Such a tuple repeats a member, so its row's product with
+the permutation-sign vector is a determinant with two equal rows: every row
 annihilates the sign vector.  The certificate is that integer check plus the
 exact rank: nullity = d! - rank, and nullity 1 means the null space is the
 sign vector's line, so the state is unique.  Contexts arrive as a checked
@@ -71,53 +73,48 @@ class ConstraintRow:
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _merge(keyed) -> tuple[ConstraintRow, ...]:
-    """Rows in first-seen key order, provenance concatenated in generation order."""
-    merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for key, provenance in keyed:
-        merged.setdefault(key, []).extend(provenance)
-    return tuple(ConstraintRow(entries=key, provenance=tuple(p)) for key, p in merged.items())
+def pqs_constraint_rows(system: ContextSystem, x: int | None = None) -> list[ConstraintRow]:
+    """Rows from context x of the system, or from all its contexts in order, merged.
 
-
-def pqs_constraint_rows(system: ContextSystem, x: int) -> list[ConstraintRow]:
-    """Rows from context x of the system: every outcome tuple not a permutation of it.
-
-    Tuples come in the order of product(context, repeat=d); identically zero
-    rows are absent.  Each member multiset is expanded once, as its
-    non-decreasing tuple s, and every arrangement b = s o sigma
-    (supersinglet._arrangements) reads s's row with column pi moved to
-    pi o sigma, sorted back into column (that is, lexicographic permutation)
-    order.  Relabelling keeps the values, so s's are made primitive once and
-    each arrangement only fixes the sign of its lowest column.  A row is
-    keyed by its (column, value) pairs; proportional rows are merged with
-    their provenance, (x, outcome tuple), concatenated in generation order.
+    A context's rows come from its outcome tuples that are not permutations
+    of it, in the order of product(context, repeat=d); identically zero rows
+    are absent.  Each member multiset is expanded once, as its
+    non-decreasing tuple s, and made primitive once; every arrangement
+    b = s o sigma (supersinglet._arrangements) reads s's row with column pi
+    moved to pi o sigma, sorted back into column (lexicographic permutation)
+    order.  That row depends only on s's primitive row and sigma, so each
+    such pair, from any context, is relabelled and signed once.  Equal rows
+    merge in first-seen order, their provenance, (context position, outcome
+    tuple), concatenated in generation order.
     """
-    vset, context, d = system.vset, system.contexts[x], system.vset.dim
-    expansion = _multiset_expansion([vset.vectors[i] for i in context])
+    d = system.vset.dim
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
-    # every live arrangement b -> (sigma, the columns pi of s's row, their primitive values)
-    arrangements = {}
-    for s, row in expansion.items():
-        if len(set(s)) == d:
-            continue
-        pis, values = list(row), primitive(list(row.values()))
-        for b, sigma in _arrangements(s).items():
-            arrangements[b] = (sigma, pis, values)
-
-    def keyed():
+    seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
+    merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for ci in range(len(system.contexts)) if x is None else (x,):
+        context = system.contexts[ci]
+        arrangements = {}  # every live arrangement b -> (sigma, s's row, its row's memo)
+        for s, row in _multiset_expansion([system.vset.vectors[i] for i in context]).items():
+            if len(set(s)) < d:
+                key = (tuple(row), primitive(list(row.values())))
+                memo = seen.setdefault(key, {})
+                for b, sigma in _arrangements(s).items():
+                    arrangements[b] = sigma, key, memo
         for b in sorted(arrangements):
-            sigma, pis, values = arrangements[b]
-            entries = sorted(zip(map(perm_index.__getitem__, map(itemgetter(*sigma), pis)), values))
-            if entries[0][1] < 0:
-                entries = [(c, -v) for c, v in entries]
-            yield tuple(entries), [(x, tuple(map(context.__getitem__, b)))]
-
-    return list(_merge(keyed()))
+            sigma, (pis, values), memo = arrangements[b]
+            if (provenance := memo.get(sigma)) is None:
+                moved = map(perm_index.__getitem__, map(itemgetter(*sigma), pis))
+                entries = sorted(zip(moved, values))
+                if entries[0][1] < 0:
+                    entries = [(c, -v) for c, v in entries]
+                provenance = memo[sigma] = merged.setdefault(tuple(entries), [])
+            provenance.append((ci, tuple(map(context.__getitem__, b))))
+    return [ConstraintRow(entries=e, provenance=tuple(p)) for e, p in merged.items()]
 
 
 @dataclass(frozen=True)
 class SelftestSolution:
-    d: int
+    state: SupersingletState
     variables: int
     rows: tuple[ConstraintRow, ...]
     rank: int
@@ -135,19 +132,15 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
     check proves rank <= d! - 1, so the rank is one elimination of the sparse
     rows, already primitive, that stops once it reaches d! - 1.
     """
-    d = system.vset.dim
     # built first, so a d over the state's budget is refused before any row
-    signs = list(build_supersinglet(d).terms.values())  # in lexicographic order, as the columns
-    rows = _merge(
-        (row.entries, row.provenance)
-        for x in range(len(system.contexts))
-        for row in pqs_constraint_rows(system, x)
-    )
+    state = build_supersinglet(system.vset.dim)
+    signs = list(state.terms.values())  # in lexicographic order, as the columns
+    rows = tuple(pqs_constraint_rows(system))
     for row in rows:
         if sum(v * signs[c] for c, v in row.entries):
             raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")
     system_rank = rank(_ReadRows(dict(r.entries) for r in rows), at_most=len(signs) - 1)
-    return SelftestSolution(d=d, variables=len(signs), rows=rows, rank=system_rank)
+    return SelftestSolution(state=state, variables=len(signs), rows=rows, rank=system_rank)
 
 
 def verify_unique_supersinglet(
@@ -160,7 +153,7 @@ def verify_unique_supersinglet(
     """
     if solution.nullity != 1:
         return False, None
-    return True, build_supersinglet(solution.d)
+    return True, solution.state
 
 
 @dataclass(frozen=True)

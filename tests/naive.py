@@ -45,6 +45,12 @@ first row nonzero in the column, so its echelon rows differ from the sparse
 kernel's, but its pivot columns, and the null space back-substituted from
 them, must agree.  It takes and returns rows in row_echelon's formats.
 
+union_row_echelon: row_echelon as it stepped before each step wrote its
+row afresh: the new row is built over the union of both rows' columns,
+a * row[j] - b * prow[j] with missing entries read as 0, and then made
+primitive.  Same rows, same order, same arithmetic, so its echelon rows and
+pivots must equal row_echelon's exactly.
+
 naive_gram_schmidt: the rational Gram-Schmidt that the fraction-free one
 replaced.  Every vector is projected in Fractions, w - (w.u / u.u) u, and
 only the finished orthogonal vectors are made primitive, so the two must
@@ -283,6 +289,24 @@ def naive_row_echelon(rows):
         if r == len(work):
             break
     return [{j: x for j, x in enumerate(row) if x != 0} for row in work[:r]], pivots
+
+
+def union_row_echelon(rows):
+    """(echelon rows, pivots) of {column: nonzero} primitive integer rows, every row read."""
+    basis = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if (prow := basis.get(c)) is None:
+                basis[c] = row
+                break
+            g = math.gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            new = {j: v for j in row.keys() | prow.keys()
+                   if (v := a * row.get(j, 0) - b * prow.get(j, 0))}
+            row = dict(zip(new, _primitive_ints(list(new.values()))))
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def naive_gram_schmidt(vectors):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kspt
-from kspt import cli, ks_sets, scan, supersinglet
+from kspt import cli, ks_sets, scan, selftest, supersinglet
 from kspt.catalog import (
     catalog_ceg18,
     catalog_conway_kochen31,
@@ -427,6 +427,27 @@ def test_state_expand_builds_the_state_once(capsys, monkeypatch):
     assert code == 0
     assert report["results"]["total_probability"] == "1/1"
     assert built == [4]
+
+
+def test_selftest_builds_the_state_once(capsys, monkeypatch):
+    # the sign vector and the witness are read off one state
+    built = []
+    original = supersinglet.build_supersinglet
+
+    def counting(d):
+        built.append(d)
+        return original(d)
+
+    for module in (supersinglet, cli, selftest):
+        monkeypatch.setattr(module, "build_supersinglet", counting)
+    code, report = run_report(capsys, ["selftest", "--d", "5"])
+    assert code == 0
+    assert report["results"]["rank"] == 119 and report["results"]["witness"]
+    assert built == [5]
+    code, report = run_report(capsys, ["selftest", "--builtin", "peres24", "--contexts", "4,5,6,7"])
+    assert code == 1
+    assert report["results"]["witness"] is None
+    assert built == [5, 4]
 
 
 def test_state_invariance_builds_the_state_once(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import sympy
 from kspt import exact_linalg
 from kspt.catalog import merged_peres, merged_window_bases
 from kspt.exact_linalg import (
+    _read_rows,
     determinant,
     gram_schmidt,
     inner_product,
@@ -20,7 +21,7 @@ from kspt.exact_linalg import (
 )
 from kspt.ks_sets import ContextSystem
 from kspt.selftest import assemble_and_solve
-from naive import densify, naive_gram_schmidt, naive_row_echelon
+from naive import densify, naive_gram_schmidt, naive_row_echelon, union_row_echelon
 
 
 def test_inner_product_canonical_orthogonality():
@@ -242,6 +243,20 @@ def test_bounded_rank_is_the_rank_capped():
         for rows in (m, mapped):
             for k in range(ncols + 1):
                 assert rank(rows, at_most=k) == min(full, k), (rows, k)
+
+
+def test_row_echelon_matches_the_union_step_and_keeps_its_input():
+    # each step writes a * row - b * prow straight into a new dict; the
+    # arithmetic, and so every echelon row and pivot, is that of the step
+    # over the union of both rows' columns, on the oracle matrices and on the
+    # d = 6 self-test rows.  The rows passed in are never changed
+    d6 = assemble_and_solve(ContextSystem.of(merged_peres(6), merged_window_bases(6)))
+    matrices = list(_oracle_matrices()) + [[dict(r.entries) for r in d6.rows]]
+    for m in matrices:
+        rows = _read_rows(m)[0]
+        before = [dict(r) for r in rows]
+        assert row_echelon(rows) == union_row_echelon([dict(r) for r in rows])
+        assert rows == before
 
 
 def test_determinant_basics():

@@ -200,6 +200,27 @@ def test_constraint_rows_match_the_all_tuples_oracle():
             assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
 
 
+def test_one_pass_merges_the_oracle_rows_in_context_order():
+    # pqs_constraint_rows(system) walks every context once, reusing the row
+    # of each (multiset row, sigma) pair it has met: its rows and provenance
+    # are each context's oracle rows merged in context order
+    ck31 = catalog_conway_kochen31()
+    merged4 = merged_peres(4)
+    cases = [
+        (ck31, enumerate_contexts(ck31)),
+        (ck31, CK_SELFTEST_CONTEXTS),
+        (merged4, enumerate_contexts(merged4)),
+        (merged_peres(5), merged_window_bases(5)),
+    ]
+    for vset, contexts in cases:
+        merged = {}
+        for ci, ctx in enumerate(contexts):
+            for row in naive_constraint_rows(vset, ctx, ci):
+                merged.setdefault(row.entries, []).extend(row.provenance)
+        want = [ConstraintRow(entries=e, provenance=tuple(p)) for e, p in merged.items()]
+        assert pqs_constraint_rows(ContextSystem.of(vset, contexts)) == want
+
+
 def test_expansion_rows_list_permutations_in_lexicographic_order():
     # each member multiset's row lists its permutations in lexicographic
     # order, and its arrangements come in lexicographic order, each once,
@@ -254,6 +275,17 @@ def test_d6_window_basis_rows_are_pinned():
         for row in pqs_constraint_rows(system, ci):
             merged.setdefault(row.entries, []).extend(row.provenance)
     rows = [(densify(entries, 720), tuple(provenance)) for entries, provenance in merged.items()]
+    assert len(rows) == 3240
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "304f59bdea3caf1657bf465affaa935496172fae7aba2649bcb8bf572680097c"
+    )
+
+
+def test_one_pass_reproduces_the_pinned_d6_rows():
+    # the whole-system call gives the rows and provenance that
+    # test_d6_window_basis_rows_are_pinned merges from the per-context calls
+    system = ContextSystem.of(merged_peres(6), merged_window_bases(6))
+    rows = [(densify(r.entries, 720), r.provenance) for r in pqs_constraint_rows(system)]
     assert len(rows) == 3240
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "304f59bdea3caf1657bf465affaa935496172fae7aba2649bcb8bf572680097c"

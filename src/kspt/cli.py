@@ -36,7 +36,7 @@ from .ks_sets import (
     system_from_json_dict,
     to_json_dict,
 )
-from .selftest import MAX_D, certify, general_d_selftest
+from .selftest import certify, general_d_selftest
 from .supersinglet import (
     DENSE_CHECK_MAX_D,
     STATE_MAX_D,
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="constraint-system uniqueness certification")
     group = p_selftest.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d", type=integer, help=f"merged-family dimension (4 to {MAX_D})")
+    group.add_argument("--d", type=integer, help=f"merged-family dimension (4 to {STATE_MAX_D})")
     group.add_argument("--builtin", help="built-in set name")
     group.add_argument("--set", help="path to an interchange JSON document")
     p_selftest.add_argument(

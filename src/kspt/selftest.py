@@ -9,31 +9,32 @@ context contributes one homogeneous row per forbidden outcome tuple.
 A context's rows are its product-expansion rows on the tuples that are not
 permutations of it.  Permuting the parties permutes a row's columns, so each
 member multiset is expanded once and its row relabelled for every
-arrangement, by the helper the game's outcome weights use too, in one pass
-over the contexts that relabels each (multiset row, sigma) pair once; the
-rows, their order, values and provenance are those of expanding every tuple
-of every context.  Such a tuple repeats a member, so its row's product with
-the permutation-sign vector is a determinant with two equal rows: every row
-annihilates the sign vector.  The certificate is that integer check plus the
-exact rank: nullity = d! - rank, and nullity 1 means the null space is the
-sign vector's line, so the state is unique.  Contexts arrive as a checked
-ks_sets.ContextSystem, and the canonical basis and row contexts are found
-among the game's by mask, never checked again.
+arrangement.  One pass counts the rows every context generates and refuses
+more than MAX_ROWS before relabelling any; a second relabels each (multiset
+row, sigma) pair once.  The rows, their order, values and provenance are
+those of expanding every tuple of every context.  Such a tuple repeats a
+member, so its row's product with the permutation-sign vector is a
+determinant with two equal rows: every row annihilates the sign vector.  The
+certificate is that integer check plus the exact rank: nullity = d! - rank,
+and nullity 1 means the null space is the sign vector's line, so the state is
+unique.  Contexts arrive as a checked ks_sets.ContextSystem, and the canonical
+basis and row contexts are found among the game's by mask, never checked again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from operator import itemgetter
 
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import _ReadRows, primitive, rank
 from .ks_sets import Context, ContextSystem, check_context
-from .supersinglet import SupersingletState, _arrangements, _multiset_expansion, build_supersinglet
+from .supersinglet import STATE_MAX_D, SupersingletState, build_supersinglet
+from .supersinglet import _arrangements, _multiset_expansion
 
-MAX_D = 6
+MAX_ROWS = 1 << 21  # generated rows, before merging; merged8's window bases generate 1,209,600
 
 
 def support_restriction_constraints(system: ContextSystem) -> Context:
@@ -78,28 +79,36 @@ def pqs_constraint_rows(system: ContextSystem, x: int | None = None) -> list[Con
 
     A context's rows come from its outcome tuples that are not permutations
     of it, in the order of product(context, repeat=d); identically zero rows
-    are absent.  Each member multiset is expanded once, as its
-    non-decreasing tuple s, and made primitive once; every arrangement
-    b = s o sigma (supersinglet._arrangements) reads s's row with column pi
-    moved to pi o sigma, sorted back into column (lexicographic permutation)
-    order.  That row depends only on s's primitive row and sigma, so each
-    such pair, from any context, is relabelled and signed once.  Equal rows
-    merge in first-seen order, their provenance, (context position, outcome
-    tuple), concatenated in generation order.
+    are absent.  The first pass expands every context and counts the rows its
+    multisets s that repeat a member generate, one per distinct arrangement
+    b = s o sigma (supersinglet._arrangements, once per s); past MAX_ROWS it
+    raises ValueError before relabelling any row.  The second makes s's row
+    primitive once and reads b's as s's with column pi moved to pi o sigma,
+    in column (lexicographic permutation) order; each (primitive row, sigma)
+    pair is relabelled and signed once.  Equal rows merge in first-seen order,
+    their provenance, (context position, outcome tuple), in generation order.
     """
     d = system.vset.dim
+    arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
+    expanded, generated = [], 0  # [(context position, its live (s, row) pairs)], their row count
+    for ci in range(len(system.contexts)) if x is None else (x,):
+        expansion = _multiset_expansion([system.vset.vectors[i] for i in system.contexts[ci]])
+        live = [(s, row) for s, row in expansion.items() if len(set(s)) < d]
+        generated += sum(len(arranged(s)) for s, _ in live)
+        if generated > MAX_ROWS:
+            raise ValueError(f"the rows exceed the budget of {MAX_ROWS} generated rows")
+        expanded.append((ci, live))
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
     seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
     merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for ci in range(len(system.contexts)) if x is None else (x,):
+    for ci, live in expanded:
         context = system.contexts[ci]
         arrangements = {}  # every live arrangement b -> (sigma, s's row, its row's memo)
-        for s, row in _multiset_expansion([system.vset.vectors[i] for i in context]).items():
-            if len(set(s)) < d:
-                key = (tuple(row), primitive(list(row.values())))
-                memo = seen.setdefault(key, {})
-                for b, sigma in _arrangements(s).items():
-                    arrangements[b] = sigma, key, memo
+        for s, row in live:
+            key = (tuple(row), primitive(list(row.values())))
+            memo = seen.setdefault(key, {})
+            for b, sigma in arranged(s).items():
+                arrangements[b] = sigma, key, memo
         for b in sorted(arrangements):
             sigma, (pis, values), memo = arrangements[b]
             if (provenance := memo.get(sigma)) is None:
@@ -206,11 +215,7 @@ def general_d_selftest(d: int, all_contexts: bool = False) -> SelftestReport:
     every enumerated context of the merged set instead, as a redundancy
     cross-check.
     """
-    if d < 4:
-        raise ValueError("the merged construction needs d >= 4")
-    if d > MAX_D:
-        raise ValueError(
-            f"d={d} exceeds the budget of {MAX_D} ({math.factorial(d)} variables)"
-        )
+    if d > STATE_MAX_D:
+        raise ValueError(f"d={d} exceeds the budget of {STATE_MAX_D} for the d!-term state")
     system = ContextSystem.of(merged_peres(d))
     return certify(system, system.contexts if all_contexts else _window_bases(system.vset))

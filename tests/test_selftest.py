@@ -14,6 +14,7 @@ from kspt.catalog import (
     merged_peres,
     merged_window_bases,
 )
+from kspt.cli import run
 from kspt.exact_linalg import null_space_basis, primitive, rank
 from kspt.ks_sets import ContextSystem, enumerate_contexts
 from kspt.selftest import (
@@ -441,9 +442,54 @@ def test_general_selftest_d5():
     assert report.witness == build_supersinglet(5)
 
 
-def test_general_selftest_rejects_out_of_range_d():
+def test_general_selftest_rejects_out_of_range_d(monkeypatch):
+    # merged_peres refuses d = 3 itself; a d over the state's budget is
+    # refused before the merged set is built
     with pytest.raises(ValueError):
         general_d_selftest(3)
-    with pytest.raises(ValueError) as err:
-        general_d_selftest(7)
-    assert "budget" in str(err.value)
+
+    def refuse(d):
+        raise AssertionError("the merged set may not be built for a refused d")
+
+    monkeypatch.setattr("kspt.selftest.merged_peres", refuse)
+    for d in (9, 16):
+        with pytest.raises(ValueError, match=f"d={d} exceeds the budget of 8 for the d!-term"):
+            general_d_selftest(d)
+
+
+@pytest.mark.parametrize(
+    "vset, contexts, argv",
+    [
+        (
+            catalog_conway_kochen31(),
+            CK_SELFTEST_CONTEXTS,
+            ["--builtin", "ck31", "--contexts", "0,3,4", "1,5,6"],
+        ),
+        (merged_peres(4), None, ["--d", "4", "--all-contexts"]),
+    ],
+    ids=["ck31-pair", "merged4-all-contexts"],
+)
+def test_the_row_budget_refuses_before_relabelling_any_row(
+    monkeypatch, capsys, vset, contexts, argv
+):
+    # the budget counts generated rows, one per provenance entry (the bench
+    # tracer's rows_generated): the exact count is admitted, one fewer is
+    # refused before the second pass relabels a row through itemgetter
+    system = ContextSystem.of(vset, contexts)
+    generated = sum(len(row.provenance) for row in pqs_constraint_rows(system))
+    monkeypatch.setattr(selftest, "MAX_ROWS", generated)
+    assert sum(len(row.provenance) for row in pqs_constraint_rows(system)) == generated
+    assert run(["selftest", *argv]) == 0
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("no row may be relabelled over the budget")
+
+    monkeypatch.setattr(selftest, "MAX_ROWS", generated - 1)
+    monkeypatch.setattr("kspt.selftest.itemgetter", refuse)
+    with pytest.raises(ValueError, match=f"budget of {generated - 1} generated rows"):
+        pqs_constraint_rows(system)
+    assert run(["selftest", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"budget of {generated - 1} generated rows" in captured.err

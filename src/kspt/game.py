@@ -260,7 +260,3 @@ def classical_value_report(system: ContextSystem) -> ClassicalBoundReport:
         assignment=assignment,
         context_choices=choices,
     )
-
-
-def classical_value(system: ContextSystem) -> Fraction:
-    return classical_value_report(system).value

@@ -9,9 +9,10 @@ property when no 0/1 assignment to the rays gives every context exactly one
 Each set builds its orthogonality graph once, on first use, and every
 consumer reads that graph; complete_set grows each round's graph from the
 last.  The graph is held only as one integer bitmask per vertex, its
-neighbours, and a context as the bitmask of its members.  Completeness reads
-the same masks: a vertex's edges outside its mask of context neighbours lie
-in no context.  ContextSystem.of runs check_context, the one test that a
+neighbours, and a context as the bitmask of its members.  Sets and systems
+store tuples.  A system keeps its context neighbours, per vertex the mask of
+the vertices sharing a context with it; a vertex's edges outside that mask
+lie in no context.  ContextSystem.of runs check_context, the one test that a
 context is an orthogonal basis of its set, once on each listed context and
 on no enumerated one; its consumers trust the system.  Contexts
 are listed on the adjacency masks relabelled in the order of the primitive
@@ -31,8 +32,8 @@ to 0, bit-sliced into one mask over the contexts per bit of the count.  A
 vertex fixed to 0 subtracts the mask of its contexts from every count with a
 ripple borrow, and one pass over the masks finds the contexts with no 1 left
 with one viable member (a forced 1) or none (a conflict).  Condition (i) can
-be read with all graph edges (default) or only with pairs that co-occur in a
-supplied context; the two readings coincide on complete sets.
+be read with all graph edges (default) or only with the system's context
+neighbours; the two readings coincide on complete sets.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class VectorSet:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
+        # stored as tuples, so a set built from lists hashes and compares as one
+        vars(self).update(vectors=tuple(map(tuple, self.vectors)),
+                          labels=None if self.labels is None else tuple(self.labels))
         self._ray_index  # validates every vector
         if self.labels is not None and len(self.labels) != len(self.vectors):
             raise ValueError("label count does not match vector count")
@@ -229,7 +233,7 @@ class ContextSystem:
     def _trusted(cls, vset: VectorSet, contexts: Iterable[Context]) -> ContextSystem:
         """The system of contexts already known to be orthogonal bases of vset."""
         system = object.__new__(cls)
-        vars(system).update(vset=vset, contexts=tuple(contexts))
+        vars(system).update(vset=vset, contexts=tuple(map(tuple, contexts)))
         return system
 
     @property
@@ -245,6 +249,15 @@ class ContextSystem:
         bit = [1 << v for v in range(self.vset.n)]
         return tuple(sum(map(bit.__getitem__, ctx)) for ctx in self.contexts)
 
+    @cached_property
+    def neighbours(self) -> tuple[int, ...]:
+        """Per vertex, the mask of the other vertices that share a context with it."""
+        nbr = [0] * self.vset.n
+        for mask in self.masks:
+            for v in _bits(mask):
+                nbr[v] |= mask
+        return tuple(m & ~(1 << v) for v, m in enumerate(nbr))
+
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""
         # a member outside [0, n) has no bit, and is refused before it is
@@ -256,28 +269,13 @@ class ContextSystem:
         return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
 
 
-def _condition_masks(system: ContextSystem, edges_from_contexts_only: bool) -> tuple[int, ...]:
-    """Per vertex, the mask of the vertices condition (i) forbids beside a 1.
-
-    All graph neighbours by default; with edges_from_contexts_only, only the
-    vertices that share a context of the system with it.
-    """
-    if not edges_from_contexts_only:
-        return system.vset.graph
-    nbr = [0] * system.vset.n
-    for mask in system.masks:
-        for v in _bits(mask):
-            nbr[v] |= mask
-    return tuple(m & ~(1 << v) for v, m in enumerate(nbr))
-
-
 def validate_assignment(
     system: ContextSystem, assignment: tuple[int, ...], edges_from_contexts_only: bool = False
 ) -> bool:
     """Check conditions (i) and (ii) for a 0/1 assignment directly."""
     if len(assignment) != system.vset.n or any(b not in (0, 1) for b in assignment):
         return False
-    nbr = _condition_masks(system, edges_from_contexts_only)
+    nbr = system.neighbours if edges_from_contexts_only else system.vset.graph
     ones = sum(1 << v for v, b in enumerate(assignment) if b)
     if any(nbr[v] & ones for v in _bits(ones)):
         return False
@@ -313,7 +311,7 @@ def check_ks_property(
     order = [contexts[i] for i in index]
     members = [masks[i] for i in index]
     held = _holding_masks(order, n)  # bit i of held[u]: the i-th sorted context holds u
-    nbr = _condition_masks(system, edges_from_contexts_only)
+    nbr = system.neighbours if edges_from_contexts_only else vset.graph
     every = (1 << len(order)) - 1
     # free[j]: the contexts whose count of members not fixed to 0 has bit j
     # set, one mask per bit; every count starts at d
@@ -406,10 +404,10 @@ def check_completeness(vset: VectorSet) -> tuple[bool, list[Edge]]:
     """Does every orthogonal pair extend to a full d-clique within the set?
 
     The uncovered pairs (i, j), i < j, in lexicographic order: per vertex i,
-    its neighbours above i that share no enumerated context with it.
+    its graph neighbours above i outside the neighbours of the system of
+    enumerated contexts.
     """
-    system = ContextSystem._trusted(vset, enumerate_contexts(vset))
-    covered = _condition_masks(system, edges_from_contexts_only=True)
+    covered = ContextSystem._trusted(vset, enumerate_contexts(vset)).neighbours
     uncovered = [
         (i, j) for i, row in enumerate(vset.graph) for j in _bits(row & ~covered[i]) if i < j
     ]
@@ -421,32 +419,28 @@ def complete_set(vset: VectorSet) -> VectorSet:
 
     Round by round, every currently uncovered edge (in lexicographic order)
     gets the orthocomplement basis of its two rays appended (canonical
-    primitive representatives, deduplicated against the set so far).  Each
+    primitive representatives, deduplicated against the round's set and each
+    other; a labelled set's added rays are named c0, c1, ...).  Each
     round's orthogonality graph is the last one's plus the pairs with an added
     ray.  Raises ValueError if the closure does not stabilize within
     MAX_ROUNDS.
     """
-    vectors = list(vset.vectors)
-    labels = list(vset.labels) if vset.labels is not None else None
-    rays = {primitive(v) for v in vectors}
-    added = 0
-    graph: tuple[int, ...] = ()
+    vectors, graph = vset.vectors, ()
     for _ in range(MAX_ROUNDS):
-        current = VectorSet(dim=vset.dim, vectors=tuple(vectors), labels=tuple(labels) if labels else None)
+        labels = None if vset.labels is None else (
+            vset.labels + tuple(f"c{k}" for k in range(len(vectors) - vset.n)))
+        current = VectorSet(dim=vset.dim, vectors=vectors, labels=labels)
         # the last round's graph grown by the rays added since, stored where
         # the cached VectorSet.graph would put it
         graph = vars(current)["graph"] = _grown_graph(graph, current)
         complete, uncovered = check_completeness(current)
         if complete:
             return current
-        for i, j in uncovered:
-            for ray in orthocomplement_basis([vectors[i], vectors[j]], vset.dim):
-                if ray not in rays:
-                    rays.add(ray)
-                    vectors.append(ray)
-                    if labels is not None:
-                        labels.append(f"c{added}")
-                    added += 1
+        vectors += tuple(dict.fromkeys(
+            ray for i, j in uncovered
+            for ray in orthocomplement_basis([vectors[i], vectors[j]], vset.dim)
+            if ray not in current._ray_index
+        ))
     raise ValueError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")
 
 

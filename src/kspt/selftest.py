@@ -9,16 +9,17 @@ context contributes one homogeneous row per forbidden outcome tuple.
 A context's rows are its product-expansion rows on the tuples that are not
 permutations of it.  Permuting the parties permutes a row's columns, so each
 member multiset is expanded once and its row relabelled for every
-arrangement.  One pass counts the rows every context generates and refuses
-more than MAX_ROWS before relabelling any; a second relabels each (multiset
-row, sigma) pair once.  The rows, their order, values and provenance are
-those of expanding every tuple of every context.  Such a tuple repeats a
-member, so its row's product with the permutation-sign vector is a
-determinant with two equal rows: every row annihilates the sign vector.  The
-certificate is that integer check plus the exact rank: nullity = d! - rank,
-and nullity 1 means the null space is the sign vector's line, so the state is
-unique.  Contexts arrive as a checked ks_sets.ContextSystem, and the canonical
-basis and row contexts are found among the game's by mask, never checked again.
+arrangement.  Rows come from a whole system, its contexts in order; one
+pass counts the rows every context generates and refuses more than MAX_ROWS
+before relabelling any, a second relabels each (multiset row, sigma) pair
+once.  The rows, their order, values and provenance are those of expanding
+every tuple of every context.  Such a tuple repeats a member, so its row's
+product with the permutation-sign vector is a determinant with two equal
+rows: every row annihilates the sign vector.  The certificate is that
+integer check plus the exact rank: nullity = d! - rank, and nullity 1 means
+the null space is the sign vector's line, so the state is unique.  Contexts
+arrive as a checked ks_sets.ContextSystem, and the canonical basis and row
+contexts are found among the game's by mask, never checked again.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class ConstraintRow:
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def pqs_constraint_rows(system: ContextSystem, x: int | None = None) -> list[ConstraintRow]:
-    """Rows from context x of the system, or from all its contexts in order, merged.
+def pqs_constraint_rows(system: ContextSystem) -> list[ConstraintRow]:
+    """The rows of every context of the system, in order, merged.
 
     A context's rows come from its outcome tuples that are not permutations
     of it, in the order of product(context, repeat=d); identically zero rows
@@ -90,19 +91,18 @@ def pqs_constraint_rows(system: ContextSystem, x: int | None = None) -> list[Con
     """
     d = system.vset.dim
     arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
-    expanded, generated = [], 0  # [(context position, its live (s, row) pairs)], their row count
-    for ci in range(len(system.contexts)) if x is None else (x,):
-        expansion = _multiset_expansion([system.vset.vectors[i] for i in system.contexts[ci]])
+    expanded, generated = [], 0  # [(context, its live (s, row) pairs)], their row count
+    for context in system.contexts:
+        expansion = _multiset_expansion([system.vset.vectors[i] for i in context])
         live = [(s, row) for s, row in expansion.items() if len(set(s)) < d]
         generated += sum(len(arranged(s)) for s, _ in live)
         if generated > MAX_ROWS:
             raise ValueError(f"the rows exceed the budget of {MAX_ROWS} generated rows")
-        expanded.append((ci, live))
+        expanded.append((context, live))
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
     seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
     merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for ci, live in expanded:
-        context = system.contexts[ci]
+    for ci, (context, live) in enumerate(expanded):
         arrangements = {}  # every live arrangement b -> (sigma, s's row, its row's memo)
         for s, row in live:
             key = (tuple(row), primitive(list(row.values())))

@@ -10,7 +10,6 @@ from kspt.game import (
     GameSpec,
     _best_choice,
     _outcome_weights,
-    classical_value,
     classical_value_report,
     quantum_joint_distribution,
     verify_perfect_strategy,
@@ -317,7 +316,7 @@ def test_quantum_game_rejects_a_state_of_another_dimension():
 
 def test_classical_value_matches_naive_enumeration_on_toy_game():
     spec = toy_game()
-    assert classical_value(spec) == naive_classical_value(spec)
+    assert classical_value_report(spec).value == naive_classical_value(spec)
 
 
 def test_classical_value_of_the_18_ray_game():
@@ -468,7 +467,7 @@ def test_classical_value_invariant_under_vertex_relabeling():
         vset=VectorSet(dim=3, vectors=vectors),
         contexts=tuple(tuple(sorted(perm[i] for i in ctx)) for ctx in spec.contexts),
     )
-    assert classical_value(relabeled) == classical_value(spec)
+    assert classical_value_report(relabeled).value == classical_value_report(spec).value
 
 
 def test_node_budget_guard(monkeypatch):

@@ -359,6 +359,34 @@ def test_context_system_is_made_by_of_and_derives_its_masks():
     assert ContextSystem.of(vset).contexts == ((0, 1, 2), (0, 3, 4))
 
 
+def test_context_system_keeps_its_neighbour_masks():
+    # neighbours[v]: the other vertices sharing a context with v, built once
+    # and read by both the search and its witness check
+    ck = ContextSystem.of(catalog_conway_kochen31())
+    want = [0] * ck.vset.n
+    for ctx in ck.contexts:
+        for u, v in itertools.permutations(ctx, 2):
+            want[u] |= 1 << v
+    assert check_ks_property(ck, edges_from_contexts_only=True).verdict == "colorable"
+    assert vars(ck)["neighbours"] == tuple(want)
+
+
+def test_list_contexts_store_and_decide_like_tuples():
+    ceg, tetrads = catalog_ceg18()
+    system = ContextSystem.of(ceg, tetrads)
+    mixed = ContextSystem.of(ceg, [list(tetrads[0]), *tetrads[1:]])
+    assert mixed == system and all(type(ctx) is tuple for ctx in mixed.contexts)
+    for relaxed in (False, True):
+        assert check_ks_property(mixed, relaxed) == check_ks_property(system, relaxed)
+
+
+def test_list_built_vector_set_equals_and_hashes_like_tuples():
+    listed = VectorSet(2, [[1, 0], [0, 1]], ["a", "b"])
+    built = VectorSet(2, ((1, 0), (0, 1)), ("a", "b"))
+    assert listed == built and hash(listed) == hash(built)
+    assert listed.vectors == ((1, 0), (0, 1)) and listed.labels == ("a", "b")
+
+
 def test_mask_of_refuses_a_member_past_the_set_before_shifting():
     # 1 << 10**8 would take 12.5 MB; a member outside [0, n) matches no context
     system = ContextSystem.of(catalog_conway_kochen31())
@@ -448,6 +476,13 @@ def test_complete_set_adds_missing_partners():
     assert completed.vectors[: vset.n] == vset.vectors
     assert (0, 0, 1, -1) in completed.vectors
     assert check_completeness(completed)[0]
+
+
+def test_complete_set_keeps_labels_and_names_added_rays_in_order():
+    assert complete_set(VectorSet(dim=3, vectors=(), labels=())).labels == ()
+    ck31 = catalog_conway_kochen31()
+    completed = complete_set(ck31)
+    assert completed.labels == ck31.labels + tuple(f"c{k}" for k in range(completed.n - ck31.n))
 
 
 def test_complete_set_closure_of_ceg18():

@@ -107,7 +107,7 @@ def test_support_restriction_needs_the_canonical_context():
 
 def test_constraint_row_for_a_repeated_outcome():
     vset = catalog_conway_kochen31()
-    rows = pqs_constraint_rows(ContextSystem.of(vset, [(0, 3, 4)]), 0)
+    rows = pqs_constraint_rows(ContextSystem.of(vset, [(0, 3, 4)]))
     by_outcome = {}
     for row in rows:
         for _, a in row.provenance:
@@ -139,7 +139,7 @@ def test_constraint_rows_reject_bad_contexts():
 
 def test_constraint_rows_are_primitive_and_distinct():
     vset = catalog_peres24()
-    rows = pqs_constraint_rows(ContextSystem.of(vset, [(4, 5, 6, 7)]), 0)
+    rows = pqs_constraint_rows(ContextSystem.of(vset, [(4, 5, 6, 7)]))
     seen = set()
     for row in rows:
         columns = [c for c, _ in row.entries]
@@ -161,16 +161,15 @@ def test_constraint_rows_annihilate_the_sign_vector():
         (peres, PERES_WINDOW_TETRADS, 4),
     ):
         eps = [levi_civita(p) for p in permutations(range(d))]
-        system = ContextSystem.of(vset, contexts)
-        for x in range(len(contexts)):
-            for row in pqs_constraint_rows(system, x):
+        for ctx in contexts:
+            for row in pqs_constraint_rows(ContextSystem.of(vset, [ctx])):
                 assert sum(e * s for e, s in zip(densify(row.entries, len(eps)), eps)) == 0
 
 
 def test_provenance_replays_to_the_stored_row():
     vset = catalog_peres24()
     perms = list(permutations(range(4)))
-    for row in pqs_constraint_rows(ContextSystem.of(vset, [(8, 9, 10, 11)]), 0):
+    for row in pqs_constraint_rows(ContextSystem.of(vset, [(8, 9, 10, 11)])):
         for _, a in row.provenance:
             vectors = [vset.vectors[i] for i in a]
             raw = [
@@ -196,9 +195,9 @@ def test_constraint_rows_match_the_all_tuples_oracle():
         (merged_peres(5), merged_window_bases(5)),
     ]
     for vset, contexts in cases:
-        system = ContextSystem.of(vset, contexts)
-        for ci, ctx in enumerate(contexts):
-            assert pqs_constraint_rows(system, ci) == naive_constraint_rows(vset, ctx, ci)
+        for ctx in contexts:
+            rows = pqs_constraint_rows(ContextSystem.of(vset, [ctx]))
+            assert rows == naive_constraint_rows(vset, ctx, 0)
 
 
 def test_one_pass_merges_the_oracle_rows_in_context_order():
@@ -272,9 +271,10 @@ def test_d6_window_basis_rows_are_pinned():
     # from the d^d-tuple generator
     system = ContextSystem.of(merged_peres(6), merged_window_bases(6))
     merged = {}
-    for ci in range(len(system.contexts)):
-        for row in pqs_constraint_rows(system, ci):
-            merged.setdefault(row.entries, []).extend(row.provenance)
+    for ci, ctx in enumerate(system.contexts):
+        # each one-context system gives its rows at context position 0
+        for row in pqs_constraint_rows(ContextSystem.of(system.vset, [ctx])):
+            merged.setdefault(row.entries, []).extend((ci, a) for _, a in row.provenance)
     rows = [(densify(entries, 720), tuple(provenance)) for entries, provenance in merged.items()]
     assert len(rows) == 3240
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (

@@ -41,6 +41,7 @@ from .supersinglet import (
     DENSE_CHECK_MAX_D,
     STATE_MAX_D,
     build_supersinglet,
+    check_state_budget,
     check_unitary_invariance,
     check_unitary_invariance_exact,
     random_signed_permutation,
@@ -174,8 +175,7 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
         raise ValueError("--tolerance must be finite and non-negative")
     if args.samples > 0 and not 2 <= d <= DENSE_CHECK_MAX_D:
         raise ValueError(f"--samples needs 2 <= --d <= {DENSE_CHECK_MAX_D} for the dense check")
-    if d > STATE_MAX_D:
-        raise ValueError(f"--d must be at most {STATE_MAX_D}: the d!-term state is built")
+    check_state_budget(d)
     inputs = {
         "d": d,
         "samples": args.samples,
@@ -184,32 +184,23 @@ def _cmd_state(args: argparse.Namespace) -> _Report:
         "tolerance": args.tolerance,
     }
     state = build_supersinglet(d)
-    max_dev_id = 0.0
-    max_dev_det = 0.0
-    for k in range(args.samples):
-        u = random_special_unitary(d, args.seed + k)
-        rep = check_unitary_invariance(state, u, tolerance=args.tolerance)
-        max_dev_id = max(max_dev_id, rep.max_deviation_identity)
-        max_dev_det = max(max_dev_det, rep.max_deviation_det)
-    signed_ok = True
-    dets = []
-    for k in range(args.signed):
-        m = random_signed_permutation(d, args.seed + k)
-        rep = check_unitary_invariance_exact(state, m)
-        dets.append(_fr(rep.determinant))
-        signed_ok = signed_ok and rep.equals_det_times_state
+    dense = [check_unitary_invariance(state, random_special_unitary(d, args.seed + k), args.tolerance)
+             for k in range(args.samples)]
+    exact = [check_unitary_invariance_exact(state, random_signed_permutation(d, args.seed + k))
+             for k in range(args.signed)]
+    signed_ok = all(rep.equals_det_times_state for rep in exact)
     results = {
         "d": d,
         "special_unitary_samples": args.samples,
-        "max_deviation_identity": max_dev_id,
-        "max_deviation_det_covariance": max_dev_det,
+        "max_deviation_identity": max((rep.max_deviation_identity for rep in dense), default=0.0),
+        "max_deviation_det_covariance": max((rep.max_deviation_det for rep in dense), default=0.0),
         "tolerance": args.tolerance,
         "signed_permutation_samples": args.signed,
         "signed_exact_det_covariance": signed_ok,
-        "signed_determinants": dets,
+        "signed_determinants": [_fr(rep.determinant) for rep in exact],
     }
-    ok = signed_ok and max_dev_id <= args.tolerance
-    return "state invariance", inputs, results, 0 if ok else 1
+    invariant = all(rep.invariant for rep in dense)
+    return "state invariance", inputs, results, 0 if signed_ok and invariant else 1
 
 
 def _cmd_game(args: argparse.Namespace) -> _Report:

@@ -65,12 +65,18 @@ class GameSpec(ContextSystem):
         return cls.of(vset, contexts)
 
 
+def _input_context(system: ContextSystem, x: int, y: int) -> Context:
+    """C_x for the inputs (x, y); ValueError unless 0 <= x < m and y is a member of C_x."""
+    if not 0 <= x < system.m:
+        raise ValueError(f"context index {x} is outside [0, {system.m})")
+    if y not in system.contexts[x]:
+        raise ValueError(f"input {y} is not a member of context {x}")
+    return system.contexts[x]
+
+
 def winning_predicate(system: ContextSystem, x: int, y: int, a: tuple[int, ...], b: int) -> bool:
     """Win iff a enumerates C_x minus one member k, and b == (k is y)."""
-    ctx = system.contexts[x]
-    members = set(ctx)
-    if y not in members:
-        raise ValueError(f"input {y} is not a member of context {x}")
+    members = set(_input_context(system, x, y))
     if len(a) != system.d - 1:
         raise ValueError(f"expected {system.d - 1} first-party outputs")
     chosen = set(a)
@@ -115,8 +121,7 @@ def quantum_joint_distribution(
 
     b = 1 collects the outcomes whose last-party member is y, b = 0 the rest.
     """
-    if y not in system.contexts[x]:
-        raise ValueError(f"input {y} is not a member of context {x}")
+    _input_context(system, x, y)
     if state is None:
         state = build_supersinglet(system.d)
     weights, denominator = _outcome_weights(system, x, state)

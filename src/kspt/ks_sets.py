@@ -10,9 +10,11 @@ Each set builds its orthogonality graph once, on first use, and every
 consumer reads that graph; complete_set grows each round's graph from the
 last.  The graph is held only as one integer bitmask per vertex, its
 neighbours, and a context as the bitmask of its members.  Sets and systems
-store tuples.  A system keeps its context neighbours, per vertex the mask of
-the vertices sharing a context with it; a vertex's edges outside that mask
-lie in no context.  ContextSystem.of runs check_context, the one test that a
+store tuples and refuse, for every caller, a dim or context member that is
+not an index (an integer, not a bool) and an entry that is not exact.  A
+system keeps its context neighbours, per vertex the mask of the vertices
+sharing a context with it; a vertex's edges outside that mask lie in no
+context.  ContextSystem.of runs check_context, the one test that a
 context is an orthogonal basis of its set, once on each listed context and
 on no enumerated one; its consumers trust the system.  Contexts
 are listed on the adjacency masks relabelled in the order of the primitive
@@ -43,6 +45,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Rational
 
 from .exact_linalg import inner_product, orthocomplement_basis, primitive
 
@@ -61,8 +64,8 @@ class VectorSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("dimension must be at least 2")
+        if not _is_index(self.dim) or self.dim < 2:
+            raise ValueError(f"dimension {self.dim!r} is not an integer of at least 2")
         # stored as tuples, so a set built from lists hashes and compares as one
         vars(self).update(vectors=tuple(map(tuple, self.vectors)),
                           labels=None if self.labels is None else tuple(self.labels))
@@ -74,9 +77,6 @@ class VectorSet:
     def n(self) -> int:
         return len(self.vectors)
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else f"v{i}"
-
     @cached_property
     def _ray_index(self) -> dict[tuple[int, ...], int]:
         """{primitive ray: vector index}, built once when the set is validated."""
@@ -84,6 +84,9 @@ class VectorSet:
         for i, v in enumerate(self.vectors):
             if len(v) != self.dim:
                 raise ValueError(f"vector {v} does not have dimension {self.dim}")
+            for x in v:
+                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Rational)):
+                    raise ValueError(f"vector {v} has an entry {x!r} that is not an exact rational")
             ray = primitive(v)
             if not any(ray):
                 raise ValueError(f"zero vector {v} is not a ray")
@@ -96,6 +99,11 @@ class VectorSet:
     def graph(self) -> tuple[int, ...]:
         """The orthogonality graph's adjacency masks, built on first use and kept."""
         return build_orthogonality_graph(self)
+
+
+def _is_index(x: object) -> bool:
+    """An integer that is not a bool: an int, or an Integral such as a numpy integer."""
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -184,21 +192,32 @@ def _cliques(adj: Sequence[int], label: Sequence[int], p: int, k: int,
     return out
 
 
+def _members_in_range(ctx: Context, n: int) -> bool:
+    """Whether every member of ctx lies in [0, n); ValueError on one that is not an index."""
+    for v in ctx:
+        if type(v) is not int and not _is_index(v):  # an exact int needs no call
+            raise ValueError(f"context {ctx} has a member {v!r} that is not an index")
+        if not 0 <= v < n:
+            return False
+    return True
+
+
 def check_context(vset: VectorSet, ctx: Context, adj: Sequence[int] | None = None) -> int:
     """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
 
-    Returns the bitmask of its members.  The checks run in order: d distinct
-    members, every member in [0, n) (before any vector or mask is read, so a
-    negative index cannot alias a vertex), then orthogonality: each member's
-    row of adj, the set's adjacency masks, if given, else the exact inner
-    product of each of the d(d-1)/2 member pairs.
+    Returns the bitmask of its members.  The checks run in order: every
+    member an index (an integer, not a bool), d distinct members, every
+    member in [0, n) (before any vector or mask is read, so a negative index
+    cannot alias a vertex), then orthogonality: each member's row of adj,
+    the set's adjacency masks, if given, else the exact inner product of
+    each of the d(d-1)/2 member pairs.
     """
     d, n = vset.dim, vset.n
+    in_range = _members_in_range(ctx, n)
     if len(ctx) != d or len(set(ctx)) != d:
         raise ValueError(f"context {ctx} must have {d} distinct members")
-    for v in ctx:
-        if not 0 <= v < n:
-            raise ValueError(f"context {ctx} has a member outside [0, {n})")
+    if not in_range:
+        raise ValueError(f"context {ctx} has a member outside [0, {n})")
     mask = sum(1 << v for v in ctx)
     if any(mask & ~adj[v] != 1 << v for v in ctx) if adj is not None else any(
         inner_product(vset.vectors[u], vset.vectors[v]) for u, v in itertools.combinations(ctx, 2)
@@ -260,11 +279,10 @@ class ContextSystem:
 
     def mask_of(self, ctx: Context) -> int | None:
         """The mask of ctx if its members, in any order, are one of the contexts, else None."""
-        # a member outside [0, n) has no bit, and is refused before it is
-        # shifted; a repeat needs no test: d powers of two with a repeat carry
-        # into fewer than d set bits, so match no context
-        n = self.vset.n
-        if len(ctx) != self.vset.dim or not all(0 <= v < n for v in ctx):
+        # a non-index raises ValueError as in check_context, a member outside
+        # [0, n) has no bit and is refused before it is shifted, and a repeat
+        # carries d powers of two into fewer than d set bits: no context
+        if len(ctx) != self.vset.dim or not _members_in_range(ctx, self.vset.n):
             return None
         return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
 
@@ -454,13 +472,6 @@ def to_json_dict(vset: VectorSet, contexts: Iterable[Context] | None = None) -> 
     return doc
 
 
-def _json_int(x: object) -> int:
-    # int() would truncate 0.5 and 1.9 and parse "3": a typo would load as another set
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected a JSON integer, got {x!r}")
-    return x
-
-
 def _json_labels(x: object) -> tuple[str, ...]:
     # str() would read "ab" as two labels and null as "None"
     if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
@@ -475,17 +486,12 @@ def parse_decimal(text: str) -> int | None:
 
 
 def system_from_json_dict(doc: dict) -> tuple[VectorSet, ContextSystem | None]:
-    """Read the interchange form: integer dim, entries and indices, string labels.
-
-    The listed contexts, if any, must pass check_context: ContextSystem.of.
-    """
+    """Read the interchange form; VectorSet and ContextSystem.of check all but shape and labels."""
     try:
-        dim = _json_int(doc["dim"])
-        vectors = tuple(tuple(_json_int(x) for x in v) for v in doc["vectors"])
+        dim = doc["dim"]
+        vectors = tuple(map(tuple, doc["vectors"]))
         labels = _json_labels(doc["labels"]) if "labels" in doc else None
-        contexts = None
-        if "contexts" in doc:
-            contexts = [tuple(_json_int(i) for i in c) for c in doc["contexts"]]
+        contexts = None if "contexts" not in doc else list(map(tuple, doc["contexts"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector-set document: {exc}") from exc
     vset = VectorSet(dim=dim, vectors=vectors, labels=labels)

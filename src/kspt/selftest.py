@@ -32,7 +32,7 @@ from operator import itemgetter
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import _ReadRows, primitive, rank
 from .ks_sets import Context, ContextSystem, check_context
-from .supersinglet import STATE_MAX_D, SupersingletState, build_supersinglet
+from .supersinglet import SupersingletState, build_supersinglet, check_state_budget
 from .supersinglet import _arrangements, _multiset_expansion
 
 MAX_ROWS = 1 << 21  # generated rows, before merging; merged8's window bases generate 1,209,600
@@ -215,7 +215,6 @@ def general_d_selftest(d: int, all_contexts: bool = False) -> SelftestReport:
     every enumerated context of the merged set instead, as a redundancy
     cross-check.
     """
-    if d > STATE_MAX_D:
-        raise ValueError(f"d={d} exceeds the budget of {STATE_MAX_D} for the d!-term state")
+    check_state_budget(d)  # before the merged set is built
     system = ContextSystem.of(merged_peres(d))
     return certify(system, system.contexts if all_contexts else _window_bases(system.vset))

@@ -3,7 +3,10 @@
 The state is stored sparsely as a map permutation -> sign with the 1/sqrt(d!)
 normalization kept implicit.  An amplitude reads the terms,
 sum_pi terms[pi] * prod_i v_i[pi(i)], over a symbolic square root: exact
-rational probabilities, and corrupted sign maps evaluated as given.  The self-test rows
+rational probabilities, and corrupted sign maps evaluated as given.  Every
+state, build_supersinglet's included, goes through the constructor that
+checks its keys, and check_state_budget is the one refusal of a d over the
+state's budget, STATE_MAX_D.  The self-test rows
 and the game's outcome weights for a state that is not antisymmetric read one
 product expansion E[s][pi] = prod_i v_{s_i}[pi(i)] of a context, one row per
 member multiset s: permuting the parties relabels a row (_arrangements).  A
@@ -73,22 +76,23 @@ class SupersingletState:
 
     def __post_init__(self) -> None:
         # amplitudes index levels by the key; outcome weights look up permutations only
+        levels = list(range(self.d))
         for pi in self.terms:
-            if sorted(pi) != list(range(self.d)):
+            if sorted(pi) != levels:
                 raise ValueError(f"term {pi!r} is not a permutation of range({self.d})")
+
+
+def check_state_budget(d: int) -> None:
+    """Refuse a d over the d!-term state's budget, STATE_MAX_D (ValueError)."""
+    if d > STATE_MAX_D:
+        raise ValueError(f"d={d} exceeds the budget of {STATE_MAX_D} for the d!-term state")
 
 
 def build_supersinglet(d: int) -> SupersingletState:
     if d < 2:
         raise ValueError("antisymmetric state needs d >= 2")
-    if d > STATE_MAX_D:
-        raise ValueError(f"d={d} exceeds the budget of {STATE_MAX_D} for the d!-term state")
-    # itertools.permutations yields only permutations of range(d), so neither
-    # levi_civita's check nor the state's check on its keys runs on them
-    state = object.__new__(SupersingletState)
-    object.__setattr__(state, "d", d)
-    object.__setattr__(state, "terms", {p: _cycle_sign(p) for p in permutations(range(d))})
-    return state
+    check_state_budget(d)
+    return SupersingletState(d, {p: _cycle_sign(p) for p in permutations(range(d))})
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,6 @@ class Amplitude:
     @property
     def probability(self) -> Fraction:
         return self.coeff * self.coeff / self.scale
-
-    def as_float(self) -> float:
-        return float(self.coeff) / math.sqrt(float(self.scale))
 
     @property
     def is_zero(self) -> bool:
@@ -187,11 +188,7 @@ class ProductBasisExpansion:
     """
 
     d: int
-    basis: tuple[Vector, ...]
     coefficients: dict[Permutation, Amplitude]
-
-    def probabilities(self) -> dict[Permutation, Fraction]:
-        return {t: a.probability for t, a in self.coefficients.items()}
 
     def total_probability(self) -> Fraction:
         return sum((a.probability for a in self.coefficients.values()), Fraction(0))
@@ -243,7 +240,7 @@ def reexpand_in_basis(state: SupersingletState, basis: list[Vector]) -> ProductB
     scale = Fraction(math.factorial(d) * math.prod(norms))
     coefficients = {t: Amplitude(coeff=state.terms[t] * det, scale=scale)
                     for t in permutations(range(d))}
-    return ProductBasisExpansion(d=d, basis=tuple(tuple(v) for v in basis), coefficients=coefficients)
+    return ProductBasisExpansion(d=d, coefficients=coefficients)
 
 
 @dataclass(frozen=True)

@@ -513,7 +513,10 @@ def test_state_invariance_report(capsys):
         (["--d", "12", "--samples", "1", "--signed", "0"], "--samples needs 2 <= --d <= 6"),
         (["--d", "3", "--samples", "-2", "--signed", "-1"], "must be non-negative"),
         (["--d", "3", "--signed", "-1"], "must be non-negative"),
-        (["--d", "9", "--samples", "0", "--signed", "1"], "--d must be at most 8"),
+        (
+            ["--d", "9", "--samples", "0", "--signed", "1"],
+            "d=9 exceeds the budget of 8 for the d!-term state",
+        ),
         (["--d", "3", "--tolerance", "-1"], "--tolerance must be finite and non-negative"),
         (["--d", "3", "--tolerance", "nan"], "--tolerance must be finite and non-negative"),
         (["--d", "3", "--tolerance", "inf"], "--tolerance must be finite and non-negative"),
@@ -529,6 +532,14 @@ def test_state_invariance_refuses_bad_requests_before_building_the_state(
     monkeypatch.setattr("kspt.cli.build_supersinglet", refuse)
     assert run(["state", "invariance", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_state_invariance_exit_code_is_the_reports_verdict(capsys, monkeypatch):
+    # the exit code reads InvarianceReport.invariant, not a second comparison
+    monkeypatch.setattr(supersinglet.InvarianceReport, "invariant", property(lambda self: False))
+    assert run(["state", "invariance", "--d", "3", "--samples", "1", "--signed", "0"]) == 1
+    assert run(["state", "invariance", "--d", "3", "--samples", "0", "--signed", "1"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("raw", ["\u0661", "1_0", " 0.5"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kspt import game, scan
@@ -72,6 +73,26 @@ def test_winning_predicate_input_validation():
         winning_predicate(spec, 0, 4, (1, 2, 3), 1)
     with pytest.raises(ValueError):
         winning_predicate(spec, 0, 0, (1, 2), 1)
+
+
+def test_a_context_index_outside_the_game_is_refused():
+    # x = -1 used to read the last context, and x = 9 to raise IndexError
+    spec = ceg_game()
+    last = spec.contexts[-1]
+    for x in (-1, spec.m, 999):
+        with pytest.raises(ValueError, match=r"context index -?\d+ is outside \[0, 9\)"):
+            winning_predicate(spec, x, last[0], last[1:], 1)
+        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+            quantum_joint_distribution(spec, x, last[0])
+
+
+def test_game_spec_refuses_members_that_are_not_indices():
+    vset = catalog_peres24()
+    for member in (0.0, "0", False):
+        with pytest.raises(ValueError, match="that is not an index"):
+            GameSpec(d=4, vset=vset, contexts=((member, 1, 2, 3),))
+    spec = GameSpec(d=4, vset=vset, contexts=(tuple(np.int64(v) for v in (0, 1, 2, 3)),))
+    assert verify_perfect_strategy(spec).perfect
 
 
 def test_game_spec_validation():

@@ -4,8 +4,10 @@ import json
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from kspt.catalog import (
@@ -64,11 +66,36 @@ def test_vector_set_rejects_label_count_mismatch():
         VectorSet(dim=2, vectors=((1, 0), (0, 1)), labels=("a",))
 
 
-def test_vector_set_labels_default():
-    vset = VectorSet(dim=2, vectors=((1, 0), (0, 1)))
-    assert vset.label(0) == "v0"
-    labeled = VectorSet(dim=2, vectors=((1, 0), (0, 1)), labels=("x", "y"))
-    assert labeled.label(1) == "y"
+def test_vector_set_refuses_a_dim_or_entry_that_is_not_an_integer():
+    # the set owns its input: a Python caller gets the refusal a document gets,
+    # not AttributeError from primitive or a bool stored as an entry
+    with pytest.raises(ValueError, match="dimension 2.0 is not an integer of at least 2"):
+        VectorSet(2.0, ((1, 0), (0, 1)))
+    for bad in (True, "2"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            VectorSet(bad, ((1, 0), (0, 1)))
+    for entry in (0.5, "a", True):
+        with pytest.raises(ValueError, match="that is not an exact rational"):
+            VectorSet(2, ((1, 0), (entry, 1)))
+    # a Fraction and a numpy integer are exact, and load as the same rays
+    assert VectorSet(2, ((1, 0), (0, Fraction(1, 2)))).n == 2
+    assert VectorSet(np.int64(2), ((1, 0), (0, np.int64(3)))).dim == 2
+
+
+def test_context_members_must_be_indices():
+    # 0.0 and "0" used to raise TypeError, and False was stored as vertex 0
+    peres = catalog_peres24()
+    system = ContextSystem.of(peres)
+    for member in (0.0, "0", False):
+        bad = (member, 1, 2, 3)
+        with pytest.raises(ValueError, match="that is not an index"):
+            ContextSystem.of(peres, [bad])
+        with pytest.raises(ValueError, match="that is not an index"):
+            system.mask_of(bad)
+    # a numpy integer is an index
+    listed = tuple(np.int64(v) for v in system.contexts[0])
+    assert ContextSystem.of(peres, [listed]).masks == (system.masks[0],)
+    assert system.mask_of(listed) == system.masks[0]
 
 
 def test_canonical_basis_graph_is_complete():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
 
+import numpy as np
 import pytest
 import sympy
 
@@ -135,6 +136,16 @@ def test_constraint_rows_reject_bad_contexts():
             ContextSystem.of(vset, [ctx])
         with pytest.raises(ValueError, match=reason):
             certify(game, [ctx])
+
+
+def test_certify_refuses_row_context_members_that_are_not_indices():
+    # 0.0 used to raise TypeError in mask_of, before check_context was reached
+    game = ContextSystem.of(catalog_peres24())
+    for member in (0.0, "0", False):
+        with pytest.raises(ValueError, match="that is not an index"):
+            certify(game, [(member, 1, 6, 7)])
+    row = game.contexts[1]
+    assert certify(game, [tuple(np.int64(v) for v in row)]) == certify(game, [row])
 
 
 def test_constraint_rows_are_primitive_and_distinct():

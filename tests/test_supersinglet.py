@@ -26,6 +26,7 @@ from kspt.supersinglet import (
     _signed_permutation_image,
     amplitude,
     build_supersinglet,
+    check_state_budget,
     check_unitary_invariance,
     check_unitary_invariance_exact,
     levi_civita,
@@ -89,6 +90,23 @@ def test_build_supersinglet_rejects_d1():
         build_supersinglet(1)
 
 
+def test_the_state_is_built_through_its_checked_constructor(monkeypatch):
+    # build_supersinglet used to set the fields past __post_init__
+    checked = []
+    monkeypatch.setattr(SupersingletState, "__post_init__", lambda self: checked.append(self.d))
+    assert build_supersinglet(4).terms == {p: levi_civita(p) for p in permutations(range(4))}
+    assert checked == [4]
+
+
+def test_the_state_budget_has_one_message():
+    check_state_budget(8)
+    for d in (9, 16):
+        message = rf"^d={d} exceeds the budget of 8 for the d!-term state$"
+        for refuse in (check_state_budget, build_supersinglet):
+            with pytest.raises(ValueError, match=message):
+                refuse(d)
+
+
 def test_state_rejects_terms_that_are_not_permutations():
     # the expansion enumerates level permutations only, so such a key would be ignored
     with pytest.raises(ValueError):
@@ -103,7 +121,6 @@ def test_amplitude_on_canonical_basis():
     assert amp.coeff == 1
     assert amp.scale == 6
     assert amp.probability == Fraction(1, 6)
-    assert np.isclose(amp.as_float(), 1 / math.sqrt(6))
 
 
 def test_amplitude_vanishes_on_repeated_vector():
@@ -174,9 +191,8 @@ def test_reexpand_in_unnormalized_tetrad():
     ceg, tetrads = catalog_ceg18()
     basis = [ceg.vectors[i] for i in tetrads[0]]
     exp = reexpand_in_basis(build_supersinglet(4), basis)
-    probs = exp.probabilities()
-    assert len(probs) == 24
-    assert all(p == Fraction(1, 24) for p in probs.values())
+    assert len(exp.coefficients) == 24
+    assert all(a.probability == Fraction(1, 24) for a in exp.coefficients.values())
     assert exp.total_probability() == 1
 
 

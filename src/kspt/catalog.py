@@ -151,17 +151,11 @@ def merged_peres(d: int) -> VectorSet:
     """
     if d < 4:
         raise ValueError("merged construction needs dimension at least 4")
-    rays: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    seen: set[tuple[int, ...]] = set()
+    label_of: dict[tuple[int, ...], str] = {}  # {ray: the label of its first occurrence}
     for k in range(d - 3):
         for i, v in enumerate(PERES24_VECTORS):
-            w = _embed(v, k, d)
-            if w not in seen:
-                seen.add(w)
-                rays.append(w)
-                labels.append(f"k{k}:v{i}")
-    return VectorSet(dim=d, vectors=tuple(rays), labels=tuple(labels))
+            label_of.setdefault(_embed(v, k, d), f"k{k}:v{i}")
+    return VectorSet(dim=d, vectors=tuple(label_of), labels=tuple(label_of.values()))
 
 
 def merged_window_bases(d: int) -> list[Context]:
@@ -175,14 +169,12 @@ def merged_window_bases(d: int) -> list[Context]:
 
 def _window_bases(vset: VectorSet) -> list[Context]:
     """merged_window_bases for a merged set already built, of dimension vset.dim."""
-    d = vset.dim
-    index = vset._ray_index
-    canonical = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
+    d, index_of = vset.dim, vset.index_of
     bases: list[Context] = []
     for k in range(d - 3):
-        outside = [index[canonical[t]] for t in range(d) if t < k or t > k + 3]
+        outside = [index_of([int(j == t) for j in range(d)]) for t in range(d) if t < k or t > k + 3]
         for window in PERES24_WINDOW_BASES:
-            members = [index[_embed(PERES24_VECTORS[i], k, d)] for i in window]
+            members = [index_of(_embed(PERES24_VECTORS[i], k, d)) for i in window]
             bases.append(tuple(sorted(members + outside)))
     return bases
 

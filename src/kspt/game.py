@@ -10,8 +10,8 @@ left-out member is y.
 The quantum side evaluates the reference strategy (shared antisymmetric
 state, basis measurements) by one integer determinant per context: for a
 state c * sign the overlap with outcome t is c * det(V_t), so every input of
-context x wins with p = c^2 det(V)^2 / prod |v_i|^2, the rays read as
-primitive integers, and the pair (det(V)^2, prod |v_i|^2) is the context's
+context x wins with p = c^2 det(V)^2 / prod |v_i|^2, V the set's primitive
+rays (VectorSet.rays), and the pair (det(V)^2, prod |v_i|^2) is the context's
 certificate; the default state has c = 1 and is not built.  A state that is
 not antisymmetric is evaluated from the context's product expansion instead,
 read as the self-test reads it: every outcome tuple with nonzero amplitude
@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import scan
-from .exact_linalg import determinant, norm_squared, primitive
+from .exact_linalg import determinant, norm_squared
 from .ks_sets import Context, ContextSystem, VectorSet
 from .supersinglet import (
     SupersingletState,
@@ -93,14 +93,14 @@ def _outcome_weights(
 
     t is an outcome tuple in C_x^d (first parties, then the last party), kept
     when its overlap with the state, sum_pi terms[pi o sigma] * E[s][pi] for
-    t = s o sigma, is nonzero.  Rays are read as primitive integers; with N
+    t = s o sigma, is nonzero.  It reads the set's primitive rays; with N
     the product of the context's squared norms, w(t) = coeff(t)^2 * prod_i
     N / |v_{t_i}|^2 and D = d! * N^d.
     """
     if state.d != system.d:
         raise ValueError(f"state has d={state.d}, the game has d={system.d}")
     d, ctx = system.d, system.contexts[x]
-    vectors = [primitive(system.vset.vectors[i]) for i in ctx]
+    vectors = [system.vset.rays[i] for i in ctx]
     norms = [norm_squared(v) for v in vectors]
     big = math.prod(norms)
     cofactors = [big // n for n in norms]
@@ -171,8 +171,8 @@ def verify_perfect_strategy(
     pairs: list[tuple[int, int]] = []
     for x, ctx in enumerate(system.contexts):
         if c is not None:
-            # (det(V)^2, prod |v_i|^2) for the rows V as primitive integers
-            vectors = [primitive(system.vset.vectors[i]) for i in ctx]
+            # (det(V)^2, prod |v_i|^2) for the rows V, the context's primitive rays
+            vectors = [system.vset.rays[i] for i in ctx]
             det_squared = determinant(vectors).numerator ** 2
             norms = math.prod(norm_squared(v) for v in vectors)
             pairs.append((det_squared, norms))

@@ -10,24 +10,25 @@ Each set builds its orthogonality graph once, on first use, and every
 consumer reads that graph; complete_set grows each round's graph from the
 last.  The graph is held only as one integer bitmask per vertex, its
 neighbours, and a context as the bitmask of its members.  Sets and systems
-store tuples and refuse, for every caller, a dim or context member that is
-not an index (an integer, not a bool) and an entry that is not exact.  A
-system keeps its context neighbours, per vertex the mask of the vertices
-sharing a context with it; a vertex's edges outside that mask lie in no
-context.  ContextSystem.of runs check_context, the one test that a
-context is an orthogonal basis of its set, once on each listed context and
-on no enumerated one; its consumers trust the system.  Contexts
-are listed on the adjacency masks relabelled in the order of the primitive
-rays: the k-cliques inside a candidate mask are each candidate v followed by
-the (k - 1)-cliques of the candidates above v adjacent to it, and each
-(candidates, k) is listed once per call, so cliques whose spans leave the
-same candidates share one listing.  Walks recurse only where d bounds the
-depth, as here.  The colorability search is
-a depth-first search over contexts: branch on which member of an unsatisfied
-context receives the 1, propagate forced 0s along edges, and propagate
-forced 1s for contexts left with a single viable member.  It goes one level
-deep per context, so it keeps a stack of frames, each a state and the
-untried members of its branching context.  A state is a few integer
+refuse, for every caller, a dim or context member that is not an index (an
+integer, not a bool) and an entry that is not exact, and store tuples of
+plain ints, a Fraction entry as given.  A set holds each vector's primitive
+ray and finds a ray's index by it.  Whatever does not depend on a vector's
+scale (the graph, the contexts, the game, the self-test) reads the rays;
+only what prints or stores a vector reads vectors.  A system keeps its
+context neighbours, per vertex the mask of the vertices sharing a context
+with it; a vertex's edges outside that mask lie in no context.
+ContextSystem.of runs check_context, the one test that a context is an
+orthogonal basis of its set, once on each listed context and on no
+enumerated one; check_context reads the set's graph once it is built, and
+the system's consumers trust the system.  Contexts are listed on the
+adjacency masks relabelled in the order of the rays (enumerate_contexts).
+Walks recurse only where d bounds the depth, as here.  The colorability
+search is a depth-first search over contexts: branch on which member of an
+unsatisfied context receives the 1, propagate forced 0s along edges, and
+propagate forced 1s for contexts left with a single viable member.  It goes
+one level deep per context, so it keeps a stack of frames, each a state and
+the untried members of its branching context.  A state is a few integer
 bitmasks, so backtracking restores nothing: the vertices fixed to 1 and to
 0, the contexts holding a 1, and each context's count of members not fixed
 to 0, bit-sliced into one mask over the contexts per bit of the count.  A
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Rational
 
@@ -57,53 +58,50 @@ MAX_ROUNDS = 32
 
 @dataclass(frozen=True)
 class VectorSet:
-    """A labeled list of distinct integer/rational rays in dimension dim."""
+    """A labeled list of distinct rays in dimension dim, and rays[i] = primitive(vectors[i])."""
 
     dim: int
     vectors: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
+    rays: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_index(self.dim) or self.dim < 2:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral) or self.dim < 2:
             raise ValueError(f"dimension {self.dim!r} is not an integer of at least 2")
         # stored as tuples, so a set built from lists hashes and compares as one
-        vars(self).update(vectors=tuple(map(tuple, self.vectors)),
-                          labels=None if self.labels is None else tuple(self.labels))
-        self._ray_index  # validates every vector
-        if self.labels is not None and len(self.labels) != len(self.vectors):
-            raise ValueError("label count does not match vector count")
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-    @cached_property
-    def _ray_index(self) -> dict[tuple[int, ...], int]:
-        """{primitive ray: vector index}, built once when the set is validated."""
-        index: dict[tuple[int, ...], int] = {}
-        for i, v in enumerate(self.vectors):
-            if len(v) != self.dim:
-                raise ValueError(f"vector {v} does not have dimension {self.dim}")
-            for x in v:
-                if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Rational)):
-                    raise ValueError(f"vector {v} has an entry {x!r} that is not an exact rational")
+        dim, vectors, index = int(self.dim), list(map(tuple, self.vectors)), {}
+        for i, v in enumerate(vectors):
+            if len(v) != dim:
+                raise ValueError(f"vector {v} does not have dimension {dim}")
+            if not all(type(x) is int for x in v):  # an all-int vector is kept as it is
+                for x in v:
+                    if isinstance(x, bool) or not isinstance(x, Rational):
+                        raise ValueError(f"vector {v} has an entry {x!r} that is not an exact rational")
+                vectors[i] = v = tuple(int(x) if isinstance(x, Integral) else x for x in v)
             ray = primitive(v)
             if not any(ray):
                 raise ValueError(f"zero vector {v} is not a ray")
             if ray in index:
                 raise ValueError(f"duplicate ray {v}")
-            index[ray] = i
-        return index
+            index[ray] = i  # {primitive ray: vector index}
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and len(labels) != len(vectors):
+            raise ValueError("label count does not match vector count")
+        vars(self).update(dim=dim, vectors=tuple(vectors), labels=labels,
+                          rays=tuple(index), _ray_index=index)
+
+    @property
+    def n(self) -> int:
+        return len(self.vectors)
+
+    def index_of(self, vector: Sequence) -> int | None:
+        """The index of the set's ray through vector, else None; ValueError as the constructor's."""
+        return self._ray_index.get(VectorSet(self.dim, (vector,)).rays[0])
 
     @cached_property
     def graph(self) -> tuple[int, ...]:
         """The orthogonality graph's adjacency masks, built on first use and kept."""
         return build_orthogonality_graph(self)
-
-
-def _is_index(x: object) -> bool:
-    """An integer that is not a bool: an int, or an Integral such as a numpy integer."""
-    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -135,12 +133,12 @@ def _grown_graph(masks: tuple[int, ...], vset: VectorSet) -> tuple[int, ...]:
 
     Only the pairs with a ray past len(masks) cost an inner product.
     """
-    vectors = vset.vectors
+    rays = vset.rays
     adj = list(masks)
     for j in range(len(masks), vset.n):
         row = 0
         for i in range(j):
-            if inner_product(vectors[i], vectors[j]) == 0:
+            if inner_product(rays[i], rays[j]) == 0:
                 row |= 1 << i
                 adj[i] |= 1 << j
         adj.append(row)
@@ -162,7 +160,7 @@ def enumerate_contexts(vset: VectorSet) -> list[Context]:
     rays.  Each clique comes out in the set's indices, sorted.
     """
     n, adj = vset.n, vset.graph
-    order = [v for _, v in sorted(vset._ray_index.items())]  # order[rank] = vertex
+    order = sorted(range(n), key=vset.rays.__getitem__)  # order[rank] = vertex
     bit = [0] * n
     for r, v in enumerate(order):
         bit[v] = 1 << r
@@ -192,35 +190,39 @@ def _cliques(adj: Sequence[int], label: Sequence[int], p: int, k: int,
     return out
 
 
-def _members_in_range(ctx: Context, n: int) -> bool:
-    """Whether every member of ctx lies in [0, n); ValueError on one that is not an index."""
+def _as_indices(ctx: Iterable) -> Context:
+    """ctx's members as a tuple of ints; ValueError on one that is not an integer or is a bool."""
+    ctx = tuple(ctx)
     for v in ctx:
-        if type(v) is not int and not _is_index(v):  # an exact int needs no call
-            raise ValueError(f"context {ctx} has a member {v!r} that is not an index")
-        if not 0 <= v < n:
-            return False
-    return True
+        if type(v) is not int:  # an exact int needs no call; a numpy integer is converted
+            if bad := [u for u in ctx if isinstance(u, bool) or not isinstance(u, Integral)]:
+                raise ValueError(f"context {ctx} has a member {bad[0]!r} that is not an index")
+            return tuple(map(int, ctx))
+    return ctx
 
 
-def check_context(vset: VectorSet, ctx: Context, adj: Sequence[int] | None = None) -> int:
+def check_context(vset: VectorSet, ctx: Context) -> int:
     """Raise ValueError unless ctx is an orthogonal basis drawn from vset.
 
     Returns the bitmask of its members.  The checks run in order: every
     member an index (an integer, not a bool), d distinct members, every
-    member in [0, n) (before any vector or mask is read, so a negative index
-    cannot alias a vertex), then orthogonality: each member's row of adj,
-    the set's adjacency masks, if given, else the exact inner product of
-    each of the d(d-1)/2 member pairs.
+    member in [0, n) (before any ray or mask is read, so a negative index
+    cannot alias a vertex), then orthogonality: each member's row of the
+    set's adjacency masks if vset.graph is built, else the exact inner
+    product of each of the d(d-1)/2 member ray pairs.
     """
     d, n = vset.dim, vset.n
-    in_range = _members_in_range(ctx, n)
+    ctx = _as_indices(ctx)
     if len(ctx) != d or len(set(ctx)) != d:
         raise ValueError(f"context {ctx} must have {d} distinct members")
-    if not in_range:
-        raise ValueError(f"context {ctx} has a member outside [0, {n})")
-    mask = sum(1 << v for v in ctx)
+    mask = 0
+    for v in ctx:
+        if not 0 <= v < n:
+            raise ValueError(f"context {ctx} has a member outside [0, {n})")
+        mask |= 1 << v
+    adj = vars(vset).get("graph")
     if any(mask & ~adj[v] != 1 << v for v in ctx) if adj is not None else any(
-        inner_product(vset.vectors[u], vset.vectors[v]) for u, v in itertools.combinations(ctx, 2)
+        inner_product(vset.rays[u], vset.rays[v]) for u, v in itertools.combinations(ctx, 2)
     ):
         raise ValueError(f"context {ctx} is not an orthogonal basis")
     return mask
@@ -235,18 +237,21 @@ class ContextSystem:
 
     @classmethod
     def of(cls, vset: VectorSet, contexts: Sequence[Context] | None = None) -> ContextSystem:
-        """Each listed context through check_context once, else the enumerated ones unchecked.
+        """Each listed context through check_context once, stored as ints, else the enumerated ones.
 
-        Listed contexts are read off the set's graph if it is built or costs
-        fewer inner products than all their member pairs, else pair by pair.
+        The set's graph is built first when it costs fewer inner products than
+        all the listed contexts' member pairs, so check_context reads it.
         """
         if contexts is None:
             return cls._trusted(vset, enumerate_contexts(vset))
         d, n = vset.dim, vset.n
-        many = "graph" in vars(vset) or len(contexts) * d * (d - 1) > n * (n - 1)
+        if len(contexts) * d * (d - 1) > n * (n - 1):
+            vset.graph  # built and kept, for check_context to read
+        listed = []
         for ctx in contexts:
-            check_context(vset, ctx, vset.graph if many else None)
-        return cls._trusted(vset, contexts)
+            check_context(vset, ctx)
+            listed.append(_as_indices(ctx))
+        return cls._trusted(vset, listed)
 
     @classmethod
     def _trusted(cls, vset: VectorSet, contexts: Iterable[Context]) -> ContextSystem:
@@ -282,7 +287,10 @@ class ContextSystem:
         # a non-index raises ValueError as in check_context, a member outside
         # [0, n) has no bit and is refused before it is shifted, and a repeat
         # carries d powers of two into fewer than d set bits: no context
-        if len(ctx) != self.vset.dim or not _members_in_range(ctx, self.vset.n):
+        if len(ctx) != self.vset.dim:
+            return None
+        ctx = _as_indices(ctx)
+        if min(ctx) < 0 or max(ctx) >= self.vset.n:
             return None
         return mask if (mask := sum(1 << v for v in ctx)) in self.masks else None
 
@@ -456,7 +464,7 @@ def complete_set(vset: VectorSet) -> VectorSet:
             return current
         vectors += tuple(dict.fromkeys(
             ray for i, j in uncovered
-            for ray in orthocomplement_basis([vectors[i], vectors[j]], vset.dim)
+            for ray in orthocomplement_basis([current.rays[i], current.rays[j]], vset.dim)
             if ray not in current._ray_index
         ))
     raise ValueError(f"set completion did not stabilize within {MAX_ROUNDS} rounds")

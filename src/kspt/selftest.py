@@ -19,7 +19,8 @@ rows: every row annihilates the sign vector.  The certificate is that
 integer check plus the exact rank: nullity = d! - rank, and nullity 1 means
 the null space is the sign vector's line, so the state is unique.  Contexts
 arrive as a checked ks_sets.ContextSystem, and the canonical basis and row
-contexts are found among the game's by mask, never checked again.
+contexts are found among the game's by mask, never checked again.  Rows
+expand the set's primitive rays; a member's scale would only scale its rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import itemgetter
 
 from .catalog import _window_bases, merged_peres
 from .exact_linalg import _ReadRows, primitive, rank
-from .ks_sets import Context, ContextSystem, check_context
+from .ks_sets import Context, ContextSystem, _as_indices, check_context
 from .supersinglet import SupersingletState, build_supersinglet, check_state_budget
 from .supersinglet import _arrangements, _multiset_expansion
 
@@ -48,13 +49,10 @@ def support_restriction_constraints(system: ContextSystem) -> Context:
     restriction is structural (it shrinks the variable space), so no rows are
     emitted; the returned context is what justifies it.
     """
-    d, index = system.vset.dim, system.vset._ray_index
-    canonical = []
-    for t in range(d):
-        ray = tuple(1 if j == t else 0 for j in range(d))
-        if ray not in index:
-            raise ValueError(f"canonical basis vector e_{t} is absent from the set")
-        canonical.append(index[ray])
+    d, index_of = system.vset.dim, system.vset.index_of
+    canonical = [index_of([int(j == t) for j in range(d)]) for t in range(d)]
+    if None in canonical:
+        raise ValueError(f"canonical basis vector e_{canonical.index(None)} is absent from the set")
     ctx = tuple(sorted(canonical))
     if system.mask_of(ctx) is None:
         raise ValueError("canonical basis is not a context of the supplied set")
@@ -93,7 +91,7 @@ def pqs_constraint_rows(system: ContextSystem) -> list[ConstraintRow]:
     arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
     expanded, generated = [], 0  # [(context, its live (s, row) pairs)], their row count
     for context in system.contexts:
-        expansion = _multiset_expansion([system.vset.vectors[i] for i in context])
+        expansion = _multiset_expansion([system.vset.rays[i] for i in context])
         live = [(s, row) for s, row in expansion.items() if len(set(s)) < d]
         generated += sum(len(arranged(s)) for s, _ in live)
         if generated > MAX_ROWS:
@@ -192,7 +190,7 @@ def certify(system: ContextSystem, row_contexts: list[Context]) -> SelftestRepor
         if system.mask_of(ctx) is None:
             check_context(system.vset, ctx)
             raise ValueError(f"context {ctx} is not a context of the game")
-    rows = ContextSystem._trusted(system.vset, row_contexts)
+    rows = ContextSystem._trusted(system.vset, map(_as_indices, row_contexts))
     solution = assemble_and_solve(rows)
     unique, witness = verify_unique_supersinglet(solution)
     return SelftestReport(

@@ -33,8 +33,10 @@ from kspt.ks_sets import (
     to_json_dict,
     validate_assignment,
 )
-from kspt.selftest import general_d_selftest
-from kspt.supersinglet import _multiset_expansion
+from kspt.cli import run
+from kspt.game import classical_value_report, verify_perfect_strategy
+from kspt.selftest import assemble_and_solve, general_d_selftest
+from kspt.supersinglet import SupersingletState, _multiset_expansion, build_supersinglet
 
 from naive import naive_edges, naive_ks_search, naive_uncovered
 
@@ -357,16 +359,18 @@ def test_check_context_returns_the_member_mask():
 
 
 def test_check_context_reads_the_graph_and_the_pairs_alike():
-    # ContextSystem.of hands check_context the adjacency masks when many
-    # contexts are listed; verdict, message and mask must not depend on it
-    vset = VectorSet(dim=3, vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1)))
+    # check_context reads the adjacency masks once the set's graph is built,
+    # else the member ray pairs; verdict, message and mask must not depend on it
+    vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1))
+    fresh, built = VectorSet(dim=3, vectors=vectors), VectorSet(dim=3, vectors=vectors)
+    built.graph
     candidates = [*itertools.permutations(range(5), 3), (0, 1), (0, 0, 1), (0, 1, 5), (-1, 3, 4)]
     outcomes = []
     for ctx in candidates:
         verdicts = []
-        for adj in (None, vset.graph):
+        for vset in (fresh, built):
             try:
-                verdicts.append(check_context(vset, ctx, adj))
+                verdicts.append(check_context(vset, ctx))
             except ValueError as exc:
                 verdicts.append(str(exc))
         assert verdicts[0] == verdicts[1]
@@ -375,6 +379,7 @@ def test_check_context_reads_the_graph_and_the_pairs_alike():
     assert outcomes.count(0b111) == outcomes.count(0b11001) == 6
     for reason in ("not an orthogonal basis", "distinct members", "outside [0, 5)"):
         assert any(reason in str(v) for v in outcomes)
+    assert "graph" not in vars(fresh)  # so the fresh set was read pair by pair
 
 
 def test_context_system_is_made_by_of_and_derives_its_masks():
@@ -412,6 +417,90 @@ def test_list_built_vector_set_equals_and_hashes_like_tuples():
     built = VectorSet(2, ((1, 0), (0, 1)), ("a", "b"))
     assert listed == built and hash(listed) == hash(built)
     assert listed.vectors == ((1, 0), (0, 1)) and listed.labels == ("a", "b")
+
+
+def _numpy(ctx):
+    return tuple(np.int64(v) for v in ctx)
+
+
+def test_mask_of_reads_numpy_members_past_63_as_ints():
+    # 1 << np.int64(64) is 0, so a numpy context with a member >= 64 found no mask
+    system = ContextSystem.of(merged_peres(7))
+    ctx = next(c for c in system.contexts if max(c) >= 64)
+    assert system.mask_of(ctx) is not None
+    assert system.mask_of(_numpy(ctx)) == system.mask_of(ctx)
+
+
+def test_a_built_graph_checks_numpy_members_past_63():
+    # read off the graph, mask & ~adj[v] overflowed on np.int64 members >= 64
+    vset = merged_peres(10)
+    vset.graph
+    ctx = next(c for c in enumerate_contexts(vset) if max(c) >= 64)
+    system = ContextSystem.of(vset, [_numpy(ctx)])
+    assert system.contexts == (ctx,)
+    assert all(type(v) is int for v in system.contexts[0])
+
+
+def test_a_numpy_dim_is_stored_as_an_int():
+    # a numpy dim used to reach the search, which called d.bit_length()
+    vset = VectorSet(np.int64(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert check_ks_property(ContextSystem.of(vset)).witness == (1, 0, 0)
+    assert type(vset.dim) is int
+
+
+def test_numpy_members_give_an_int_witness():
+    vset = VectorSet(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    witness = check_ks_property(ContextSystem.of(vset, [_numpy((0, 1, 2))])).witness
+    assert witness == (1, 0, 0)
+    assert all(type(b) is int for b in witness)
+
+
+def test_numpy_entries_and_members_serialise():
+    canonical = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    vset = VectorSet(np.int64(3), tuple(map(_numpy, canonical)))
+    system = ContextSystem.of(vset, [_numpy((2, 0, 1))])
+    doc = json.loads(json.dumps(to_json_dict(vset, system.contexts)))
+    assert doc == {"dim": 3, "vectors": [list(v) for v in canonical], "contexts": [[2, 0, 1]]}
+    assert all(type(x) is int for v in vset.vectors for x in v)
+
+
+def test_index_of_refuses_an_inexact_entry():
+    vset = catalog_peres24()
+    for entry in (0.5, "a", True):
+        with pytest.raises(ValueError, match="that is not an exact rational"):
+            vset.index_of((entry, 0, 0, 0))
+
+
+def test_a_rescaled_set_agrees_wherever_scale_is_not_printed(capsys, tmp_path):
+    ck = catalog_conway_kochen31()
+    scaled = [tuple(-3 * x for x in v) if i % 3 == 0 else v for i, v in enumerate(ck.vectors)]
+    copy = VectorSet(3, [tuple(Fraction(x, 2) for x in v) if i == 1 else v
+                         for i, v in enumerate(scaled)], ck.labels)
+    assert copy.vectors != ck.vectors and copy.rays == ck.rays
+    # one index for the negated, scaled and Fraction spellings of a ray
+    spellings = ((0, 1, 1), (0, -1, -1), (0, 7, 7), (0, Fraction(1, 3), Fraction(1, 3)))
+    assert {copy.index_of(v) for v in spellings} == {4}
+    assert copy.index_of((1, 2, 3)) is None
+    assert copy.graph == ck.graph
+    system, copied = ContextSystem.of(ck), ContextSystem.of(copy)
+    assert copied.contexts == system.contexts
+    assert check_ks_property(copied) == check_ks_property(system)
+    assert classical_value_report(copied) == classical_value_report(system)
+    corrupted = dict(build_supersinglet(3).terms)
+    corrupted[(0, 1, 2)] = 2
+    for state in (None, SupersingletState(3, corrupted)):
+        assert verify_perfect_strategy(copied, state) == verify_perfect_strategy(system, state)
+    rows, copied_rows = assemble_and_solve(system), assemble_and_solve(copied)
+    assert (copied_rows.rows, copied_rows.rank) == (rows.rows, rows.rank)
+    # state expand prints the given vectors' scale: the integer copy's, not the rays'
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(to_json_dict(VectorSet(3, scaled))), encoding="utf-8")
+    x = next(x for x, ctx in enumerate(system.contexts) if 0 in ctx)
+    scales = []
+    for argv in (["--set", str(path)], ["--builtin", "ck31"]):
+        assert run(["state", "expand", *argv, "--context", str(x)]) == 0
+        scales.append({t["scale"] for t in json.loads(capsys.readouterr().out)["results"]["terms"]})
+    assert scales == [{"54/1"}, {"6/1"}]  # 3! * |(-3, 0, 0)|^2 and 3!
 
 
 def test_mask_of_refuses_a_member_past_the_set_before_shifting():

@@ -148,6 +148,16 @@ def test_certify_refuses_row_context_members_that_are_not_indices():
     assert certify(game, [tuple(np.int64(v) for v in row)]) == certify(game, [row])
 
 
+def test_certify_reads_numpy_members_past_63_as_the_ints():
+    # mask_of shifted np.int64 members, and 1 << np.int64(64) is 0, so a game
+    # context with a member >= 64 was refused as "not a context of the game"
+    game = ContextSystem.of(merged_peres(7))
+    row = next(ctx for ctx in game.contexts if max(ctx) >= 64)
+    report = certify(game, [tuple(np.int64(v) for v in row)])
+    assert report == certify(game, [row])
+    assert all(type(v) is int for v in report.contexts[0])
+
+
 def test_constraint_rows_are_primitive_and_distinct():
     vset = catalog_peres24()
     rows = pqs_constraint_rows(ContextSystem.of(vset, [(4, 5, 6, 7)]))

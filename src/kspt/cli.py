@@ -3,19 +3,22 @@
 Every subcommand prints a report object {command, inputs_digest, results,
 timings_ms}.  A handler only computes and returns (command, inputs, results,
 exit code); run is the one place that parses, times and prints a report.
-catalog export, the one special case in run, prints the raw interchange
-document instead, so the output round-trips through the importer
-bit-identically.  Loading a set checks its listed contexts once, into the one
-ContextSystem its command reads (enumerated when none are listed).  Exit codes:
-0 success, 1 verification failure (a colorable set, an imperfect strategy, a
-non-unique null space), 2 any refusal (usage, ValueError or OSError: bad input
-or an exceeded budget).  Any other exception is a fault and propagates.  Exact
-rationals are serialized as "num/den" strings, never floats.
+run parses with one parser, built on first use and kept for the process
+(build_parser), so a call pays only for its own command.  catalog export,
+the one special case in run, prints the raw interchange document instead, so
+the output round-trips through the importer bit-identically.  Loading a set
+checks its listed contexts once, into the one ContextSystem its command reads
+(enumerated when none are listed).  Exit codes: 0 success, 1 verification
+failure (a colorable set, an imperfect strategy, a non-unique null space), 2
+any refusal (usage, ValueError or OSError: bad input or an exceeded budget).
+Any other exception is a fault and propagates.  Exact rationals are
+serialized as "num/den" strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -307,7 +310,14 @@ def _add_set_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--set", help="path to an interchange JSON document")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kspt argument parser, built on the first call and shared by every later one.
+
+    Sharing is safe: parse_args gives each call a fresh namespace, subparsers
+    included, no default is mutable, and help and usage are formatted when
+    printed.  build_parser.__wrapped__() builds a new one.
+    """
     parser = argparse.ArgumentParser(
         prog="kspt",
         description="Vector-set contextuality games: verification, exact values, certification",

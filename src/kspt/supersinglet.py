@@ -16,7 +16,9 @@ is c * det of those rows.  Both decide that a state is c * sign, and find c,
 with one helper, _antisymmetric_constant, which reads the signs off the
 state's own keys.  A signed permutation matrix acts on the state by
 relabeling and signing its terms, so the exact invariance check reads no
-expansion.  Floats enter only in the dense invariance check of a state.
+expansion.  Floats enter only in the dense invariance check of a state, and
+so does numpy: it is imported inside the functions that read it (the dense
+check and the seeded matrix generators), so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from fractions import Fraction
 from itertools import permutations
 from numbers import Rational
 from operator import getitem
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact_linalg import Scalar, determinant, inner_product, norm_squared
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Permutation = tuple[int, ...]
 Vector = tuple[Scalar, ...]
@@ -266,6 +270,8 @@ class InvarianceReport:
 
 
 def _dense_state(state: SupersingletState) -> np.ndarray:
+    import numpy as np
+
     s = np.zeros((state.d,) * state.d, dtype=complex)
     w = 1.0 / math.sqrt(math.factorial(state.d))
     for p, x in state.terms.items():
@@ -276,6 +282,8 @@ def _dense_state(state: SupersingletState) -> np.ndarray:
 def check_unitary_invariance(state: SupersingletState, U: np.ndarray,
                              tolerance: float = 1e-10) -> InvarianceReport:
     """Apply U tensored d times to the dense state; ValueError unless U is finite and unitary."""
+    import numpy as np
+
     d = state.d
     if d < 2 or d > DENSE_CHECK_MAX_D:
         raise ValueError(f"dense invariance check supports 2 <= d <= {DENSE_CHECK_MAX_D}")
@@ -358,6 +366,8 @@ def check_unitary_invariance_exact(state: SupersingletState, M: list[Vector]) ->
 
 def random_special_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-ish random unitary with the determinant phase divided out."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
@@ -368,6 +378,8 @@ def random_special_unitary(d: int, seed: int) -> np.ndarray:
 
 def random_signed_permutation(d: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Integer signed permutation matrix (rows), exactly orthogonal."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d)
     signs = rng.choice((-1, 1), size=d)

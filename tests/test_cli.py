@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -863,6 +864,23 @@ def declared_script_target(name):
     return entry.group(1)
 
 
+def source_env():
+    """The environment of a child that imports the same kspt as this suite, wherever pytest started."""
+    src = str(Path(kspt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_run(argv, epilogue=""):
+    """run(argv) in a new interpreter, then the Python statements of epilogue there."""
+    script = f"import sys\nfrom kspt.cli import run\ncode = run(sys.argv[1:])\n{epilogue}\nsys.exit(code)"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, timeout=120, env=source_env(),
+    )
+
+
 def check_script_process(argv_prefix, env, cwd):
     proc = subprocess.run(
         [*argv_prefix, "catalog", "list"],
@@ -885,15 +903,72 @@ def test_installed_script_smoke(tmp_path):
     # uninstalled checkout too; an installed kspt on PATH is run as well.
     module, _, attr = declared_script_target("kspt").partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
-    # The child imports the same kspt as this suite, wherever pytest started.
-    src = str(Path(kspt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    check_script_process([sys.executable, "-c", wrapper], env, tmp_path)
+    check_script_process([sys.executable, "-c", wrapper], source_env(), tmp_path)
     exe = shutil.which("kspt")
     if exe is not None:
         check_script_process([exe], dict(os.environ), tmp_path)
+
+
+def parse_with(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parser.parse_args(argv) when it exits, as for --help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code or 0, *capsys.readouterr())
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(capsys, monkeypatch):
+    # each flag set by one call is unset in the next; every report equals the
+    # same argv's report from a fresh interpreter, timings aside
+    d4_all = ["selftest", "--d", "4", "--all-contexts"]
+    d4 = ["selftest", "--d", "4"]
+    edges_only = ["ks", "verify", "--edges-from-contexts-only", "--builtin", "ck31"]
+    verify = ["ks", "verify", "--builtin", "ck31"]
+    contexts = ["selftest", "--builtin", "ck31", "--contexts", "0,3,4", "1,5,6"]
+    usage = ["selftest", "--d", "4", "--builtin", "ck31"]
+    fresh = {}
+    for argv in (d4_all, d4, edges_only, verify, contexts):
+        proc = fresh_run(argv)
+        report = json.loads(proc.stdout)
+        del report["timings_ms"]
+        fresh[tuple(argv)] = proc.returncode, report
+    fresh_parser = cli.build_parser.__wrapped__()
+
+    # the first call builds the parser; no later one may build another
+    assert run(d4_all) == fresh[tuple(d4_all)][0]
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (d4_all, d4, edges_only, verify, contexts, d4, usage, verify, ["--help"],
+                 ["selftest", "--help"], edges_only):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if tuple(argv) in fresh:
+            report = json.loads(out)
+            del report["timings_ms"]
+            assert (code, report) == fresh[tuple(argv)], argv
+        else:
+            assert (code, out, err) == parse_with(fresh_parser, argv, capsys), argv
+            assert code == (2 if argv is usage else 0)
+    assert built == []
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    loaded = "print('numpy' in sys.modules, file=sys.stderr)"
+    proc = fresh_run(["ks", "verify", "--builtin", "ck31"], loaded)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    # the dense check and the seeded generators import it where they read it
+    proc = fresh_run(["state", "invariance", "--d", "3", "--samples", "2", "--signed", "2"], loaded)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "True\n"
+    assert json.loads(proc.stdout)["results"]["signed_determinants"] == ["-1/1", "1/1"]
 
 
 def test_export_document_matches_library_serialization(capsys):

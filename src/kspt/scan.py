@@ -23,6 +23,10 @@ than L* and the best stays above L* until v*; every node on the path to v*
 has bound <= L*, so that path is never pruned and v* is reached; no later
 leaf loses less than L*, so v* is kept.  An explicit stack replaces
 recursion, so the depth is not bounded by Python's recursion limit.
+
+A vertex that no context holds changes no score, so v* has it at 0: the
+search branches only on the held vertices, relabelled in increasing order
+so that v keeps its order, and reads them back into v* at the end.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ def best_assignment(
     if table != [d - abs(k - 1) for k in range(d + 1)]:
         raise RuntimeError(f"the search takes only the game's score table for d = {d}")
     budget = MAX_NODES
+    vertices = sorted({u for ctx in members for u in ctx})  # the held ones; the others stay 0
+    at = {u: i for i, u in enumerate(vertices)}
+    members = [tuple(map(at.__getitem__, ctx)) for ctx in members]
+    total_n, n = n, len(vertices)
     held = _holding_masks(members, n)
     counts = [mask.bit_count() for mask in held]
     # closed[i]: the contexts whose members are all fixed once i vertices are
@@ -94,8 +102,8 @@ def best_assignment(
             budget -= 1
             if budget < 0:
                 raise ValueError(f"the exact classical search entered more than its budget "
-                                 f"of {MAX_NODES} nodes (n = {n} vertices, m = {m} contexts)")
+                                 f"of {MAX_NODES} nodes (n = {total_n} vertices, m = {m} contexts)")
             v |= b << u
             sat[i + 1], ones[i + 1] = s, k
             i += 1
-    return m * d - best_loss, best_v
+    return m * d - best_loss, sum(1 << u for i, u in enumerate(vertices) if best_v >> i & 1)

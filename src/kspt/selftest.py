@@ -9,15 +9,19 @@ context contributes one homogeneous row per forbidden outcome tuple.
 A context's rows are its product-expansion rows on the tuples that are not
 permutations of it.  Permuting the parties permutes a row's columns, so each
 member multiset is expanded once and its row relabelled for every
-arrangement.  Rows come from a whole system, its contexts in order; one
-pass counts the rows every context generates and refuses more than MAX_ROWS
-before relabelling any, a second relabels each (multiset row, sigma) pair
-once.  The rows, their order, values and provenance are those of expanding
-every tuple of every context.  Such a tuple repeats a member, so its row's
-product with the permutation-sign vector is a determinant with two equal
-rows: every row annihilates the sign vector.  The certificate is that
+arrangement; contexts whose rays differ only by coordinate and member sign
+flips share that plan.  Rows come from a whole system, its contexts in
+order; one pass counts the rows every context generates and refuses more
+than MAX_ROWS before relabelling any, a second relabels each (multiset row,
+sigma) pair once.  The rows, their order, values and provenance are those of
+expanding every tuple of every context.  Such a tuple repeats a member, so
+its row's product with the permutation-sign vector is a determinant with two
+equal rows: every row annihilates the sign vector.  The certificate is that
 integer check plus the exact rank: nullity = d! - rank, and nullity 1 means
-the null space is the sign vector's line, so the state is unique.  Contexts
+the null space is the sign vector's line, so the state is unique.  The rank
+is d! - 1 without a d!-column elimination when the contexts' blocks, each a
+small rank, connect every level (_block_certificate); otherwise one
+elimination decides it.  Contexts
 arrive as a checked ks_sets.ContextSystem, and the canonical basis and row
 contexts are found among the game's by mask, never checked again.  Rows
 expand the set's primitive rays; a member's scale would only scale its rows.
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from math import factorial
 from operator import itemgetter
 
 from .catalog import _window_bases, merged_peres
@@ -73,42 +78,76 @@ class ConstraintRow:
     provenance: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def pqs_constraint_rows(system: ContextSystem) -> list[ConstraintRow]:
-    """The rows of every context of the system, in order, merged.
+def _shape(rays: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The rays, in order, with coordinate and member signs fixed by their zero pattern.
 
-    A context's rows come from its outcome tuples that are not permutations
-    of it, in the order of product(context, repeat=d); identically zero rows
-    are absent.  The first pass expands every context and counts the rows its
-    multisets s that repeat a member generate, one per distinct arrangement
-    b = s o sigma (supersinglet._arrangements, once per s); past MAX_ROWS it
-    raises ValueError before relabelling any row.  The second makes s's row
-    primitive once and reads b's as s's with column pi moved to pi o sigma,
-    in column (lexicographic permutation) order; each (primitive row, sigma)
-    pair is relabelled and signed once.  Equal rows merge in first-seen order,
-    their provenance, (context position, outcome tuple), in generation order.
+    A coordinate flip negates every product of the expansion, a member flip
+    every product holding that member an odd number of times, so neither
+    changes a primitive row nor which rows vanish: rays of one shape have one
+    row plan.  The signs make each edge of a spanning forest of the bipartite
+    (member, nonzero level) graph positive, the forest grown breadth-first
+    from the lowest member, so it depends on the zero pattern alone and every
+    sign-flipped copy of the rays gets the same shape.
     """
-    d = system.vset.dim
-    arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
-    expanded, generated = [], 0  # [(context, its live (s, row) pairs)], their row count
-    for context in system.contexts:
-        expansion = _multiset_expansion([system.vset.rays[i] for i in context])
-        live = [(s, row) for s, row in expansion.items() if len(set(s)) < d]
-        generated += sum(len(arranged(s)) for s, _ in live)
-        if generated > MAX_ROWS:
-            raise ValueError(f"the rows exceed the budget of {MAX_ROWS} generated rows")
-        expanded.append((context, live))
-    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
-    seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
-    merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for ci, (context, live) in enumerate(expanded):
-        arrangements = {}  # every live arrangement b -> (sigma, s's row, its row's memo)
-        for s, row in live:
+    d = len(rays)
+    member, level = [0] * d, [0] * d  # the sign chosen for each, 0 while unset
+    for root in range(d):
+        if member[root]:
+            continue
+        member[root] = 1
+        queue = [root]
+        for p in queue:
+            for j, x in enumerate(rays[p]):
+                if x and not level[j]:
+                    level[j] = 1 if x * member[p] > 0 else -1
+                    for q, ray in enumerate(rays):
+                        if ray[j] and not member[q]:
+                            member[q] = 1 if ray[j] * level[j] > 0 else -1
+                            queue.append(q)
+    return tuple(tuple(m * c * x for c, x in zip(level, ray)) for m, ray in zip(member, rays))
+
+
+def _row_plan(rays: tuple[tuple[int, ...], ...], arranged, seen: dict) -> list[tuple]:
+    """A context's live arrangements (b, sigma, columns pi, primitive values, memo), sorted by b.
+
+    One entry per distinct arrangement b = s o sigma of each member multiset
+    s that repeats a member; arranged caches _arrangements per s.  Equal
+    multiset rows, (columns, primitive values), share one memo sigma ->
+    provenance from seen, so each (multiset row, sigma) pair is relabelled once.
+    """
+    plan = []
+    for s, row in _multiset_expansion(list(rays)).items():
+        if len(set(s)) < len(rays):
             key = (tuple(row), primitive(list(row.values())))
             memo = seen.setdefault(key, {})
-            for b, sigma in arranged(s).items():
-                arrangements[b] = sigma, key, memo
-        for b in sorted(arrangements):
-            sigma, (pis, values), memo = arrangements[b]
+            plan.extend((b, sigma, *key, memo) for b, sigma in arranged(s).items())
+    plan.sort()  # arrangements are distinct, so by b alone
+    return plan
+
+
+def _merged_rows(d: int, contexts: list[tuple[Context, list[tuple[int, ...]]]]) -> dict:
+    """Each context's rows, given with its member rays, merged: entries -> provenance list.
+
+    The first pass finds each context's row plan, one per shape, and counts
+    the rows it generates; past MAX_ROWS it raises ValueError before
+    relabelling any row.  The second walks each context through its plan.
+    """
+    arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
+    seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
+    plans: dict[tuple, list] = {}  # shape -> its row plan
+    walks, generated = [], 0  # [(context, its plan)], their row count
+    for context, rays in contexts:
+        shape = _shape(rays)
+        if (plan := plans.get(shape)) is None:
+            plan = plans[shape] = _row_plan(shape, arranged, seen)
+        generated += len(plan)
+        if generated > MAX_ROWS:
+            raise ValueError(f"the rows exceed the budget of {MAX_ROWS} generated rows")
+        walks.append((context, plan))
+    perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
+    merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for ci, (context, plan) in enumerate(walks):
+        for b, sigma, pis, values, memo in plan:
             if (provenance := memo.get(sigma)) is None:
                 moved = map(perm_index.__getitem__, map(itemgetter(*sigma), pis))
                 entries = sorted(zip(moved, values))
@@ -116,7 +155,74 @@ def pqs_constraint_rows(system: ContextSystem) -> list[ConstraintRow]:
                     entries = [(c, -v) for c, v in entries]
                 provenance = memo[sigma] = merged.setdefault(tuple(entries), [])
             provenance.append((ci, tuple(map(context.__getitem__, b))))
+    return merged
+
+
+def pqs_constraint_rows(system: ContextSystem) -> list[ConstraintRow]:
+    """The rows of every context of the system, in order, merged.
+
+    A context's rows come from its outcome tuples that are not permutations
+    of it, in the order of product(context, repeat=d); identically zero rows
+    are absent.  Contexts whose member rays agree up to coordinate and member
+    sign flips (_shape) share one row plan: the multisets s that repeat a
+    member, each row made primitive once, and their distinct arrangements
+    b = s o sigma (supersinglet._arrangements, once per s) sorted by b.  The
+    rows the plans generate are counted first; past MAX_ROWS the call raises
+    ValueError before relabelling any row.  b's row is s's with column pi
+    moved to pi o sigma, in column (lexicographic permutation) order; each
+    (primitive row, sigma) pair is relabelled and signed once.  Equal rows
+    merge in first-seen order, their provenance, (context position, outcome
+    tuple), in generation order.
+    """
+    rays = system.vset.rays
+    merged = _merged_rows(system.vset.dim, [(c, [rays[i] for i in c]) for c in system.contexts])
     return [ConstraintRow(entries=e, provenance=tuple(p)) for e, p in merged.items()]
+
+
+def _block_certificate(system: ContextSystem) -> bool:
+    """True when the contexts' blocks prove the rows' null space is at most one line.
+
+    A context's block B is the set of levels its non-canonical members (rays
+    with two or more nonzeros) touch; its other members are the e_j off B.
+    On the permutations pi with one set P = pi^-1(B) of parties and one
+    assignment of the other parties, its rows are those of the local system:
+    the members restricted to B, over the |B|! bijections P -> B.  If the
+    contexts of block B have local rank at least |B|! - 1 (the elimination
+    stops there), every solution there is a multiple of the local sign
+    vector, so x[tau o pi] = sign(tau) x[pi] for every tau in Sym(B).  When
+    such blocks connect all d levels, their symmetric groups hold every
+    transposition and so generate Sym(d): x is a multiple of the sign vector.
+    Only blocks with 2 <= |B| < d are ranked, once per distinct local system;
+    a block of all d levels would be the full elimination again.  False
+    proves nothing: the condition is sufficient only, and the rank decides.
+    """
+    d, rays = system.vset.dim, system.vset.rays
+    local: dict[tuple[int, ...], set] = {}  # block -> its contexts' restricted members
+    for context in system.contexts:
+        members = [rays[i] for i in context if sum(map(bool, rays[i])) > 1]
+        block = tuple(sorted({j for ray in members for j, x in enumerate(ray) if x}))
+        if 2 <= len(block) < d:
+            restricted = tuple(sorted(tuple(r[j] for j in block) for r in members))
+            local.setdefault(block, set()).add(restricted)
+    full: dict[frozenset, bool] = {}  # local system -> whether its rank reaches |B|! - 1
+    root = list(range(d))  # union-find over the levels
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    for block, systems in local.items():
+        key = frozenset(systems)
+        if key not in full:
+            k = len(block)
+            rows = _merged_rows(k, [(tuple(range(k)), list(members)) for members in sorted(key)])
+            top = factorial(k) - 1
+            full[key] = rank(_ReadRows(dict(e) for e in rows), at_most=top) == top
+        if full[key]:
+            for j in block:
+                root[find(j)] = find(block[0])
+    return len({find(j) for j in range(d)}) == 1
 
 
 @dataclass(frozen=True)
@@ -136,8 +242,10 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
 
     Every merged row must annihilate the permutation-sign vector, in integers;
     a row that does not is a generator fault and raises RuntimeError.  That
-    check proves rank <= d! - 1, so the rank is one elimination of the sparse
-    rows, already primitive, that stops once it reaches d! - 1.
+    check proves rank <= d! - 1.  When the contexts' blocks certify a null
+    space of at most one line (_block_certificate), the rank is d! - 1;
+    otherwise it is one elimination of the sparse rows, already primitive,
+    that stops once it reaches d! - 1.
     """
     # built first, so a d over the state's budget is refused before any row
     state = build_supersinglet(system.vset.dim)
@@ -146,7 +254,11 @@ def assemble_and_solve(system: ContextSystem) -> SelftestSolution:
     for row in rows:
         if sum(v * signs[c] for c, v in row.entries):
             raise RuntimeError(f"row from {row.provenance[0]} does not annihilate the sign vector")
-    system_rank = rank(_ReadRows(dict(r.entries) for r in rows), at_most=len(signs) - 1)
+    top = len(signs) - 1
+    if _block_certificate(system):
+        system_rank = top
+    else:
+        system_rank = rank(_ReadRows(dict(r.entries) for r in rows), at_most=top)
     return SelftestSolution(state=state, variables=len(signs), rows=rows, rank=system_rank)
 
 

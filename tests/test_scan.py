@@ -1,11 +1,14 @@
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kspt import scan
 from kspt.catalog import catalog_ceg18
+from kspt.game import classical_value_report
+from kspt.ks_sets import ContextSystem, VectorSet
 
 
 def brute_force_best(members, tables, n):
@@ -144,3 +147,26 @@ def test_search_matches_the_scan_when_contexts_share_members(members, n):
     expected = vectorized_best(members, [patterns] * len(members), n)
     assert expected == brute_force_best(members, [patterns] * len(members), n)
     assert scan.best_assignment(members, game_table(d), n) == expected
+
+
+def test_vertices_no_context_holds_cost_no_nodes(monkeypatch):
+    # ceg18's nine tetrads over its 18 rays plus 12 rays no context holds,
+    # (1, 2, 3, 5 + k): the same 35/36 and the same witness padded with 0s,
+    # within the 437 nodes ceg18 itself enters (the 12 free vertices used to
+    # multiply the search to about a second); and the same with the tetrads
+    # spread over the even vertices of 36, the odd ones free
+    ceg, tetrads = catalog_ceg18()
+    padded = VectorSet(4, ceg.vectors + tuple((1, 2, 3, 5 + k) for k in range(12)))
+    want = classical_value_report(ContextSystem.of(ceg, tetrads))
+    monkeypatch.setattr(scan, "MAX_NODES", 436)
+    with pytest.raises(ValueError, match="budget of 436 nodes"):
+        scan.best_assignment(list(tetrads), game_table(4), 30)
+    monkeypatch.setattr(scan, "MAX_NODES", 437)
+    report = classical_value_report(ContextSystem.of(padded, tetrads))
+    assert (report.value, report.n) == (Fraction(35, 36), 30)
+    assert report.assignment == want.assignment + (0,) * 12
+    assert report.context_choices == want.context_choices
+    best, v = scan.best_assignment(list(tetrads), game_table(4), 18)
+    spread = [tuple(2 * u for u in ctx) for ctx in tetrads]
+    assert scan.best_assignment(spread, game_table(4), 36) == (
+        best, sum(1 << 2 * u for u in range(18) if v >> u & 1))

@@ -1,6 +1,8 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from operator import itemgetter
 
 import numpy as np
@@ -17,7 +19,7 @@ from kspt.catalog import (
 )
 from kspt.cli import run
 from kspt.exact_linalg import null_space_basis, primitive, rank
-from kspt.ks_sets import ContextSystem, enumerate_contexts
+from kspt.ks_sets import ContextSystem, VectorSet, enumerate_contexts
 from kspt.selftest import (
     ConstraintRow,
     assemble_and_solve,
@@ -514,3 +516,111 @@ def test_the_row_budget_refuses_before_relabelling_any_row(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"budget of {generated - 1} generated rows" in captured.err
+
+
+def _full_rank(system):
+    return rank([dict(r.entries) for r in pqs_constraint_rows(system)])
+
+
+def _block_cases():
+    # all 16 subsets of merged5's window bases, seeded subsets of merged6's
+    # window bases and of the peres24 and ck31 contexts
+    rng = random.Random(36)
+    merged5 = merged_peres(5)
+    windows5 = merged_window_bases(5)
+    for mask in range(16):
+        yield ContextSystem.of(merged5, [c for k, c in enumerate(windows5) if mask >> k & 1])
+    merged6 = merged_peres(6)
+    windows6 = merged_window_bases(6)
+    for size in (2, 3, 4, 4, 5):
+        yield ContextSystem.of(merged6, rng.sample(windows6, size))
+    for vset, sizes in ((catalog_peres24(), (2, 4, 8, 12, 16, 20)),
+                        (catalog_conway_kochen31(), (1, 2, 3, 4, 6, 8))):
+        contexts = enumerate_contexts(vset)
+        for size in sizes:
+            yield ContextSystem.of(vset, rng.sample(contexts, size))
+
+
+def test_the_blocks_certify_only_what_the_full_rank_confirms():
+    # wherever the block certificate holds, the full elimination reaches
+    # d! - 1; and assemble_and_solve's rank is the full rank on every subset
+    certified = 0
+    for system in _block_cases():
+        full = _full_rank(system)
+        if selftest._block_certificate(system):
+            certified += 1
+            assert full == factorial(system.vset.dim) - 1
+        assert assemble_and_solve(system).rank == full
+    assert certified == 9  # in every family: merged5, merged6, peres24 and ck31
+
+
+def _record_rank_bounds(monkeypatch):
+    """The at_most of every rank the self-test takes from now on, in order."""
+    bounds = []
+
+    def recorded(rows, at_most=None):
+        bounds.append(at_most)
+        return rank(rows, at_most)
+
+    monkeypatch.setattr(selftest, "rank", recorded)
+    return bounds
+
+
+def test_the_window_bases_rank_by_blocks_alone(monkeypatch):
+    # every ranked system is a 24-column window system: the d! columns are
+    # never eliminated
+    bounds = _record_rank_bounds(monkeypatch)
+    for d in (5, 6):
+        bounds.clear()
+        report = general_d_selftest(d)
+        assert (report.rank, report.unique) == (factorial(d) - 1, True)
+        assert bounds == [23]
+
+
+@pytest.mark.parametrize("windows, want", [
+    (6, (719, 1)),  # merged6, one basis per window
+    (5, (115, 5)),  # merged5's first window alone, both bases
+])
+def test_blocks_short_of_full_rank_fall_back_to_the_elimination(monkeypatch, windows, want):
+    # merged6: one window basis restricted to its window is a peres24
+    # tetrad, local rank 18 of 23
+    # (test_single_tetrad_leaves_a_six_dimensional_null_space), so no block
+    # is full.  merged5: the first window's two bases make a full block that
+    # leaves level 4 out.  Either way the d!-column rank decides
+    if windows == 6:
+        system = ContextSystem.of(merged_peres(6), merged_window_bases(6)[::2])
+    else:
+        system = ContextSystem.of(merged_peres(5), merged_window_bases(5)[:2])
+    assert not selftest._block_certificate(system)
+    bounds = _record_rank_bounds(monkeypatch)
+    solution = assemble_and_solve(system)
+    assert (solution.rank, solution.nullity) == want
+    assert bounds[-1] == factorial(system.vset.dim) - 1
+    assert solution.rank == _full_rank(system)
+
+
+def test_contexts_of_one_shape_share_a_plan_and_match_the_oracle():
+    # four bases (1, 2a), (2, -a) on levels 0, 1 and (1, 3b), (3, -b) on
+    # levels 2, 3, a, b = +-1: coordinate sign flips of one another, and
+    # member flips too once the rays are primitive.  Two are listed in one
+    # member order and two in another, so they make two shapes; the rays are
+    # stored shuffled.  Rows and provenance must be each context's oracle
+    # rows merged in context order
+    bases = [((1, 2 * a, 0, 0), (2, -a, 0, 0), (0, 0, 1, 3 * b), (0, 0, 3, -b))
+             for a in (1, -1) for b in (1, -1)]
+    canonical = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    vectors = list(dict.fromkeys(canonical + [v for basis in bases for v in basis]))
+    random.Random(36).shuffle(vectors)
+    vset = VectorSet(4, vectors)
+    orders = [(0, 1, 2, 3), (0, 1, 2, 3), (2, 0, 3, 1), (2, 0, 3, 1)]
+    contexts = [tuple(vset.index_of(basis[k]) for k in order) for basis, order in zip(bases, orders)]
+    contexts.append(tuple(vset.index_of(v) for v in canonical))
+    system = ContextSystem.of(vset, contexts)
+    shapes = [selftest._shape([vset.rays[i] for i in c]) for c in contexts]
+    assert shapes[0] == shapes[1] != shapes[2] == shapes[3]
+    merged = {}
+    for ci, ctx in enumerate(contexts):
+        for row in naive_constraint_rows(vset, ctx, ci):
+            merged.setdefault(row.entries, []).extend(row.provenance)
+    want = [ConstraintRow(entries=e, provenance=tuple(p)) for e, p in merged.items()]
+    assert pqs_constraint_rows(system) == want

@@ -130,7 +130,8 @@ def _merged_rows(d: int, contexts: list[tuple[Context, list[tuple[int, ...]]]]) 
 
     The first pass finds each context's row plan, one per shape, and counts
     the rows it generates; past MAX_ROWS it raises ValueError before
-    relabelling any row.  The second walks each context through its plan.
+    relabelling any row.  The second walks each context through its plan and
+    frees the plan once its last context has been walked.
     """
     arranged = cache(_arrangements)  # position tuple s -> its arrangements, for this call
     seen: dict[tuple, dict] = {}  # multiset row (columns pi, primitive values) -> {sigma: provenance}
@@ -146,7 +147,9 @@ def _merged_rows(d: int, contexts: list[tuple[Context, list[tuple[int, ...]]]]) 
         walks.append((context, plan))
     perm_index = {p: i for i, p in enumerate(permutations(range(d)))}
     merged: dict[tuple[tuple[int, int], ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for ci, (context, plan) in enumerate(walks):
+    plans.clear()
+    for ci in range(len(walks)):
+        (context, plan), walks[ci] = walks[ci], None
         for b, sigma, pis, values, memo in plan:
             if (provenance := memo.get(sigma)) is None:
                 moved = map(perm_index.__getitem__, map(itemgetter(*sigma), pis))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from numbers import Rational
+from operator import getitem
 from typing import TYPE_CHECKING
 
 from .exact_linalg import Scalar, determinant, inner_product, norm_squared
@@ -167,9 +168,7 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     coeff = sum over terms pi of terms[pi] * prod_i (v_i)_{pi(i)}, the radicand
     scale = d! * prod ||v_i||^2.  For the canonical sign map the coefficient
     equals det(rows = party vectors); reading the terms keeps the evaluation
-    honest for deliberately corrupted sign maps too.  Only the permutations
-    whose every factor is nonzero are visited, party by party, each reading
-    terms.get(pi, 0): a term with a zero factor, or a missing one, adds 0.
+    honest for deliberately corrupted sign maps too.
     """
     d = state.d
     if len(party_vectors) != d:
@@ -177,12 +176,7 @@ def amplitude(state: SupersingletState, party_vectors: list[Vector]) -> Amplitud
     for v in party_vectors:
         if len(v) != d:
             raise ValueError(f"party vector of dimension {len(v)}, expected {d}")
-    live = [((), 0, 1)]  # (levels of the parties so far, those levels as bits, their product)
-    for v in party_vectors:
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        live = [(pi + (j,), used | 1 << j, prod * x)
-                for pi, used, prod in live for j, x in nonzero if not used >> j & 1]
-    coeff = sum(state.terms.get(pi, 0) * prod for pi, _, prod in live)
+    coeff = sum(x * math.prod(map(getitem, party_vectors, pi)) for pi, x in state.terms.items())
     scale = math.factorial(d) * math.prod(norm_squared(v) for v in party_vectors)
     return Amplitude(coeff=Fraction(coeff), scale=Fraction(scale))
 

@@ -528,52 +528,3 @@ def test_product_expansion_matches_the_naive_oracles():
                 for state in states:
                     assert (amplitude(state, party_vectors).coeff
                             == naive_amplitude_coeff(state, party_vectors))
-
-
-class _ReadLog(dict):
-    """A term map that records the keys amplitude reads through get."""
-
-    def __init__(self, terms):
-        super().__init__(terms)
-        self.read = []
-
-    def get(self, key, default=None):
-        self.read.append(key)
-        return super().get(key, default)
-
-
-def test_amplitude_reads_only_the_terms_with_no_zero_factor():
-    # seeded sparse to dense party vectors for d = 2..6, on the canonical map
-    # and on maps with a term flipped, dropped or doubled among those the
-    # vectors reach: the coefficient is the all-terms sum, and the terms read
-    # are exactly the permutations whose every factor is nonzero
-    rng = random.Random(36)
-    for d in range(2, 7):
-        canonical = build_supersinglet(d)
-        for density in (0.3, 0.6, 1.0):
-            for _ in range(4):
-                vectors = [tuple(rng.choice((1, -1, 2, Fraction(-1, 3))) if rng.random() < density
-                                 else 0 for _ in range(d)) for _ in range(d)]
-                reached = [pi for pi in permutations(range(d))
-                           if all(v[j] for v, j in zip(vectors, pi))]
-                maps = [dict(canonical.terms)]
-                for pi in rng.sample(reached, min(2, len(reached))):
-                    terms = dict(canonical.terms)
-                    change = rng.choice(("flip", "drop", "double"))
-                    if change == "drop":
-                        del terms[pi]
-                    else:
-                        terms[pi] *= -1 if change == "flip" else 2
-                    maps.append(terms)
-                for terms in maps:
-                    log = _ReadLog(terms)
-                    state = SupersingletState(d=d, terms=log)
-                    assert amplitude(state, vectors).coeff == naive_amplitude_coeff(state, vectors)
-                    assert sorted(log.read) == reached
-    # two party vectors (1, +-1, 0, ...) and the rest canonical reach two of
-    # the 40,320 terms at d = 8
-    vectors = [(1, 1) + (0,) * 6, (1, -1) + (0,) * 6] + [
-        tuple(int(j == i) for j in range(8)) for i in range(2, 8)]
-    log = _ReadLog(build_supersinglet(8).terms)
-    assert amplitude(SupersingletState(d=8, terms=log), vectors).coeff == -2
-    assert len(log.read) == 2
